@@ -4,7 +4,7 @@
 // memsim.Run and the fleet coordinator, worker and client — checks every
 // output, and prints one JSON result line as the last line of stdout.
 //
-// Usage, from the repository root (run.sh builds the driver first):
+// Usage, from the repository root (run.sh builds the benchmark first):
 //
 //	bash e2ebench/run.sh --workload mc-scenarios --seed 1 --seconds 10 --trace 0
 //
@@ -59,7 +59,7 @@ type result struct {
 }
 
 // metricDef names a reported metric and its unit. BENCHMARK.json lists
-// the same names; TestBenchmarkJSONMatchesDriver keeps the two in step.
+// the same names; TestBenchmarkJSONMatchesCode keeps the two in step.
 type metricDef struct{ name, unit string }
 
 // endToEnd are the metrics of every untraced run. Times are CPU time

@@ -56,7 +56,7 @@ func TestWriteReference(t *testing.T) {
 	}
 }
 
-// runBench runs the driver in-process and decodes its last stdout line.
+// runBench runs the benchmark in-process and decodes its last stdout line.
 func runBench(t *testing.T, dir string, args ...string) result {
 	t.Helper()
 	var stdout, stderr bytes.Buffer
@@ -152,9 +152,9 @@ func TestFleetLeavesNothingBehind(t *testing.T) {
 	}
 }
 
-// TestBenchmarkJSONMatchesDriver keeps BENCHMARK.json's workloads and
-// metrics in step with what the driver runs and reports.
-func TestBenchmarkJSONMatchesDriver(t *testing.T) {
+// TestBenchmarkJSONMatchesCode keeps BENCHMARK.json's workloads and
+// metrics in step with the workloads and metrics this program defines.
+func TestBenchmarkJSONMatchesCode(t *testing.T) {
 	data, err := os.ReadFile("../BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +175,7 @@ func TestBenchmarkJSONMatchesDriver(t *testing.T) {
 		want = append(want, w.name)
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("BENCHMARK.json workloads %v, driver runs %v", got, want)
+		t.Errorf("BENCHMARK.json workloads %v, code runs %v", got, want)
 	}
 	for _, c := range []struct {
 		what string
@@ -183,12 +183,12 @@ func TestBenchmarkJSONMatchesDriver(t *testing.T) {
 		defs []metricDef
 	}{{"end_to_end", b.EndToEnd, endToEnd}, {"per_layer", b.PerLayer, perLayer}} {
 		if len(c.json) != len(c.defs) {
-			t.Errorf("%s: BENCHMARK.json lists %d metrics, the driver %d", c.what, len(c.json), len(c.defs))
+			t.Errorf("%s: BENCHMARK.json lists %d metrics, the code %d", c.what, len(c.json), len(c.defs))
 			continue
 		}
 		for i, m := range c.json {
 			if m.Name != c.defs[i].name || m.Unit != c.defs[i].unit {
-				t.Errorf("%s[%d]: BENCHMARK.json %s (%s), driver %s (%s)", c.what, i, m.Name, m.Unit, c.defs[i].name, c.defs[i].unit)
+				t.Errorf("%s[%d]: BENCHMARK.json %s (%s), code %s (%s)", c.what, i, m.Name, m.Unit, c.defs[i].name, c.defs[i].unit)
 			}
 		}
 	}
