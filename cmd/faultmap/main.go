@@ -50,9 +50,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("faultmap", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		kind     = fs.String("fault", "pin", "cell|pin|lane|beat|word|pin-burst|beat-burst")
-		blen     = fs.Int("len", 4, "burst length for *-burst faults")
-		seed     = fs.Int64("seed", 1, "RNG seed")
+		kind       = fs.String("fault", "pin", "cell|pin|lane|beat|word|pin-burst|beat-burst")
+		blen       = fs.Int("len", 4, "burst length for *-burst faults")
+		seed       = fs.Int64("seed", 1, "RNG seed")
 		spec       = fs.String("scheme", "pair", "scheme spec, name[@org][:key=val,...], selecting the organization shown")
 		listSchs   = fs.Bool("list-schemes", false, "list registered schemes, spec grammar, organizations and sets, then exit")
 		scenario   = fs.String("faults", "", "fault scenario spec (name[:key=val,...] or compose(...)): render a rank-wide scenario map instead of a single-chip -fault")

@@ -37,15 +37,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracegen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		suite    = fs.Bool("suite", false, "emit the ten SPEC-like traces to -out")
-		out      = fs.String("out", ".", "output directory for -suite")
-		requests = fs.Int("requests", 20000, "requests per trace")
-		name     = fs.String("name", "custom", "trace name (single-trace mode)")
-		pattern  = fs.String("pattern", "random", "sequential|random|strided|hotspot|pointer-chase")
-		reads    = fs.Float64("reads", 0.7, "read fraction")
-		masked   = fs.Float64("masked", 0.2, "masked fraction of writes")
-		window   = fs.Int("window", 8, "MLP window hint (emitted as a header comment)")
-		seed     = fs.Int64("seed", 1, "generator seed")
+		suite      = fs.Bool("suite", false, "emit the ten SPEC-like traces to -out")
+		out        = fs.String("out", ".", "output directory for -suite")
+		requests   = fs.Int("requests", 20000, "requests per trace")
+		name       = fs.String("name", "custom", "trace name (single-trace mode)")
+		pattern    = fs.String("pattern", "random", "sequential|random|strided|hotspot|pointer-chase")
+		reads      = fs.Float64("reads", 0.7, "read fraction")
+		masked     = fs.Float64("masked", 0.2, "masked fraction of writes")
+		window     = fs.Int("window", 8, "MLP window hint (emitted as a header comment)")
+		seed       = fs.Int64("seed", 1, "generator seed")
 		listSchs   = fs.Bool("list-schemes", false, "list the scheme registry the traces feed into (memrun/pairsim specs), then exit")
 		listFaults = fs.Bool("list-faults", false, "list the fault-scenario registry the reliability campaigns inject (pairsim -faults specs), then exit")
 		listProfs  = fs.Bool("list-profiles", false, "list the memory-profile registry the traces replay on (memrun/pairsim -profile specs), then exit")

@@ -20,8 +20,8 @@ func main() {
 
 	// --- Code level -----------------------------------------------------
 	fmt.Println("code level: RS(18,16) -> RS(20,16) by appending evaluations")
-	base, _ := rs.NewExpandableDefault(18, 16)
-	expanded, _ := base.Expand(rs.DefaultPoints(20)[18:]...)
+	base, _ := rs.NewEvaluation(18, 16)
+	expanded, _ := base.Expand(2)
 
 	msg := make([]byte, 16)
 	rng.Read(msg)
@@ -35,11 +35,11 @@ func main() {
 	rx := append([]byte(nil), cwBase...)
 	rx[2] ^= 0x5A
 	rx[11] ^= 0xC3
-	_, _, errBase := base.Decode(rx, nil)
+	_, errBase := base.NewDecoder().DecodeInto(rx, rx, nil)
 	rxFull := append([]byte(nil), cwFull...)
 	rxFull[2] ^= 0x5A
 	rxFull[11] ^= 0xC3
-	_, nFixed, errFull := expanded.Decode(rxFull, nil)
+	nFixed, errFull := expanded.NewDecoder().DecodeInto(rxFull, rxFull, nil)
 	fmt.Printf("  double error: base decoder says %q, expanded decoder fixed %d symbols (err=%v)\n\n",
 		errMsg(errBase), nFixed, errFull)
 

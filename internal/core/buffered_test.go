@@ -84,4 +84,3 @@ func TestPairBufferedDifferential(t *testing.T) {
 		})
 	}
 }
-

@@ -68,29 +68,20 @@ func BaseConfig() Config {
 
 // Scheme is the PAIR ecc.Scheme.
 type Scheme struct {
-	org   dram.Organization
-	cfg   Config
-	base  *rs.Expandable // (pins+BaseParity, pins)
-	full  *rs.Expandable // (pins+BaseParity+Expansion, pins)
-	name  string
-	scr   sync.Pool // *pairScratch per-decode workspace
-	batch sync.Pool // *pairBatch per-goroutine slab workspace
+	org  dram.Organization
+	cfg  Config
+	full *rs.Code // (pins+BaseParity+Expansion, pins), evaluation view
+	name string
+	pool sync.Pool // *pairScratch per-goroutine codec workspace
 }
 
-// pairScratch is the per-goroutine codec workspace: a reusable decoder on
-// the full code, a codeword buffer, and a burst for corrected symbols.
+// pairScratch is the per-goroutine codec workspace on the full code: the
+// batch workspace (whose Decoder also serves scalar decodes), a slab sized
+// to the last batch width, per-codeword result buffers, a codeword
+// buffer, a burst for corrected symbols and the column staging block for
+// the transposed gather.
 type pairScratch struct {
-	dec  *rs.ExpandableDecoder
-	word []byte
-	b    *dram.Burst
-}
-
-// pairBatch is the per-goroutine slab workspace for DecodeBatchInto: the
-// batch decoder on the full code, a slab sized to the last batch width,
-// per-codeword result buffers, the column staging block for the
-// transposed gather and a burst for corrected symbols.
-type pairBatch struct {
-	ws       *rs.ExpandableBatchWorkspace
+	ws       *rs.BatchWorkspace
 	slab     *rs.Slab
 	nchanged []int
 	errs     []error
@@ -101,16 +92,16 @@ type pairBatch struct {
 
 // ensure sizes the slab and result buffers for w codewords (a multiple
 // of 8). The slab is rebuilt only when the width changes.
-func (bb *pairBatch) ensure(n, w int) {
-	if bb.slab == nil || bb.slab.W() != w {
-		bb.slab = rs.NewSlab(n, w)
+func (scr *pairScratch) ensure(n, w int) {
+	if scr.slab == nil || scr.slab.W() != w {
+		scr.slab = rs.NewSlab(n, w)
 	}
-	if cap(bb.nchanged) < w {
-		bb.nchanged = make([]int, w)
-		bb.errs = make([]error, w)
+	if cap(scr.nchanged) < w {
+		scr.nchanged = make([]int, w)
+		scr.errs = make([]error, w)
 	}
-	bb.nchanged = bb.nchanged[:w]
-	bb.errs = bb.errs[:w]
+	scr.nchanged = scr.nchanged[:w]
+	scr.errs = scr.errs[:w]
 }
 
 // New builds a PAIR scheme on the given organization.
@@ -128,37 +119,25 @@ func New(org dram.Organization, cfg Config) (*Scheme, error) {
 		return nil, fmt.Errorf("core: negative expansion %d", cfg.Expansion)
 	}
 	k := org.Pins * org.BurstLen / 8
-	nBase := k + cfg.BaseParity
-	nFull := nBase + cfg.Expansion
-	base, err := rs.NewExpandableDefault(nBase, k)
+	base, err := rs.NewEvaluation(k+cfg.BaseParity, k)
 	if err != nil {
 		return nil, fmt.Errorf("core: base code: %w", err)
 	}
-	full := base
-	if cfg.Expansion > 0 {
-		full, err = base.Expand(rs.DefaultPoints(nFull)[nBase:]...)
-		if err != nil {
-			return nil, fmt.Errorf("core: expansion: %w", err)
-		}
+	full, err := base.Expand(cfg.Expansion)
+	if err != nil {
+		return nil, fmt.Errorf("core: expansion: %w", err)
 	}
 	name := "pair"
 	if cfg.Expansion == 0 {
 		name = "pair-base"
 	}
-	s := &Scheme{org: org, cfg: cfg, base: base, full: full, name: name}
-	s.scr.New = func() any {
+	s := &Scheme{org: org, cfg: cfg, full: full, name: name}
+	s.pool.New = func() any {
 		return &pairScratch{
-			dec:  s.full.NewDecoder(),
-			word: make([]byte, s.full.N()),
+			ws:   full.NewBatchWorkspace(),
+			word: make([]byte, full.N),
 			b:    dram.NewBurst(org.Pins, org.BurstLen),
-		}
-	}
-	s.batch.New = func() any {
-		return &pairBatch{
-			ws:   s.full.NewBatchWorkspace(),
-			word: make([]byte, s.full.N()),
-			b:    dram.NewBurst(org.Pins, org.BurstLen),
-			cols: make([][64]byte, s.full.N()),
+			cols: make([][64]byte, full.N),
 		}
 	}
 	return s, nil
@@ -228,10 +207,10 @@ func (s *Scheme) Config() Config { return s.cfg }
 
 // CodewordLength returns the total symbols per codeword (data + base
 // parity + expansion).
-func (s *Scheme) CodewordLength() int { return s.full.N() }
+func (s *Scheme) CodewordLength() int { return s.full.N }
 
 // T returns the guaranteed symbol-correction capability.
-func (s *Scheme) T() int { return s.full.T() }
+func (s *Scheme) T() int { return s.full.T }
 
 // parityBits returns the on-die redundancy size in bits per access.
 func (s *Scheme) parityBits() int {
@@ -262,7 +241,7 @@ func (s *Scheme) Encode(line []byte) *ecc.Stored {
 
 // EncodeInto implements ecc.BufferedScheme.
 func (s *Scheme) EncodeInto(st *ecc.Stored, line []byte) {
-	scr := s.scr.Get().(*pairScratch)
+	scr := s.pool.Get().(*pairScratch)
 	word := scr.word
 	k := s.k()
 	for i, ci := range st.Chips {
@@ -274,7 +253,7 @@ func (s *Scheme) EncodeInto(st *ecc.Stored, line []byte) {
 			ci.OnDie.OrBits(j*8, uint64(sym), 8)
 		}
 	}
-	s.scr.Put(scr)
+	s.pool.Put(scr)
 }
 
 // Decode implements ecc.Scheme: each chip decodes its pin-aligned
@@ -298,14 +277,14 @@ func (s *Scheme) decodeInto(dst []byte, st *ecc.Stored, erasures map[int][]int) 
 	claim := ecc.ClaimClean
 	k := s.k()
 	np := s.cfg.BaseParity + s.cfg.Expansion
-	scr := s.scr.Get().(*pairScratch)
+	scr := s.pool.Get().(*pairScratch)
 	word := scr.word
 	for i, ci := range st.Chips {
 		s.dataSymbolsInto(word[:k], ci.Data)
 		for j := 0; j < np; j++ {
 			word[k+j] = byte(ci.OnDie.GetBits(j*8, 8))
 		}
-		nerr, err := scr.dec.DecodeInto(word, word, erasures[i])
+		nerr, err := scr.ws.DecodeInto(word, word, erasures[i])
 		switch {
 		case err != nil:
 			claim = ecc.ClaimDetected
@@ -322,7 +301,7 @@ func (s *Scheme) decodeInto(dst []byte, st *ecc.Stored, erasures map[int][]int) 
 			dram.OrChipInto(s.org, dst, i, scr.b)
 		}
 	}
-	s.scr.Put(scr)
+	s.pool.Put(scr)
 	return claim
 }
 
@@ -354,10 +333,10 @@ func (s *Scheme) decodeBatchInto(dst [][]byte, sts []*ecc.Stored, claims []ecc.C
 	if nimg == 0 {
 		return
 	}
-	bb := s.batch.Get().(*pairBatch)
-	defer s.batch.Put(bb)
+	bb := s.pool.Get().(*pairScratch)
+	defer s.pool.Put(bb)
 	k := s.k()
-	n := s.full.N()
+	n := s.full.N
 	np := s.cfg.BaseParity + s.cfg.Expansion
 	bb.ensure(n, ecc.PadBatchWidth(nimg))
 	for i := 0; i < nimg; i++ {
@@ -464,9 +443,9 @@ func (s *Scheme) WithSparedPins(spared map[int][]int) (*SparedScheme, error) {
 			}
 			npins++
 		}
-		if len(erasures[chip]) > s.full.N()-s.k() {
+		if len(erasures[chip]) > s.full.NumParity() {
 			return nil, fmt.Errorf("core: chip %d spares %d symbols, exceeding the %d-symbol parity budget",
-				chip, len(erasures[chip]), s.full.N()-s.k())
+				chip, len(erasures[chip]), s.full.NumParity())
 		}
 	}
 	return &SparedScheme{Scheme: s, erasures: erasures, npins: npins}, nil
@@ -496,12 +475,6 @@ func (s *SparedScheme) DecodeBatchInto(dst [][]byte, sts []*ecc.Stored, claims [
 // SparedPins returns the number of pins marked bad.
 func (s *SparedScheme) SparedPins() int { return s.npins }
 
-// BaseCode exposes the base (always stored) expandable code.
-func (s *Scheme) BaseCode() *rs.Expandable { return s.base }
-
-// FullCode exposes the expanded code the decoder runs.
-func (s *Scheme) FullCode() *rs.Expandable { return s.full }
-
 // ExpandStored computes the expansion symbols for an image encoded by a
 // base-only scheme and returns the image upgraded to this scheme's
 // expansion level. The base parity bits are preserved verbatim — the
@@ -516,7 +489,7 @@ func (s *Scheme) ExpandStored(baseScheme *Scheme, st *ecc.Stored) (*ecc.Stored, 
 	}
 	out := &ecc.Stored{Org: st.Org, Chips: make([]*ecc.ChipImage, len(st.Chips))}
 	for i, ci := range st.Chips {
-		cwBase := make([]byte, baseScheme.full.N())
+		cwBase := make([]byte, baseScheme.full.N)
 		copy(cwBase, s.dataSymbols(ci.Data))
 		for j := 0; j < baseScheme.cfg.BaseParity; j++ {
 			var sym byte

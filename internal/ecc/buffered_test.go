@@ -104,4 +104,3 @@ func TestBufferedSchemeDifferential(t *testing.T) {
 		})
 	}
 }
-

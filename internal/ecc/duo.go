@@ -29,23 +29,16 @@ import (
 // beat — up to nine symbols — and overwhelms the decoder, while PAIR's
 // pin-aligned symbols confine the same physical event to one symbol.
 type DUO struct {
-	org   dram.Organization
-	code  *rs.Code
-	scr   sync.Pool // *duoScratch per-decode workspace
-	batch sync.Pool // *duoBatch per-goroutine slab workspace
+	org  dram.Organization
+	code *rs.Code
+	pool sync.Pool // *duoScratch per-goroutine codec workspace
 }
 
-// duoScratch is the per-goroutine decode workspace: a reusable RS decoder
-// plus a codeword buffer.
+// duoScratch is the per-goroutine codec workspace: the batch workspace
+// (whose Decoder also serves scalar decodes), a slab sized to the last
+// batch width, per-codeword result buffers, a codeword buffer and the
+// column staging block for the transposed gather.
 type duoScratch struct {
-	dec  *rs.Decoder
-	word []byte
-}
-
-// duoBatch is the per-goroutine slab workspace for DecodeBatchInto: the
-// batch decoder, a slab sized to the last batch width, per-codeword
-// result buffers and the column staging block for the transposed gather.
-type duoBatch struct {
 	ws       *rs.BatchWorkspace
 	slab     *rs.Slab
 	nchanged []int
@@ -56,16 +49,16 @@ type duoBatch struct {
 
 // ensure sizes the slab and result buffers for w codewords (a multiple
 // of 8). The slab is rebuilt only when the width changes.
-func (bb *duoBatch) ensure(n, w int) {
-	if bb.slab == nil || bb.slab.W() != w {
-		bb.slab = rs.NewSlab(n, w)
+func (scr *duoScratch) ensure(n, w int) {
+	if scr.slab == nil || scr.slab.W() != w {
+		scr.slab = rs.NewSlab(n, w)
 	}
-	if cap(bb.nchanged) < w {
-		bb.nchanged = make([]int, w)
-		bb.errs = make([]error, w)
+	if cap(scr.nchanged) < w {
+		scr.nchanged = make([]int, w)
+		scr.errs = make([]error, w)
 	}
-	bb.nchanged = bb.nchanged[:w]
-	bb.errs = bb.errs[:w]
+	scr.nchanged = scr.nchanged[:w]
+	scr.errs = scr.errs[:w]
 }
 
 // NewDUO returns the DUO scheme on the given organization (pins must be a
@@ -79,11 +72,8 @@ func NewDUO(org dram.Organization) *DUO {
 	}
 	k := org.AccessBits() / 8
 	s := &DUO{org: org, code: rs.MustNew(k+2, k)}
-	s.scr.New = func() any {
-		return &duoScratch{dec: s.code.NewDecoder(), word: make([]byte, s.code.N)}
-	}
-	s.batch.New = func() any {
-		return &duoBatch{
+	s.pool.New = func() any {
+		return &duoScratch{
 			ws:   s.code.NewBatchWorkspace(),
 			word: make([]byte, s.code.N),
 			cols: make([][64]byte, s.code.N),
@@ -134,7 +124,7 @@ func (s *DUO) Encode(line []byte) *Stored {
 
 // EncodeInto implements BufferedScheme.
 func (s *DUO) EncodeInto(st *Stored, line []byte) {
-	scr := s.scr.Get().(*duoScratch)
+	scr := s.pool.Get().(*duoScratch)
 	word := scr.word
 	for i, ci := range st.Chips {
 		dram.SplitChipInto(s.org, line, i, ci.Data)
@@ -147,7 +137,7 @@ func (s *DUO) EncodeInto(st *Stored, line []byte) {
 			xb.OrBits(8*p, uint64(word[s.code.K+p]), 8)
 		}
 	}
-	s.scr.Put(scr)
+	s.pool.Put(scr)
 }
 
 // Decode implements Scheme: the controller decodes RS(18,16) per chip.
@@ -164,7 +154,7 @@ func (s *DUO) DecodeInto(dst []byte, st *Stored) Claim {
 	claim := ClaimClean
 	g := s.groups()
 	lineStride := s.org.ChipsPerRank * s.org.Pins / 8
-	scr := s.scr.Get().(*duoScratch)
+	scr := s.pool.Get().(*duoScratch)
 	word := scr.word
 	for i, ci := range st.Chips {
 		bits := ci.Data.Bits()
@@ -172,7 +162,7 @@ func (s *DUO) DecodeInto(dst []byte, st *Stored) Claim {
 		for p := 0; p < 2; p++ {
 			word[s.code.K+p] = byte(ci.Xfer.Bits().GetBits(8*p, 8))
 		}
-		nerr, err := scr.dec.DecodeInto(word, word, nil)
+		nerr, err := scr.ws.DecodeInto(word, word, nil)
 		base := i * (s.org.Pins / 8)
 		if err != nil {
 			claim = ClaimDetected
@@ -190,7 +180,7 @@ func (s *DUO) DecodeInto(dst []byte, st *Stored) Claim {
 			}
 		}
 	}
-	s.scr.Put(scr)
+	s.pool.Put(scr)
 	return claim
 }
 
@@ -208,8 +198,8 @@ func (s *DUO) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
 	if nimg == 0 {
 		return
 	}
-	bb := s.batch.Get().(*duoBatch)
-	defer s.batch.Put(bb)
+	bb := s.pool.Get().(*duoScratch)
+	defer s.pool.Put(bb)
 	n, k := s.code.N, s.code.K
 	bb.ensure(n, PadBatchWidth(nimg))
 	g := s.groups()

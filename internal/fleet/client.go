@@ -228,7 +228,7 @@ func (c *Client) Watch(ctx context.Context, id string, onEvent func(Event)) erro
 			return nil
 		}
 		if ctx.Err() != nil {
-			return err
+			return ctx.Err()
 		}
 		var pe *permanentError
 		if errors.As(err, &pe) {

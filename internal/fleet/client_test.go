@@ -1,8 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -276,4 +279,61 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// oneEventTransport answers every request with an SSE stream that
+// carries one progress event and then ends.
+type oneEventTransport struct{}
+
+func (oneEventTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK,
+		Header:     http.Header{"Content-Type": []string{"text/event-stream"}},
+		Body:       io.NopCloser(strings.NewReader("id: 1\nevent: progress\ndata: {}\n\n")),
+		Request:    req,
+	}, nil
+}
+
+// TestWatchCancelledAsStreamEnds: when the caller cancels while a
+// stream is closing, Watch reports the cancellation, not the stream's
+// end — the documented contract callers test with errors.Is.
+func TestWatchCancelledAsStreamEnds(t *testing.T) {
+	client := NewClientWith("http://stub", ClientOptions{HTTP: &http.Client{Transport: oneEventTransport{}}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events := 0
+	err := client.Watch(ctx, "j1", func(Event) {
+		events++
+		cancel()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("watch cancelled during its stream = %v, want context.Canceled", err)
+	}
+	if events != 1 {
+		t.Errorf("watch delivered %d events, want 1", events)
+	}
+}
+
+// TestSubmitOversizedPairSpecIsBadRequest: a scheme spec whose code
+// cannot exist (more than 255 symbols) is a client error the
+// coordinator answers with 400, not a handler panic.
+func TestSubmitOversizedPairSpecIsBadRequest(t *testing.T) {
+	srv, _ := startCoordServer(t, CoordinatorOptions{})
+	for _, scheme := range []string{"pair:exp=300", "pair:base=240"} {
+		spec := singleShardSpec()
+		spec.Schemes = []string{scheme}
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/api/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit %s: %v", scheme, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("submit %s: status %d (%s), want 400", scheme, resp.StatusCode, msg)
+		}
+	}
 }

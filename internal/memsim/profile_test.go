@@ -128,13 +128,13 @@ func TestNewProfileOptions(t *testing.T) {
 
 func TestNewProfileErrors(t *testing.T) {
 	bad := []string{
-		"ddr6",                     // unknown profile
-		"ddr5-4800:tcl=40",         // unknown option
-		"ddr5-4800:policy=maybe",   // bad policy
-		"ddr5-4800:channels=0",     // out of range
-		"ddr5-4800:channels=99",    // out of range
-		"ddr5-4800:channels=two",   // not a number
-		"ddr5-4800:refresh=never",  // bad refresh mode
+		"ddr6",                        // unknown profile
+		"ddr5-4800:tcl=40",            // unknown option
+		"ddr5-4800:policy=maybe",      // bad policy
+		"ddr5-4800:channels=0",        // out of range
+		"ddr5-4800:channels=99",       // out of range
+		"ddr5-4800:channels=two",      // not a number
+		"ddr5-4800:refresh=never",     // bad refresh mode
 		"ddr4-2400:refresh=same-bank", // DDR4 table has no tRFCsb
 	}
 	for _, spec := range bad {
@@ -239,7 +239,7 @@ func TestMoreChannelsFinishSaturatedStreamFaster(t *testing.T) {
 		reqs[i] = trace.Request{Op: trace.Read, Line: uint64(i), Gap: 0}
 	}
 	wl := trace.Workload{Name: "sat", Window: 32, Reqs: reqs}
-	two := Run(memsim.MustProfile("ddr5-4800").Config(), wl)            // 2 buses
+	two := Run(memsim.MustProfile("ddr5-4800").Config(), wl)             // 2 buses
 	four := Run(memsim.MustProfile("ddr5-4800:channels=2").Config(), wl) // 4 buses
 	if four.Cycles >= two.Cycles {
 		t.Fatalf("4 buses (%d cycles) not faster than 2 (%d) when saturated", four.Cycles, two.Cycles)

@@ -159,7 +159,6 @@ func TestDecodeBatchZeroAllocSteadyState(t *testing.T) {
 func TestEncodeBatchMatchesScalar(t *testing.T) {
 	for _, sh := range []struct{ n, k int }{{20, 16}, {18, 16}, {81, 64}} {
 		c := MustNew(sh.n, sh.k)
-		ws := c.NewBatchWorkspace()
 		rng := rand.New(rand.NewSource(int64(sh.k)))
 		const count = 11
 		s := NewSlab(sh.n, padW(count))
@@ -170,7 +169,7 @@ func TestEncodeBatchMatchesScalar(t *testing.T) {
 			s.SetData(i, msgs[i])
 		}
 		s.ZeroTail(count)
-		ws.EncodeBatch(s)
+		c.EncodeBatch(s)
 		got := make([]byte, sh.n)
 		for i, msg := range msgs {
 			s.CodewordInto(got, i)
@@ -183,7 +182,6 @@ func TestEncodeBatchMatchesScalar(t *testing.T) {
 
 func TestEncodeBatchZeroAllocSteadyState(t *testing.T) {
 	c := MustNew(20, 16)
-	ws := c.NewBatchWorkspace()
 	s := NewSlab(c.N, 64)
 	rng := rand.New(rand.NewSource(3))
 	msg := make([]byte, 16)
@@ -191,9 +189,9 @@ func TestEncodeBatchZeroAllocSteadyState(t *testing.T) {
 		rng.Read(msg)
 		s.SetData(i, msg)
 	}
-	ws.EncodeBatch(s) // warm up (parity tables)
+	c.EncodeBatch(s) // warm up
 	allocs := testing.AllocsPerRun(100, func() {
-		ws.EncodeBatch(s)
+		c.EncodeBatch(s)
 	})
 	if allocs != 0 {
 		t.Fatalf("EncodeBatch allocates %.1f/op in steady state, want 0", allocs)
@@ -239,6 +237,82 @@ func TestSlabAccessors(t *testing.T) {
 				t.Fatalf("ZeroTail(9) left codeword %d dirty: %v", cw, got)
 			}
 		}
+	}
+}
+
+func TestExpandableDecodeBatchMatchesScalar(t *testing.T) {
+	for _, sh := range []struct{ n, k int }{{20, 16}, {18, 16}, {26, 16}} {
+		e, err := NewEvaluation(sh.n, sh.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, k := e.N, e.K
+		ws := e.NewBatchWorkspace()
+		rng := rand.New(rand.NewSource(int64(n)))
+		rxs := corruptedBatch(rng, e.Encode, n, k, 13)
+		checkBatchAgainstScalar(t, e, ws, rxs, nil)
+		checkBatchAgainstScalar(t, e, ws, rxs, []int{0})
+		checkBatchAgainstScalar(t, e, ws, rxs, []int{3, 3, n - 1}) // duplicates dedup
+		over := make([]int, n-k+1)
+		for i := range over {
+			over[i] = i
+		}
+		checkBatchAgainstScalar(t, e, ws, rxs, over)
+		checkBatchAgainstScalar(t, e, ws, rxs, []int{-1})
+		checkBatchAgainstScalar(t, e, ws, rxs, []int{n})
+		// Budget exhaustion: more erasures than n-K survivors allow.
+		tooMany := make([]int, n-k+2)
+		for i := range tooMany {
+			tooMany[i] = i
+		}
+		checkBatchAgainstScalar(t, e, ws, rxs, tooMany)
+	}
+}
+
+func TestExpandableEncodeBatchMatchesScalar(t *testing.T) {
+	for _, sh := range []struct{ n, k int }{{20, 16}, {18, 16}, {26, 16}} {
+		e, err := NewEvaluation(sh.n, sh.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(sh.k)))
+		const count = 10
+		s := NewSlab(sh.n, padW(count))
+		msgs := make([][]byte, count)
+		for i := range msgs {
+			msgs[i] = make([]byte, sh.k)
+			rng.Read(msgs[i])
+			s.SetData(i, msgs[i])
+		}
+		s.ZeroTail(count)
+		e.EncodeBatch(s)
+		got := make([]byte, sh.n)
+		for i, msg := range msgs {
+			s.CodewordInto(got, i)
+			if want := e.Encode(msg); !bytes.Equal(got, want) {
+				t.Fatalf("(%d,%d) codeword %d: batch %x, scalar %x", sh.n, sh.k, i, got, want)
+			}
+		}
+	}
+}
+
+func TestExpandableDecodeBatchZeroAllocSteadyState(t *testing.T) {
+	e, err := NewEvaluation(20, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := e.NewBatchWorkspace()
+	rng := rand.New(rand.NewSource(17))
+	rxs := corruptedBatch(rng, e.Encode, 20, 16, 32)
+	s := loadSlab(20, rxs)
+	nchanged := make([]int, s.W())
+	errs := make([]error, s.W())
+	ws.DecodeBatch(s, nil, nchanged, errs) // warm up
+	allocs := testing.AllocsPerRun(100, func() {
+		ws.DecodeBatch(s, nil, nchanged, errs)
+	})
+	if allocs != 0 {
+		t.Fatalf("expandable DecodeBatch allocates %.1f/op in steady state, want 0", allocs)
 	}
 }
 

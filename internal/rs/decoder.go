@@ -11,12 +11,24 @@ import (
 // decode path — clean words, correctable error/erasure patterns, and
 // detected-uncorrectable patterns alike — performs zero heap allocations.
 //
+// Both views share the algorithm; the view fixes two policy decisions
+// that make their behaviour beyond the correction guarantee differ:
+//
+//   - The evaluation view validates and de-duplicates the erasure list
+//     before it looks at the word, and rejects any result that changes
+//     more non-erased symbols than the 2e+s <= N-K budget allows, which
+//     makes it extensionally equal to a bounded-distance decoder.
+//   - The BCH view takes the erasure list as given (a duplicate squares
+//     its locator factor), range-checks it only when a dirty word needs
+//     the erasure locator, and accepts any correction that yields a
+//     codeword, so it may miscorrect with more than T changes.
+//
 // A Decoder is NOT safe for concurrent use; give each goroutine its own
 // (NewDecoder is cheap).
 type Decoder struct {
 	c *Code
 
-	syn   []byte // 2t syndromes
+	syn   []byte // N-K syndromes
 	gamma []byte // erasure locator, degree <= np
 	xi    []byte // erasure-modified syndromes, mod x^np
 	omega []byte // error evaluator, mod x^np
@@ -31,8 +43,9 @@ type Decoder struct {
 	tmp    []byte
 
 	psi       []byte // full locator lambda*gamma, sized for the worst case
-	terms     []byte // incremental Chien term per psi coefficient
-	positions []int  // error positions found by the Chien search
+	positions []int  // error positions found by the root search
+	erased    []bool // per-position erasure mask (evaluation view)
+	erasedPos []int  // de-duplicated erasure positions (evaluation view)
 }
 
 // NewDecoder returns a fresh decode workspace for the code.
@@ -49,49 +62,35 @@ func (c *Code) NewDecoder() *Decoder {
 		prev:      make([]byte, 2*np+2),
 		tmp:       make([]byte, 2*np+2),
 		psi:       make([]byte, 3*np+3),
-		terms:     make([]byte, np+1),
 		positions: make([]int, 0, np+1),
+		erased:    make([]bool, c.N),
+		erasedPos: make([]int, 0, c.N),
 	}
 }
 
-// Code returns the code this workspace decodes.
-func (d *Decoder) Code() *Code { return d.c }
-
-// SyndromesInto fills syn (length NumParity) with the syndromes of word
-// (length N) and reports whether they are all zero — i.e. whether word is
-// a codeword. It allocates nothing.
-func (c *Code) SyndromesInto(syn, word []byte) bool {
-	if len(word) != c.N {
-		panic(fmt.Sprintf("rs: Syndromes word length %d, want %d", len(word), c.N))
-	}
-	np := c.N - c.K
-	if len(syn) != np {
-		panic(fmt.Sprintf("rs: syndrome buffer length %d, want %d", len(syn), np))
-	}
-	allZero := true
-	for j := 0; j < np; j++ {
-		// Horner over the word with the j-th root, one table-row lookup
-		// per symbol (the row caches alpha^(fcr+j) multiplication).
-		row := c.rootRows[j]
-		var acc byte
-		for _, w := range word {
-			acc = row[acc] ^ w
+// erasureList applies the view's erasure policy ahead of decoding (see
+// Decoder) and returns the list to decode with: both views refuse more
+// erasures than parity symbols.
+func (d *Decoder) erasureList(erasures []int) ([]int, error) {
+	c := d.c
+	if c.evaluation {
+		clear(d.erased)
+		list := d.erasedPos[:0]
+		for _, pos := range erasures {
+			if pos < 0 || pos >= c.N {
+				return nil, fmt.Errorf("rs: erasure position %d out of range [0,%d)", pos, c.N)
+			}
+			if !d.erased[pos] {
+				d.erased[pos] = true
+				list = append(list, pos)
+			}
 		}
-		syn[j] = acc
-		if acc != 0 {
-			allZero = false
-		}
+		erasures = list
 	}
-	return allZero
-}
-
-// SyndromesInto is the workspace-flavoured convenience: it fills the
-// decoder's own syndrome buffer and returns it alongside the all-zero flag.
-// The returned slice is owned by the workspace and valid until the next
-// Decoder call.
-func (d *Decoder) SyndromesInto(word []byte) ([]byte, bool) {
-	ok := d.c.SyndromesInto(d.syn, word)
-	return d.syn, ok
+	if len(erasures) > c.N-c.K {
+		return nil, ErrUncorrectable
+	}
+	return erasures, nil
 }
 
 // DecodeInto corrects errors and erasures in received (length N) into dst
@@ -110,10 +109,11 @@ func (d *Decoder) DecodeInto(dst, received []byte, erasures []int) (int, error) 
 	if len(dst) != c.N {
 		return 0, fmt.Errorf("rs: Decode destination length %d, want %d", len(dst), c.N)
 	}
-	np := c.N - c.K
-	if len(erasures) > np {
-		return 0, ErrUncorrectable
+	erasures, err := d.erasureList(erasures)
+	if err != nil {
+		return 0, err
 	}
+	np := c.N - c.K
 	copy(dst, received)
 
 	if c.SyndromesInto(d.syn, dst) {
@@ -126,38 +126,33 @@ func (d *Decoder) DecodeInto(dst, received []byte, erasures []int) (int, error) 
 		// Errors only: Gamma = 1, so Psi is the Berlekamp-Massey locator
 		// itself and the erasure stages (Gamma build, modified syndromes,
 		// locator product) collapse away.
-		psi = d.berlekampMassey(d.syn, np, 0)
+		psi = bmWorkspace(d.syn, np, 0, d.lambda, d.prev, d.tmp)
 	} else {
-		// Erasure locator Gamma(x) = prod (1 - X_i x), X_i = alpha^(N-1-pos),
-		// built in place by descending-order updates.
+		// Erasure locator Gamma(x) = prod (1 - X_pos x), built in place
+		// by descending-order updates.
 		gamma := d.gamma[:len(erasures)+1]
-		for i := range gamma {
-			gamma[i] = 0
-		}
+		clear(gamma)
 		gamma[0] = 1
 		glen := 1
 		for _, pos := range erasures {
 			if pos < 0 || pos >= c.N {
 				return 0, fmt.Errorf("rs: erasure position %d out of range [0,%d)", pos, c.N)
 			}
-			x := gf256.Exp(c.N - 1 - pos)
-			row := gf256.Row(x)
+			row := gf256.Row(c.loc[pos])
 			for j := glen; j >= 1; j-- {
 				gamma[j] ^= row[gamma[j-1]]
 			}
 			glen++
 		}
 
-		// Modified syndromes Xi(x) = Gamma(x) * S(x) mod x^np, computed as
-		// a truncated product directly into the workspace.
+		// Modified syndromes Xi(x) = Gamma(x) * S(x) mod x^np, then
+		// Berlekamp-Massey for the error locator and the full locator
+		// Psi = Lambda * Gamma.
 		xi := d.xi[:np]
-		mulModInto(xi, gamma[:glen], d.syn)
-
-		// Berlekamp-Massey on the modified syndromes for the error
-		// locator, then the full locator Psi = Lambda * Gamma.
-		lambda := d.berlekampMassey(xi, np, len(erasures))
+		mulModInto(xi, gamma, d.syn)
+		lambda := bmWorkspace(xi, np, len(erasures), d.lambda, d.prev, d.tmp)
 		psi = d.psi[:len(lambda)+glen]
-		mulInto(psi, lambda, gamma[:glen])
+		mulInto(psi, lambda, gamma)
 	}
 	degPsi := polyDeg(psi)
 	if degPsi < 0 || degPsi > np {
@@ -165,28 +160,15 @@ func (d *Decoder) DecodeInto(dst, received []byte, erasures []int) (int, error) 
 	}
 	psi = psi[:degPsi+1]
 
-	// Chien search with incremental root-stepping: term i holds
-	// psi[i] * xInv(pos)^i and advancing pos multiplies term i by alpha^i,
-	// so each position costs degPsi lookups instead of a full PolyEval.
-	terms := d.terms[:degPsi+1]
-	for i := 0; i <= degPsi; i++ {
-		terms[i] = gf256.Mul(psi[i], c.chienStart[i])
-	}
+	// Root search: the candidate roots of Psi are the inverse locators.
 	positions := d.positions[:0]
-	for pos := 0; pos < c.N; pos++ {
-		var sum byte
-		for _, t := range terms {
-			sum ^= t
-		}
-		if sum == 0 {
+	for pos, xInv := range c.locInv {
+		if gf256.EvalAsc(psi, xInv) == 0 {
 			if len(positions) == degPsi {
 				// More roots than the locator degree: detected failure.
 				return 0, ErrUncorrectable
 			}
 			positions = append(positions, pos)
-		}
-		for i := 1; i <= degPsi; i++ {
-			terms[i] = c.chienStep[i][terms[i]]
 		}
 	}
 	if len(positions) != degPsi {
@@ -194,8 +176,9 @@ func (d *Decoder) DecodeInto(dst, received []byte, erasures []int) (int, error) 
 		return 0, ErrUncorrectable
 	}
 
-	// Forney: Omega(x) = S(x) * Psi(x) mod x^np;
-	// e_pos = X^(1-fcr) * Omega(X^-1) / Psi'(X^-1).
+	// Forney: Omega(x) = S(x) * Psi(x) mod x^np. The syndromes carry the
+	// column multipliers, so X * Omega(1/X) / Psi'(1/X) is u_pos * e_pos
+	// and the symbol correction divides u_pos back out.
 	omega := d.omega[:np]
 	mulModInto(omega, d.syn, psi)
 	deriv := d.deriv[:0]
@@ -206,34 +189,33 @@ func (d *Decoder) DecodeInto(dst, received []byte, erasures []int) (int, error) 
 		deriv = append(deriv, psi[i])
 	}
 
-	nchanged := 0
+	nchanged, errs := 0, 0
 	for _, pos := range positions {
-		x := gf256.Exp(c.N - 1 - pos)
-		xInv := gf256.Inv(x)
+		xInv := c.locInv[pos]
 		denom := gf256.EvalAsc(deriv, xInv)
 		if denom == 0 {
 			return 0, ErrUncorrectable
 		}
 		num := gf256.EvalAsc(omega, xInv)
-		mag := gf256.Mul(gf256.Pow(x, 1-c.fcr), gf256.Div(num, denom))
+		mag := gf256.Div(gf256.Mul(c.loc[pos], gf256.Div(num, denom)), c.mult[pos])
 		if mag != 0 {
 			dst[pos] ^= mag
 			nchanged++
-			// Fold the correction into the syndromes: position pos
-			// contributes mag * X^(fcr+j) to syndrome j, so after all
-			// corrections the updated syndromes must vanish. This replaces
-			// the O(N*np) recomputation with O(errors*np) work.
-			row := gf256.Row(x)
-			p := gf256.Mul(mag, gf256.Pow(x, c.fcr))
-			for j := range d.syn {
-				d.syn[j] ^= p
-				p = row[p]
+			if !d.erased[pos] {
+				errs++
 			}
+			// Fold the correction into the syndromes, so after all
+			// corrections they must vanish. This replaces the O(N*np)
+			// recomputation with O(errors*np) work.
+			c.addSyndromes(d.syn, pos, mag)
 		}
 	}
 
-	// Final consistency check: the corrected word must be a codeword,
-	// i.e. the incrementally updated syndromes are all zero.
+	// The corrected word must be a codeword (the updated syndromes all
+	// zero) and, in the evaluation view, fit the 2e+s <= N-K budget.
+	if c.evaluation && errs > (np-len(erasures))/2 {
+		return 0, ErrUncorrectable
+	}
 	for _, s := range d.syn {
 		if s != 0 {
 			return 0, ErrUncorrectable
@@ -242,17 +224,11 @@ func (d *Decoder) DecodeInto(dst, received []byte, erasures []int) (int, error) 
 	return nchanged, nil
 }
 
-// berlekampMassey runs the workspace Berlekamp-Massey over this decoder's
-// scratch buffers.
-func (d *Decoder) berlekampMassey(syn []byte, np, nerasures int) []byte {
-	out := bmWorkspace(syn, np, nerasures, d.lambda, d.prev, d.tmp)
-	return out
-}
-
 // bmWorkspace finds the minimal LFSR (error-locator polynomial) of the
 // (possibly erasure-modified) syndrome sequence entirely inside the three
-// caller-owned scratch buffers, each sized at least 2*np+2. It mirrors the
-// reference implementation in rs.go coefficient for coefficient; the
+// caller-owned scratch buffers, each sized at least 2*np+2. np is the
+// number of parity symbols; nerasures the count already consumed by the
+// erasure locator, which halves the budget left for unknown errors. The
 // returned slice aliases one of the scratch buffers and is trimmed to the
 // locator's logical length.
 func bmWorkspace(syn []byte, np, nerasures int, lambda, prev, tmp []byte) []byte {

@@ -44,7 +44,7 @@ func FuzzDecodeBCH(f *testing.F) {
 
 // FuzzDecodeExpandable does the same for the evaluation-view decoder.
 func FuzzDecodeExpandable(f *testing.F) {
-	e, _ := NewExpandableDefault(20, 16)
+	e, _ := NewEvaluation(20, 16)
 	f.Add(make([]byte, 20))
 	f.Add(bytes.Repeat([]byte{0xA5}, 20))
 	f.Add(e.Encode([]byte("sixteen byte msg")))
@@ -52,7 +52,7 @@ func FuzzDecodeExpandable(f *testing.F) {
 		if len(word) != 20 {
 			t.Skip()
 		}
-		out, _, err := e.Decode(word, nil)
+		out, _, err := decodeAlloc(e, word, nil)
 		if err != nil {
 			return
 		}
@@ -70,7 +70,7 @@ func FuzzDecodeExpandable(f *testing.F) {
 // Berlekamp-Welch solver respectively.
 func FuzzDecodeIntoDifferential(f *testing.F) {
 	c := MustNew(20, 16)
-	e, _ := NewExpandableDefault(20, 16)
+	e, _ := NewEvaluation(20, 16)
 	cd := c.NewDecoder()
 	ed := e.NewDecoder()
 	dst := make([]byte, 20)
@@ -112,7 +112,7 @@ func FuzzDecodeIntoDifferential(f *testing.F) {
 // both codecs under up-to-t corruption at fuzzer-chosen positions.
 func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 	bch := MustNew(20, 16)
-	ev, _ := NewExpandableDefault(20, 16)
+	ev, _ := NewEvaluation(20, 16)
 	f.Add([]byte("0123456789abcdef"), uint8(3), uint8(17), byte(0x55), byte(0xAA))
 	f.Fuzz(func(t *testing.T, msg []byte, p1, p2 uint8, v1, v2 byte) {
 		if len(msg) != 16 {
@@ -124,7 +124,7 @@ func FuzzEncodeDecodeRoundTrip(f *testing.F) {
 			dec func([]byte) ([]byte, int, error)
 		}{
 			{bch.Encode, func(w []byte) ([]byte, int, error) { return decodeAlloc(bch, w, nil) }},
-			{ev.Encode, func(w []byte) ([]byte, int, error) { return ev.Decode(w, nil) }},
+			{ev.Encode, func(w []byte) ([]byte, int, error) { return decodeAlloc(ev, w, nil) }},
 		} {
 			cw := c.enc(msg)
 			rx := append([]byte(nil), cw...)

@@ -18,7 +18,7 @@ func TestRandomShapesWithinBudget(t *testing.T) {
 		parity := 1 + rng.Intn(8)
 		n := k + parity
 		bch := MustNew(n, k)
-		ev, err := NewExpandableDefault(n, k)
+		ev, err := NewEvaluation(n, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,7 +48,7 @@ func TestRandomShapesWithinBudget(t *testing.T) {
 		if errB != nil || !bytes.Equal(outB, goldenB) {
 			t.Fatalf("BCH (%d,%d) e=%d s=%d failed: %v", n, k, nerr, ners, errB)
 		}
-		outE, _, errE := ev.Decode(cwE, erasures)
+		outE, _, errE := decodeAlloc(ev, cwE, erasures)
 		if errE != nil || !bytes.Equal(outE, goldenE) {
 			t.Fatalf("EV (%d,%d) e=%d s=%d failed: %v", n, k, nerr, ners, errE)
 		}
@@ -59,7 +59,7 @@ func TestRandomShapesWithinBudget(t *testing.T) {
 // both codecs (they are linear codes) via testing/quick.
 func TestEncodeLinearityQuick(t *testing.T) {
 	bch := MustNew(20, 16)
-	ev, _ := NewExpandableDefault(20, 16)
+	ev, _ := NewEvaluation(20, 16)
 	f := func(a, b [16]byte) bool {
 		sum := make([]byte, 16)
 		for i := range sum {
@@ -82,7 +82,7 @@ func TestEncodeLinearityQuick(t *testing.T) {
 
 // TestScalingQuick: Encode(c*m) == c*Encode(m) over GF(256).
 func TestScalingQuick(t *testing.T) {
-	ev, _ := NewExpandableDefault(20, 16)
+	ev, _ := NewEvaluation(20, 16)
 	f := func(m [16]byte, c byte) bool {
 		scaled := make([]byte, 16)
 		for i := range scaled {
@@ -112,7 +112,7 @@ func TestAccessors(t *testing.T) {
 	if !bytes.Equal(c.Data(cw), msg) {
 		t.Fatal("Data() wrong")
 	}
-	e, _ := NewExpandableDefault(18, 16)
+	e, _ := NewEvaluation(18, 16)
 	if !bytes.Equal(e.Data(e.Encode(msg)), msg) {
 		t.Fatal("Expandable.Data() wrong")
 	}

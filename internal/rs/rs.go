@@ -1,31 +1,48 @@
-// Package rs implements Reed-Solomon codes over GF(2^8) in the two views
-// the PAIR architecture needs:
+// Package rs implements systematic generalized Reed-Solomon (GRS) codes
+// over GF(2^8): the codec behind PAIR's pin-aligned in-DRAM code and
+// DUO's controller-side code.
 //
-//   - Code: the classic BCH view — a systematic encoder driven by a
-//     generator polynomial with consecutive roots, and an
-//     errors-and-erasures decoder (Berlekamp-Massey + Chien search +
-//     Forney algorithm). This is the hot-path codec used by the in-DRAM
-//     PAIR decoder and by the DUO rank-level decoder.
+// A GRS code of length N and dimension K is fixed by a locator X_pos and
+// a nonzero column multiplier u_pos per position. Its codewords are the
+// words r with
 //
-//   - Expandable: the evaluation (generalized RS) view — a codeword is
-//     the evaluation of the message polynomial at n distinct points, so
-//     appending evaluations at fresh points *expands* the code from
-//     (n,k) to (n+e,k) without modifying any already-stored symbol.
-//     This is the "expandability of Reed-Solomon code" the paper's title
-//     refers to; see expand.go.
+//	sum_pos u_pos * r_pos * X_pos^i = 0   for every i < N-K,
 //
-// A Code with n-k = 2t parity symbols corrects any combination of nu
-// symbol errors and s symbol erasures with 2*nu + s <= 2t. Decoding
-// failures are reported via ErrUncorrectable; patterns beyond the
-// guarantee may instead *miscorrect* (decode to a different codeword),
-// which is exactly the silent-data-corruption behaviour the reliability
-// experiments must observe, so it is deliberately not hidden.
+// and the left-hand sides are the syndromes. The package builds two views
+// of that family, which differ only in those two vectors and in the
+// decoder policy their constructor fixes:
+//
+//   - The BCH view (New): X_pos = alpha^(N-1-pos) and u_pos = 1, the
+//     classic generator-polynomial code with consecutive roots
+//     alpha^0 .. alpha^(N-K-1). DUO and DUORank decode with it.
+//
+//   - The evaluation view (NewEvaluation): X_pos = alpha^pos and u_pos
+//     the dual multipliers 1/prod_{m!=pos}(X_pos - X_m). Its codewords
+//     are the evaluations of the degree-<K message polynomial at
+//     alpha^0 .. alpha^(N-1), so appending evaluations at the next powers
+//     of alpha (Expand, ExtendCodeword) raises the correction capability
+//     without rewriting one stored symbol. This is the "expandability of
+//     Reed-Solomon code" the PAIR paper's title refers to, and PAIR
+//     decodes with this view.
+//
+// Every code is systematic: positions [0,K) carry the message and
+// positions [K,N) the parity, which one parity map produces on both the
+// scalar path (EncodeTo) and the slab path (EncodeBatch). One workspace
+// Decoder corrects errors and erasures (syndromes, Berlekamp-Massey, a
+// root search over the locators, Forney's formula divided by u_pos), and
+// one BatchWorkspace certifies 64 codewords per bitsliced syndrome sweep
+// before handing the dirty ones to that Decoder.
+//
+// A code with N-K parity symbols corrects any nu symbol errors plus s
+// symbol erasures with 2*nu + s <= N-K. Beyond that the decoder reports
+// ErrUncorrectable or miscorrects to a different codeword — the silent
+// data corruption the reliability experiments measure, so it is
+// deliberately not hidden.
 package rs
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"pair/internal/gf256"
 )
@@ -34,64 +51,42 @@ import (
 // word is beyond its correction capability.
 var ErrUncorrectable = errors.New("rs: uncorrectable error pattern")
 
-// Code is a systematic Reed-Solomon code over GF(2^8) in the BCH view.
+// Code is a systematic GRS code over GF(2^8) in one of the two views.
 // Codewords are laid out data-first: positions [0,K) hold the message and
 // positions [K,N) hold the parity symbols.
 type Code struct {
-	N   int // codeword length in symbols (<= 255)
-	K   int // message length in symbols
-	T   int // guaranteed error-correction capability, floor((N-K)/2)
-	fcr int // exponent of the first consecutive generator root
-	gen gf256.Polynomial
+	N int // codeword length in symbols (<= 255)
+	K int // message length in symbols
+	T int // guaranteed error-correction capability, floor((N-K)/2)
 
-	// Hot-path tables, built once at construction.
-	genRev     []byte       // gen[np-1-j]: feedback taps in parity order
-	rootRows   []*[256]byte // multiplication row of each syndrome root
-	chienStart []byte       // xInv(pos=0)^i for the incremental Chien search
-	chienStep  []*[256]byte // multiplication row of alpha^i (Chien stepping)
+	// evaluation selects the evaluation view, which fixes the locators,
+	// the multipliers and the decoder policy together (see Decoder).
+	evaluation bool
 
-	// Batch (slab) path: the lazily-built (N-K) x K parity map for
-	// EncodeBatch (see batch.go).
-	batchOnce   sync.Once
-	batchParity [][]byte
+	loc    []byte // X_pos, the locator of each position
+	locInv []byte // 1/X_pos, the candidate roots of the locator polynomial
+	mult   []byte // u_pos, the column multipliers
+
+	// check[i][pos] = u_pos * X_pos^i is the parity-check matrix, so
+	// syndrome i is the dot product of row i with the word.
+	check [][]byte
+	// parity[j][i] multiplies data symbol i into parity symbol K+j.
+	parity [][]byte
 }
 
-// New constructs an (n,k) Reed-Solomon code. n must satisfy
-// k < n <= 255.
+// New returns the (n,k) code in the BCH view. n must satisfy
+// 0 < k < n <= 255.
 func New(n, k int) (*Code, error) {
-	if k <= 0 || n <= k || n > 255 {
-		return nil, fmt.Errorf("rs: invalid parameters (n=%d, k=%d): need 0 < k < n <= 255", n, k)
+	if err := checkShape(n, k); err != nil {
+		return nil, err
 	}
-	nparity := n - k
-	roots := make([]byte, nparity)
-	for j := 0; j < nparity; j++ {
-		roots[j] = gf256.Exp(j) // fcr = 0
+	loc := make([]byte, n)
+	mult := make([]byte, n)
+	for pos := range loc {
+		loc[pos] = gf256.Exp(n - 1 - pos)
+		mult[pos] = 1
 	}
-	c := &Code{
-		N:   n,
-		K:   k,
-		T:   nparity / 2,
-		fcr: 0,
-		gen: gf256.PolyFromRoots(roots),
-	}
-	c.genRev = make([]byte, nparity)
-	c.rootRows = make([]*[256]byte, nparity)
-	for j := 0; j < nparity; j++ {
-		c.genRev[j] = c.gen[nparity-1-j]
-		c.rootRows[j] = gf256.Row(gf256.Exp(c.fcr + j))
-	}
-	// Chien search tables: position pos has locator X = alpha^(N-1-pos),
-	// so the search evaluates the locator at X^-1 = alpha^(pos-(N-1)).
-	// Advancing pos multiplies the argument by alpha, i.e. term i of the
-	// Horner-expanded locator by alpha^i.
-	c.chienStart = make([]byte, nparity+1)
-	c.chienStep = make([]*[256]byte, nparity+1)
-	startLog := 255 - (n - 1) // log of xInv at pos=0, in [1,255]
-	for i := 0; i <= nparity; i++ {
-		c.chienStart[i] = gf256.Exp(startLog * i)
-		c.chienStep[i] = gf256.Row(gf256.Exp(i))
-	}
-	return c, nil
+	return newCode(n, k, false, loc, mult), nil
 }
 
 // MustNew is New, panicking on error; for statically-known-valid shapes.
@@ -103,8 +98,121 @@ func MustNew(n, k int) *Code {
 	return c
 }
 
+// NewEvaluation returns the (n,k) code in the evaluation view: a
+// codeword is the evaluation of the degree-<k message polynomial at
+// alpha^0 .. alpha^(n-1), and the message is its first k evaluations.
+// n must satisfy 0 < k < n <= 255.
+func NewEvaluation(n, k int) (*Code, error) {
+	if err := checkShape(n, k); err != nil {
+		return nil, err
+	}
+	loc := make([]byte, n)
+	for pos := range loc {
+		loc[pos] = gf256.Exp(pos)
+	}
+	// The dual of the evaluation code on points X_pos is the GRS code with
+	// these multipliers, so they turn the syndromes into its parity checks.
+	mult := make([]byte, n)
+	for j, xj := range loc {
+		prod := byte(1)
+		for m, xm := range loc {
+			if m != j {
+				prod = gf256.Mul(prod, xj^xm)
+			}
+		}
+		mult[j] = gf256.Inv(prod)
+	}
+	return newCode(n, k, true, loc, mult), nil
+}
+
+func checkShape(n, k int) error {
+	if k <= 0 || n <= k || n > 255 {
+		return fmt.Errorf("rs: invalid parameters (n=%d, k=%d): need 0 < k < n <= 255", n, k)
+	}
+	return nil
+}
+
+// newCode builds the decoder tables and the parity map of the code with
+// the given locators and multipliers.
+func newCode(n, k int, evaluation bool, loc, mult []byte) *Code {
+	c := &Code{
+		N: n, K: k, T: (n - k) / 2,
+		evaluation: evaluation,
+		loc:        loc,
+		locInv:     make([]byte, n),
+		mult:       mult,
+		check:      make([][]byte, n-k),
+		parity:     make([][]byte, n-k),
+	}
+	for pos, x := range loc {
+		c.locInv[pos] = gf256.Inv(x)
+	}
+	for i := range c.check {
+		c.check[i] = make([]byte, n)
+		for pos := range loc {
+			c.check[i][pos] = gf256.Mul(mult[pos], gf256.Pow(loc[pos], i))
+		}
+	}
+	// Systematic encoding is erasure decoding of the parity positions:
+	// column i of the parity map is the parity of the i-th unit message,
+	// which the decoder recovers from N-K erasures — always within budget.
+	for j := range c.parity {
+		c.parity[j] = make([]byte, k)
+	}
+	erasures := make([]int, n-k)
+	for j := range erasures {
+		erasures[j] = k + j
+	}
+	d := c.NewDecoder()
+	word := make([]byte, n)
+	for i := 0; i < k; i++ {
+		clear(word)
+		word[i] = 1
+		if _, err := d.DecodeInto(word, word, erasures); err != nil {
+			panic(fmt.Sprintf("rs: (%d,%d) parity map: %v", n, k, err))
+		}
+		for j, row := range c.parity {
+			row[i] = word[k+j]
+		}
+	}
+	return c
+}
+
+// Expand returns the evaluation-view code with e more evaluations, at the
+// next e powers of alpha. Codewords of c are prefixes of codewords of the
+// expanded code; ExtendCodeword computes the appended symbols.
+func (c *Code) Expand(e int) (*Code, error) {
+	if !c.evaluation {
+		return nil, errors.New("rs: only an evaluation-view code expands")
+	}
+	if e < 0 {
+		return nil, fmt.Errorf("rs: negative expansion %d", e)
+	}
+	return NewEvaluation(c.N+e, c.K)
+}
+
+// ExtendCodeword computes the expansion symbols that turn cw (a codeword
+// of c) into a codeword of the expanded code `to`, and returns the full
+// extended codeword. The first c.N symbols are returned unchanged — this
+// is the defining property of expansion. `to` must be an expansion of c:
+// both in the evaluation view, with the same K and no fewer symbols.
+func (c *Code) ExtendCodeword(cw []byte, to *Code) ([]byte, error) {
+	if len(cw) != c.N {
+		return nil, fmt.Errorf("rs: codeword length %d, want %d", len(cw), c.N)
+	}
+	if !c.evaluation || !to.evaluation || to.K != c.K || to.N < c.N {
+		return nil, errors.New("rs: target code is not an expansion of the source")
+	}
+	out := to.Encode(cw[:c.K])
+	copy(out, cw)
+	return out, nil
+}
+
 // NumParity returns the number of parity symbols, n-k.
 func (c *Code) NumParity() int { return c.N - c.K }
+
+// Data extracts the message symbols from a systematic codeword.
+func (c *Code) Data(cw []byte) []byte { return cw[:c.K] }
 
 // Encode returns the n-symbol systematic codeword for the k-symbol message.
 func (c *Code) Encode(data []byte) []byte {
@@ -123,201 +231,44 @@ func (c *Code) EncodeTo(data, cw []byte) {
 		panic(fmt.Sprintf("rs: Encode codeword length %d, want %d", len(cw), c.N))
 	}
 	copy(cw, data)
-	parity := cw[c.K:]
-	for i := range parity {
-		parity[i] = 0
-	}
-	// LFSR division: parity = (data * x^(n-k)) mod gen.
-	// gen is monic of degree n-k; gen[n-k] == 1. The feedback taps are
-	// applied through a multiplication table row, one branch-free lookup
-	// per tap.
-	np := c.N - c.K
-	for _, d := range data {
-		feedback := d ^ parity[0]
-		copy(parity, parity[1:])
-		parity[np-1] = 0
-		if feedback != 0 {
-			row := gf256.Row(feedback)
-			for j, g := range c.genRev {
-				parity[j] ^= row[g]
-			}
+	msg := cw[:c.K]
+	for j, row := range c.parity {
+		var acc byte
+		for i, d := range msg {
+			acc ^= gf256.Row(row[i])[d]
 		}
+		cw[c.K+j] = acc
 	}
 }
 
-// Syndromes returns the 2t syndromes of word (length N). All-zero syndromes
-// mean the word is a codeword. For the allocation-free variant see
-// SyndromesInto.
-func (c *Code) Syndromes(word []byte) []byte {
-	syn := make([]byte, c.N-c.K)
-	c.SyndromesInto(syn, word)
-	return syn
-}
-
-// IsCodeword reports whether word is a valid codeword.
-func (c *Code) IsCodeword(word []byte) bool {
+// SyndromesInto fills syn (length N-K) with the syndromes of word
+// (length N) and reports whether they are all zero — i.e. whether word is
+// a codeword. It allocates nothing.
+func (c *Code) SyndromesInto(syn, word []byte) bool {
 	if len(word) != c.N {
 		panic(fmt.Sprintf("rs: Syndromes word length %d, want %d", len(word), c.N))
 	}
-	for j := 0; j < c.N-c.K; j++ {
-		if gf256.EvalDesc(word, gf256.Exp(c.fcr+j)) != 0 {
-			return false
-		}
+	if len(syn) != c.N-c.K {
+		panic(fmt.Sprintf("rs: syndrome buffer length %d, want %d", len(syn), c.N-c.K))
 	}
-	return true
-}
-
-// decodeReference is the original allocating decode path, kept verbatim as
-// the differential-testing oracle for Decoder.DecodeInto (same algorithm,
-// fresh allocations instead of workspace buffers).
-func (c *Code) decodeReference(received []byte, erasures []int) ([]byte, int, error) {
-	if len(received) != c.N {
-		return nil, 0, fmt.Errorf("rs: Decode word length %d, want %d", len(received), c.N)
-	}
-	np := c.N - c.K
-	if len(erasures) > np {
-		return nil, 0, ErrUncorrectable
-	}
-	word := make([]byte, c.N)
-	copy(word, received)
-
-	syn := c.Syndromes(word)
 	allZero := true
-	for _, s := range syn {
-		if s != 0 {
+	for i, row := range c.check {
+		var acc byte
+		for pos, v := range word {
+			acc ^= gf256.Row(row[pos])[v]
+		}
+		syn[i] = acc
+		if acc != 0 {
 			allZero = false
-			break
 		}
 	}
-	if allZero && len(erasures) == 0 {
-		return word, 0, nil
-	}
-	if allZero {
-		// Erasure positions were flagged but the word is consistent;
-		// nothing to change.
-		return word, 0, nil
-	}
-
-	// Erasure locator Gamma(x) = prod (1 - X_i x), X_i = alpha^(N-1-pos).
-	gamma := gf256.Polynomial{1}
-	for _, pos := range erasures {
-		if pos < 0 || pos >= c.N {
-			return nil, 0, fmt.Errorf("rs: erasure position %d out of range [0,%d)", pos, c.N)
-		}
-		x := gf256.Exp(c.N - 1 - pos)
-		gamma = gf256.PolyMul(gamma, gf256.Polynomial{1, x})
-	}
-
-	// Modified syndromes Xi(x) = Gamma(x) * S(x) mod x^2t.
-	synPoly := gf256.Polynomial(syn)
-	xi := gf256.PolyMul(gamma, synPoly)
-	if len(xi) > np {
-		xi = xi[:np]
-	}
-
-	// Berlekamp-Massey on the modified syndromes for the error locator.
-	lambda := berlekampMassey(xi, np, len(erasures))
-
-	// Full locator Psi = Lambda * Gamma.
-	psi := gf256.PolyMul(lambda, gamma)
-	degPsi := gf256.PolyDegree(psi)
-	if degPsi < 0 || degPsi > np {
-		return nil, 0, ErrUncorrectable
-	}
-
-	// Chien search: find positions whose locator X satisfies Psi(X^-1)=0.
-	positions := make([]int, 0, degPsi)
-	for pos := 0; pos < c.N; pos++ {
-		xInv := gf256.Exp(255 - (c.N - 1 - pos)) // (alpha^(N-1-pos))^-1
-		if gf256.PolyEval(psi, xInv) == 0 {
-			positions = append(positions, pos)
-		}
-	}
-	if len(positions) != degPsi {
-		// Locator degree does not match its root count: detected failure.
-		return nil, 0, ErrUncorrectable
-	}
-
-	// Forney: Omega(x) = S(x) * Psi(x) mod x^2t;
-	// e_pos = X^(1-fcr) * Omega(X^-1) / Psi'(X^-1).
-	omega := gf256.PolyMul(synPoly, psi)
-	if len(omega) > np {
-		omega = omega[:np]
-	}
-	psiDeriv := gf256.PolyDeriv(psi)
-
-	nchanged := 0
-	for _, pos := range positions {
-		x := gf256.Exp(c.N - 1 - pos)
-		xInv := gf256.Inv(x)
-		denom := gf256.PolyEval(psiDeriv, xInv)
-		if denom == 0 {
-			return nil, 0, ErrUncorrectable
-		}
-		num := gf256.PolyEval(omega, xInv)
-		mag := gf256.Mul(gf256.Pow(x, 1-c.fcr), gf256.Div(num, denom))
-		if mag != 0 {
-			word[pos] ^= mag
-			nchanged++
-		}
-	}
-
-	// Final consistency check: the corrected word must be a codeword.
-	if !c.IsCodeword(word) {
-		return nil, 0, ErrUncorrectable
-	}
-	return word, nchanged, nil
+	return allZero
 }
 
-// Data extracts the message symbols from a systematic codeword.
-func (c *Code) Data(cw []byte) []byte {
-	return cw[:c.K]
-}
-
-// berlekampMassey finds the minimal LFSR (error-locator polynomial) for the
-// given (possibly erasure-modified) syndrome sequence. np is the total
-// number of parity symbols; nerasures the count already consumed by the
-// erasure locator, which halves the budget left for unknown errors.
-func berlekampMassey(syn gf256.Polynomial, np, nerasures int) gf256.Polynomial {
-	lambda := gf256.Polynomial{1}
-	prev := gf256.Polynomial{1}
-	l := 0
-	m := 1
-	b := byte(1)
-
-	budget := np - nerasures
-	for i := 0; i < budget; i++ {
-		n := i + nerasures
-		// Discrepancy d = syn[n] + sum_{j=1..l} lambda[j]*syn[n-j].
-		var d byte
-		if n < len(syn) {
-			d = syn[n]
-		}
-		for j := 1; j <= l && j < len(lambda); j++ {
-			if n-j >= 0 && n-j < len(syn) {
-				d ^= gf256.Mul(lambda[j], syn[n-j])
-			}
-		}
-		if d == 0 {
-			m++
-			continue
-		}
-		if 2*l <= i {
-			tmp := make(gf256.Polynomial, len(lambda))
-			copy(tmp, lambda)
-			coef := gf256.Div(d, b)
-			shifted := gf256.PolyMulX(gf256.PolyScale(prev, coef), m)
-			lambda = gf256.PolyAdd(lambda, shifted)
-			l = i + 1 - l
-			prev = tmp
-			b = d
-			m = 1
-		} else {
-			coef := gf256.Div(d, b)
-			shifted := gf256.PolyMulX(gf256.PolyScale(prev, coef), m)
-			lambda = gf256.PolyAdd(lambda, shifted)
-			m++
-		}
+// addSyndromes adds symbol v at position pos to the syndromes:
+// syn[i] ^= u_pos * X_pos^i * v.
+func (c *Code) addSyndromes(syn []byte, pos int, v byte) {
+	for i, row := range c.check {
+		syn[i] ^= gf256.Row(row[pos])[v]
 	}
-	return lambda
 }

@@ -153,7 +153,7 @@ func registerSchemes() {
 		Corrects: "1 sym", BusChange: "BL8->BL9",
 		// The forwarded-redundancy region holds two byte symbols per
 		// access, which needs a 16-pin extension beat: x16 devices only.
-		Orgs: []string{"ddr4x16", "ddr5x16"},
+		Orgs:       []string{"ddr4x16", "ddr5x16"},
 		DefaultOrg: "ddr4x16",
 		New:        noOpts(func(org dram.Organization) ecc.Scheme { return ecc.NewDUO(org) }),
 	})

@@ -91,6 +91,14 @@ func TestNewErrorsEnumerateRegistry(t *testing.T) {
 	if err == nil {
 		t.Fatal("chip without spare accepted")
 	}
+
+	// A PAIR codeword longer than the field's 255 nonzero points cannot
+	// exist: the spec is an error, never a panic.
+	for _, spec := range []string{"pair:exp=300", "pair:base=240"} {
+		if _, err := New(spec); err == nil || !strings.Contains(err.Error(), "255") {
+			t.Fatalf("%s: error %v, want the 255-symbol limit", spec, err)
+		}
+	}
 }
 
 func TestSpecVariants(t *testing.T) {

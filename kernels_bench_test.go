@@ -142,7 +142,6 @@ func BenchmarkRSBatchDecodeDirty(b *testing.B) {
 
 func BenchmarkRSBatchEncode(b *testing.B) {
 	c := rs.MustNew(20, 16)
-	ws := c.NewBatchWorkspace()
 	rng := rand.New(rand.NewSource(1))
 	s := rs.NewSlab(c.N, 64)
 	msg := make([]byte, c.K)
@@ -153,15 +152,15 @@ func BenchmarkRSBatchEncode(b *testing.B) {
 	b.SetBytes(16 * 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ws.EncodeBatch(s)
+		c.EncodeBatch(s)
 	}
 }
 
 func BenchmarkExpandableBatchDecodeClean(b *testing.B) {
-	e, _ := rs.NewExpandableDefault(20, 16)
+	e, _ := rs.NewEvaluation(20, 16)
 	ws := e.NewBatchWorkspace()
 	rng := rand.New(rand.NewSource(1))
-	s := rs.NewSlab(e.N(), 64)
+	s := rs.NewSlab(e.N, 64)
 	msg := make([]byte, e.K)
 	for i := 0; i < 64; i++ {
 		rng.Read(msg)
@@ -179,7 +178,7 @@ func BenchmarkExpandableBatchDecodeClean(b *testing.B) {
 }
 
 func BenchmarkExpandableDecodeClean(b *testing.B) {
-	e, _ := rs.NewExpandableDefault(20, 16)
+	e, _ := rs.NewEvaluation(20, 16)
 	d := e.NewDecoder()
 	msg := make([]byte, 16)
 	rand.New(rand.NewSource(1)).Read(msg)
@@ -194,7 +193,7 @@ func BenchmarkExpandableDecodeClean(b *testing.B) {
 }
 
 func BenchmarkExpandableDecodeTwoErrors(b *testing.B) {
-	e, _ := rs.NewExpandableDefault(20, 16)
+	e, _ := rs.NewEvaluation(20, 16)
 	d := e.NewDecoder()
 	msg := make([]byte, 16)
 	rand.New(rand.NewSource(1)).Read(msg)
