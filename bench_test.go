@@ -232,8 +232,8 @@ func BenchmarkEncodeDecode_PAIR(b *testing.B) {
 	b.SetBytes(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := scheme.Encode(line)
-		if _, claim := scheme.Decode(st); claim != pair.ClaimClean {
+		st := pair.Encode(scheme, line)
+		if _, claim := pair.Decode(scheme, st); claim != pair.ClaimClean {
 			b.Fatal("clean decode failed")
 		}
 	}

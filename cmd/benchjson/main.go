@@ -11,8 +11,8 @@
 //	go run ./cmd/benchjson -compare BENCH_2.json -threshold 2
 //
 // The default -bench regex covers the arithmetic/codec kernels (GF256,
-// RS and RSBatch, Expandable, Hamming, SchemeEncodeDecode and
-// SchemeBatchDecode) and deliberately excludes the minutes-long figure
+// RS, Expandable, Hamming, SchemeEncodeDecode and SchemeBatchDecode) and
+// SimThroughput, and deliberately excludes the minutes-long figure
 // benchmarks (F1..F12, T1..T4) and Memsim.
 //
 // With -compare the run becomes a regression gate instead of a recorder:

@@ -50,7 +50,7 @@ func main() {
 
 	line := make([]byte, 64)
 	rng.Read(line)
-	stored := baseScheme.Encode(line)
+	stored := pair.Encode(baseScheme, line)
 	upgraded, err := fullScheme.ExpandStored(baseScheme, stored)
 	if err != nil {
 		panic(err)
@@ -71,7 +71,7 @@ func main() {
 	// The upgraded image now survives a double-pin failure.
 	upgraded.Chips[0].Data.SetPinSymbol(1, 0x00)
 	upgraded.Chips[0].Data.SetPinSymbol(8, 0xFF)
-	decoded, claim := fullScheme.Decode(upgraded)
+	decoded, claim := pair.Decode(fullScheme, upgraded)
 	fmt.Printf("  double-pin failure after upgrade: claim=%v, outcome=%v\n",
 		claim, pair.Classify(line, decoded, claim))
 }

@@ -30,7 +30,7 @@ func main() {
 	// Encode: the line is split over the rank's four x16 chips; each chip
 	// access gets a pin-aligned Reed-Solomon codeword whose parity lives
 	// in the on-die redundancy region.
-	stored := scheme.Encode(line)
+	stored := pair.Encode(scheme, line)
 	fmt.Printf("stored image: %d chips, %d bits total (%.1f%% redundancy)\n\n",
 		len(stored.Chips), stored.TotalBits(), scheme.StorageOverhead()*100)
 
@@ -73,7 +73,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	st = spared.Encode(line)
+	st = pair.Encode(spared, line)
 	st.Chips[0].Data.SetPinSymbol(3, st.Chips[0].Data.PinSymbol(3)^0x5A)
 	st.Chips[0].Data.SetPinSymbol(7, st.Chips[0].Data.PinSymbol(7)^0xC3)
 	st.Chips[0].Data.Flip(12, 1)
@@ -81,7 +81,7 @@ func main() {
 }
 
 func report(what string, scheme pair.Scheme, golden []byte, st *pair.Stored) {
-	decoded, claim := scheme.Decode(st)
+	decoded, claim := pair.Decode(scheme, st)
 	outcome := pair.Classify(golden, decoded, claim)
 	fmt.Printf("%-36s decoder claim: %-9s  data intact: %-5v  outcome: %s\n",
 		what, claim, bytes.Equal(decoded, golden), outcome)

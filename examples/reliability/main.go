@@ -30,12 +30,12 @@ func main() {
 		var counts [4]int
 		for t := 0; t < trials; t++ {
 			rng.Read(line)
-			st := scheme.Encode(line)
+			st := pair.Encode(scheme, line)
 			if ecc.InjectInherent(rng, st, ber) == 0 {
 				counts[pair.OutcomeOK]++
 				continue
 			}
-			decoded, claim := scheme.Decode(st)
+			decoded, claim := pair.Decode(scheme, st)
 			counts[pair.Classify(line, decoded, claim)]++
 		}
 		fmt.Printf("%-10s %10d %10d %10d %10d\n", scheme.Name(),

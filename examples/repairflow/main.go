@@ -37,7 +37,7 @@ func main() {
 	rng.Read(line)
 
 	fmt.Printf("1. shipped: DDR5 x16 BL16, RS(%d,32) t=%d\n", base.CodewordLength(), base.T())
-	stored := base.Encode(line)
+	stored := pair.Encode(base, line)
 
 	// Field failure: pin 6 of chip 1 dies (both symbol halves garbage).
 	deadChip, deadPin := 1, 6
@@ -49,7 +49,7 @@ func main() {
 	}
 	st := stored.Clone()
 	kill(st)
-	_, claim := base.Decode(st)
+	_, claim := pair.Decode(base, st)
 	fmt.Printf("2. pin %d of chip %d dies -> two bad symbols; base decoder: %v\n", deadPin, deadChip, claim)
 
 	// Repair step 1: in-place expansion to t=2.
@@ -57,7 +57,7 @@ func main() {
 	check(err)
 	st = upgraded.Clone()
 	kill(st)
-	decoded, claim := full.Decode(st)
+	decoded, claim := pair.Decode(full, st)
 	fmt.Printf("3. expand to RS(%d,32) t=%d in place (stored data untouched); decoder: %v, outcome: %v\n",
 		full.CodewordLength(), full.T(), claim, pair.Classify(line, decoded, claim))
 
@@ -68,10 +68,10 @@ func main() {
 	st = upgraded.Clone()
 	kill(st)
 	st.Chips[deadChip].Data.Flip(11, 13) // fresh weak cell, third symbol
-	if d, c := full.Decode(st.Clone()); pair.Classify(line, d, c).IsFailure() {
+	if d, c := pair.Decode(full, st.Clone()); pair.Classify(line, d, c).IsFailure() {
 		fmt.Printf("4. dead pin + fresh cell = 3 bad symbols: plain t=2 decoder fails (%v)...\n", c)
 	}
-	decoded, claim = spared.Decode(st)
+	decoded, claim = pair.Decode(spared, st)
 	fmt.Printf("   ...spared decoder (pin as erasure): %v, outcome: %v\n",
 		claim, pair.Classify(line, decoded, claim))
 }

@@ -10,22 +10,23 @@ import (
 	"testing"
 
 	"pair/internal/dram"
+	"pair/internal/ecc"
 )
 
-// TestPairBufferedAllocs pins PAIR's buffered encode+decode steady state at
-// zero allocations per trial.
+// TestPairBufferedAllocs pins PAIR's width-1 EncodeBatchInto +
+// DecodeBatchInto at zero allocations per trial.
 func TestPairBufferedAllocs(t *testing.T) {
 	s := MustNew(dram.DDR4x16(), DefaultConfig())
 	rng := rand.New(rand.NewSource(7))
 	line := randLine(rng, s.Org().LineBytes())
-	st := s.NewStored()
-	dst := make([]byte, len(line))
-	s.EncodeInto(st, line) // warm the scratch pool
-	s.DecodeInto(dst, st)
+	lines, sts := [][]byte{line}, []*ecc.Stored{s.NewStored()}
+	dst, claims := [][]byte{make([]byte, len(line))}, make([]ecc.Claim, 1)
+	s.EncodeBatchInto(sts, lines) // warm the scratch pool
+	s.DecodeBatchInto(dst, sts, claims)
 	if n := testing.AllocsPerRun(200, func() {
-		s.EncodeInto(st, line)
-		s.DecodeInto(dst, st)
+		s.EncodeBatchInto(sts, lines)
+		s.DecodeBatchInto(dst, sts, claims)
 	}); n != 0 {
-		t.Fatalf("EncodeInto+DecodeInto allocated %.1f/op, want 0", n)
+		t.Fatalf("EncodeBatchInto+DecodeBatchInto allocated %.1f/op, want 0", n)
 	}
 }

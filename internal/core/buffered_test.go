@@ -44,9 +44,9 @@ func corruptBoth(seed int64, mode int, a, b *ecc.Stored) {
 	apply(rand.New(rand.NewSource(seed)), b)
 }
 
-// TestPairBufferedDifferential checks EncodeInto ≡ Encode and
-// DecodeInto ≡ Decode for PAIR (expanded, base-only, and spared variants)
-// with buffers reused dirty across trials.
+// TestPairBufferedDifferential checks PAIR (expanded, base-only, and
+// spared variants) with an image and a line reused dirty across trials
+// against the allocating Encode/Decode helpers on fresh buffers.
 func TestPairBufferedDifferential(t *testing.T) {
 	org := dram.DDR4x16()
 	full := MustNew(org, DefaultConfig())
@@ -54,31 +54,27 @@ func TestPairBufferedDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schemes := []ecc.BufferedScheme{
-		full,
-		MustNew(org, BaseConfig()),
-		spared,
-	}
-	for _, s := range schemes {
+	for _, s := range []ecc.Scheme{full, MustNew(org, BaseConfig()), spared} {
 		t.Run(s.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			st := s.NewStored()
 			dst := make([]byte, s.Org().LineBytes())
+			claims := make([]ecc.Claim, 1)
 			for trial := 0; trial < 300; trial++ {
 				line := randLine(rng, s.Org().LineBytes())
-				ref := s.Encode(line)
-				s.EncodeInto(st, line)
+				ref := ecc.Encode(s, line)
+				s.EncodeBatchInto([]*ecc.Stored{st}, [][]byte{line})
 				if !pairStoredEqual(ref, st) {
-					t.Fatalf("trial %d: EncodeInto image differs from Encode", trial)
+					t.Fatalf("trial %d: reused image differs from a fresh encode", trial)
 				}
 				corruptBoth(rng.Int63(), trial, ref, st)
-				refLine, refClaim := s.Decode(ref)
-				claim := s.DecodeInto(dst, st)
-				if claim != refClaim {
-					t.Fatalf("trial %d: claim %v, want %v", trial, claim, refClaim)
+				refLine, refClaim := ecc.Decode(s, ref)
+				s.DecodeBatchInto([][]byte{dst}, []*ecc.Stored{st}, claims)
+				if claims[0] != refClaim {
+					t.Fatalf("trial %d: claim %v, want %v", trial, claims[0], refClaim)
 				}
 				if !bytes.Equal(dst, refLine) {
-					t.Fatalf("trial %d: DecodeInto line differs from Decode", trial)
+					t.Fatalf("trial %d: reused line differs from a fresh decode", trial)
 				}
 			}
 		})

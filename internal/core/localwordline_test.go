@@ -21,15 +21,15 @@ func TestPAIRCorrectsLocalWordlineFaults(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
 
-		st := pairS.Encode(line)
+		st := ecc.Encode(pairS, line)
 		ecc.InjectAccessFault(rng, st, faults.PermanentLocalWordline, 0)
-		if d, c := pairS.Decode(st); ecc.Classify(line, d, c) == ecc.OutcomeCE {
+		if d, c := ecc.Decode(pairS, st); ecc.Classify(line, d, c) == ecc.OutcomeCE {
 			pairOK++
 		}
 
-		st = iecc.Encode(line)
+		st = ecc.Encode(iecc, line)
 		ecc.InjectAccessFault(rng, st, faults.PermanentLocalWordline, 0)
-		if d, c := iecc.Decode(st); ecc.Classify(line, d, c).IsFailure() {
+		if d, c := ecc.Decode(iecc, st); ecc.Classify(line, d, c).IsFailure() {
 			ieccFail++
 		}
 	}

@@ -66,7 +66,7 @@ func TestCleanRoundTrip(t *testing.T) {
 		s := MustNew(dram.DDR4x16(), cfg)
 		for trial := 0; trial < 20; trial++ {
 			line := randLine(rng, 64)
-			decoded, claim := s.Decode(s.Encode(line))
+			decoded, claim := ecc.Decode(s, ecc.Encode(s, line))
 			if claim != ecc.ClaimClean || !bytes.Equal(decoded, line) {
 				t.Fatalf("expansion=%d: clean round trip failed (%v)", cfg.Expansion, claim)
 			}
@@ -82,9 +82,9 @@ func TestPinFaultAlwaysCorrected(t *testing.T) {
 		s := MustNew(dram.DDR4x16(), cfg)
 		for trial := 0; trial < 400; trial++ {
 			line := randLine(rng, 64)
-			st := s.Encode(line)
+			st := ecc.Encode(s, line)
 			ecc.InjectAccessFault(rng, st, faults.PermanentPin, -1)
-			decoded, claim := s.Decode(st)
+			decoded, claim := ecc.Decode(s, st)
 			if out := ecc.Classify(line, decoded, claim); out != ecc.OutcomeCE {
 				t.Fatalf("expansion=%d: pin fault -> %v", cfg.Expansion, out)
 			}
@@ -99,10 +99,10 @@ func TestPinBurstAlwaysCorrected(t *testing.T) {
 	for b := 1; b <= 8; b++ {
 		for trial := 0; trial < 100; trial++ {
 			line := randLine(rng, 64)
-			st := s.Encode(line)
+			st := ecc.Encode(s, line)
 			chip := rng.Intn(4)
 			faults.InjectPinBurst(rng, st.Chips[chip].Data, b)
-			decoded, claim := s.Decode(st)
+			decoded, claim := ecc.Decode(s, st)
 			if out := ecc.Classify(line, decoded, claim); out != ecc.OutcomeCE {
 				t.Fatalf("burst length %d -> %v", b, out)
 			}
@@ -115,9 +115,9 @@ func TestSingleCellCorrected(t *testing.T) {
 	s := MustNew(dram.DDR4x16(), BaseConfig())
 	for trial := 0; trial < 300; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := ecc.Encode(s, line)
 		ecc.InjectAccessFault(rng, st, faults.PermanentCell, -1)
-		decoded, claim := s.Decode(st)
+		decoded, claim := ecc.Decode(s, st)
 		if out := ecc.Classify(line, decoded, claim); out != ecc.OutcomeCE {
 			t.Fatalf("single cell -> %v", out)
 		}
@@ -135,8 +135,8 @@ func TestTwoSymbolErrorsNeedExpansion(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
 
-		stB := base.Encode(line)
-		stF := full.Encode(line)
+		stB := ecc.Encode(base, line)
+		stF := ecc.Encode(full, line)
 		chip := rng.Intn(4)
 		pins := rng.Perm(16)[:2]
 		for _, p := range pins {
@@ -144,10 +144,10 @@ func TestTwoSymbolErrorsNeedExpansion(t *testing.T) {
 			stB.Chips[chip].Data.SetPinSymbol(p, stB.Chips[chip].Data.PinSymbol(p)^v)
 			stF.Chips[chip].Data.SetPinSymbol(p, stF.Chips[chip].Data.PinSymbol(p)^v)
 		}
-		if d, c := base.Decode(stB); ecc.Classify(line, d, c).IsFailure() {
+		if d, c := ecc.Decode(base, stB); ecc.Classify(line, d, c).IsFailure() {
 			baseFailed++
 		}
-		if d, c := full.Decode(stF); ecc.Classify(line, d, c) == ecc.OutcomeCE {
+		if d, c := ecc.Decode(full, stF); ecc.Classify(line, d, c) == ecc.OutcomeCE {
 			fullOK++
 		}
 	}
@@ -165,14 +165,14 @@ func TestParityRegionFaultsHandled(t *testing.T) {
 	s := MustNew(dram.DDR4x16(), DefaultConfig())
 	for trial := 0; trial < 200; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := ecc.Encode(s, line)
 		ci := st.Chips[rng.Intn(4)]
 		// Corrupt up to 8 bits of ONE parity symbol.
 		sym := rng.Intn(4)
 		for _, b := range rng.Perm(8)[:1+rng.Intn(8)] {
 			ci.OnDie.Flip(sym*8 + b)
 		}
-		decoded, claim := s.Decode(st)
+		decoded, claim := ecc.Decode(s, st)
 		if out := ecc.Classify(line, decoded, claim); out != ecc.OutcomeCE {
 			t.Fatalf("parity-region fault -> %v", out)
 		}
@@ -188,9 +188,9 @@ func TestRowFaultDetectedNotSilent(t *testing.T) {
 	const trials = 500
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := ecc.Encode(s, line)
 		ecc.InjectAccessFault(rng, st, faults.PermanentRow, 0)
-		decoded, claim := s.Decode(st)
+		decoded, claim := ecc.Decode(s, st)
 		counts[ecc.Classify(line, decoded, claim)]++
 	}
 	if counts[ecc.OutcomeDUE] < trials*9/10 {
@@ -203,7 +203,7 @@ func TestExpandStoredPreservesBaseParity(t *testing.T) {
 	base := MustNew(dram.DDR4x16(), BaseConfig())
 	full := MustNew(dram.DDR4x16(), DefaultConfig())
 	line := randLine(rng, 64)
-	stBase := base.Encode(line)
+	stBase := ecc.Encode(base, line)
 	stFull, err := full.ExpandStored(base, stBase)
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +221,7 @@ func TestExpandStoredPreservesBaseParity(t *testing.T) {
 		}
 	}
 	// The expanded image must equal a direct full encoding.
-	direct := full.Encode(line)
+	direct := ecc.Encode(full, line)
 	for i := range direct.Chips {
 		if !direct.Chips[i].OnDie.Equal(stFull.Chips[i].OnDie) {
 			t.Fatal("expanded image differs from direct encoding")
@@ -233,7 +233,7 @@ func TestExpandStoredPreservesBaseParity(t *testing.T) {
 	for _, p := range pins {
 		st.Chips[0].Data.SetPinSymbol(p, st.Chips[0].Data.PinSymbol(p)^0x3C)
 	}
-	decoded, claim := full.Decode(st)
+	decoded, claim := ecc.Decode(full, st)
 	if out := ecc.Classify(line, decoded, claim); out != ecc.OutcomeCE {
 		t.Fatalf("expanded image failed double-error decode: %v", out)
 	}
@@ -244,10 +244,10 @@ func TestExpandStoredValidation(t *testing.T) {
 	full := MustNew(dram.DDR4x16(), DefaultConfig())
 	otherBase := MustNew(dram.DDR4x16(), Config{BaseParity: 3, Expansion: 0})
 	line := make([]byte, 64)
-	if _, err := full.ExpandStored(otherBase, otherBase.Encode(line)); err == nil {
+	if _, err := full.ExpandStored(otherBase, ecc.Encode(otherBase, line)); err == nil {
 		t.Fatal("mismatched base parity accepted")
 	}
-	if _, err := full.ExpandStored(full, full.Encode(line)); err == nil {
+	if _, err := full.ExpandStored(full, ecc.Encode(full, line)); err == nil {
 		t.Fatal("already-expanded source accepted")
 	}
 	_ = base
@@ -274,9 +274,9 @@ func TestBeatBurstIsPAIRsWeakSpot(t *testing.T) {
 	const trials = 200
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := ecc.Encode(s, line)
 		faults.InjectBeatBurst(rng, st.Chips[0].Data, 4)
-		decoded, claim := s.Decode(st)
+		decoded, claim := ecc.Decode(s, st)
 		if ecc.Classify(line, decoded, claim).IsFailure() {
 			fails++
 		}

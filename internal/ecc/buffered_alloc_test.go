@@ -10,22 +10,22 @@ import (
 	"testing"
 )
 
-// TestBufferedSchemeAllocs pins the encode+decode steady state at zero
-// allocations per trial for every buffered scheme.
+// TestBufferedSchemeAllocs pins a width-1 EncodeBatchInto +
+// DecodeBatchInto at zero allocations per trial for every pooled scheme.
 func TestBufferedSchemeAllocs(t *testing.T) {
-	for _, s := range bufferedSchemesUnderTest() {
+	for _, s := range pooledSchemesUnderTest() {
 		t.Run(s.Name(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			line := randLine(rng, s.Org().LineBytes())
-			st := s.NewStored()
-			dst := make([]byte, len(line))
-			s.EncodeInto(st, line) // warm the scratch pools
-			s.DecodeInto(dst, st)
+			lines, sts := [][]byte{line}, []*Stored{s.NewStored()}
+			dst, claims := [][]byte{make([]byte, len(line))}, make([]Claim, 1)
+			s.EncodeBatchInto(sts, lines) // warm the scratch pools
+			s.DecodeBatchInto(dst, sts, claims)
 			if n := testing.AllocsPerRun(200, func() {
-				s.EncodeInto(st, line)
-				s.DecodeInto(dst, st)
+				s.EncodeBatchInto(sts, lines)
+				s.DecodeBatchInto(dst, sts, claims)
 			}); n != 0 {
-				t.Fatalf("EncodeInto+DecodeInto allocated %.1f/op, want 0", n)
+				t.Fatalf("EncodeBatchInto+DecodeBatchInto allocated %.1f/op, want 0", n)
 			}
 		})
 	}

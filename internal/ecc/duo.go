@@ -34,31 +34,11 @@ type DUO struct {
 	pool sync.Pool // *duoScratch per-goroutine codec workspace
 }
 
-// duoScratch is the per-goroutine codec workspace: the batch workspace
-// (whose Decoder also serves scalar decodes), a slab sized to the last
-// batch width, per-codeword result buffers, a codeword buffer and the
-// column staging block for the transposed gather.
+// duoScratch is the per-goroutine codec workspace: an RS decoder and a
+// codeword buffer.
 type duoScratch struct {
-	ws       *rs.BatchWorkspace
-	slab     *rs.Slab
-	nchanged []int
-	errs     []error
-	word     []byte
-	cols     [][64]byte // one staging column per codeword position
-}
-
-// ensure sizes the slab and result buffers for w codewords (a multiple
-// of 8). The slab is rebuilt only when the width changes.
-func (scr *duoScratch) ensure(n, w int) {
-	if scr.slab == nil || scr.slab.W() != w {
-		scr.slab = rs.NewSlab(n, w)
-	}
-	if cap(scr.nchanged) < w {
-		scr.nchanged = make([]int, w)
-		scr.errs = make([]error, w)
-	}
-	scr.nchanged = scr.nchanged[:w]
-	scr.errs = scr.errs[:w]
+	dec  *rs.Decoder
+	word []byte
 }
 
 // NewDUO returns the DUO scheme on the given organization (pins must be a
@@ -73,11 +53,7 @@ func NewDUO(org dram.Organization) *DUO {
 	k := org.AccessBits() / 8
 	s := &DUO{org: org, code: rs.MustNew(k+2, k)}
 	s.pool.New = func() any {
-		return &duoScratch{
-			ws:   s.code.NewBatchWorkspace(),
-			word: make([]byte, s.code.N),
-			cols: make([][64]byte, s.code.N),
-		}
+		return &duoScratch{dec: s.code.NewDecoder(), word: make([]byte, s.code.N)}
 	}
 	return s
 }
@@ -102,8 +78,8 @@ func (s *DUO) chipSymbolsInto(syms []byte, b *dram.Burst) {
 	}
 }
 
-// NewStored implements BufferedScheme: one data burst plus the extension
-// beat (Xfer) carrying the two parity symbols per chip.
+// NewStored implements Scheme: one data burst plus the extension beat
+// (Xfer) carrying the two parity symbols per chip.
 func (s *DUO) NewStored() *Stored {
 	st := &Stored{Org: s.org, Chips: make([]*ChipImage, s.org.ChipsPerRank)}
 	for i := range st.Chips {
@@ -115,15 +91,12 @@ func (s *DUO) NewStored() *Stored {
 	return st
 }
 
-// Encode implements Scheme.
-func (s *DUO) Encode(line []byte) *Stored {
-	st := s.NewStored()
-	s.EncodeInto(st, line)
-	return st
-}
+// EncodeBatchInto implements Scheme.
+func (s *DUO) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, s.encode) }
 
-// EncodeInto implements BufferedScheme.
-func (s *DUO) EncodeInto(st *Stored, line []byte) {
+// encode builds one image: per chip, the data burst and the RS(18,16)
+// parity of its beat-aligned symbols.
+func (s *DUO) encode(st *Stored, line []byte) {
 	scr := s.pool.Get().(*duoScratch)
 	word := scr.word
 	for i, ci := range st.Chips {
@@ -140,17 +113,16 @@ func (s *DUO) EncodeInto(st *Stored, line []byte) {
 	s.pool.Put(scr)
 }
 
-// Decode implements Scheme: the controller decodes RS(18,16) per chip.
-func (s *DUO) Decode(st *Stored) ([]byte, Claim) {
-	line := make([]byte, s.org.LineBytes())
-	return line, s.DecodeInto(line, st)
+// DecodeBatchInto implements Scheme: the controller decodes RS(18,16)
+// per chip access.
+func (s *DUO) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
+	DecodeEach(dst, sts, claims, s.decode)
 }
 
-// DecodeInto implements BufferedScheme. Corrected symbol j = (beat, group)
-// of chip c lands at line byte beat*(busWidth/8) + c*(Pins/8) + group, so
-// chips write their line bytes directly and together cover every byte of
-// dst.
-func (s *DUO) DecodeInto(dst []byte, st *Stored) Claim {
+// decode recovers one line. Corrected symbol j = (beat, group) of chip c
+// lands at line byte beat*(busWidth/8) + c*(Pins/8) + group, so chips
+// write their line bytes directly and together cover every byte of dst.
+func (s *DUO) decode(dst []byte, st *Stored) Claim {
 	claim := ClaimClean
 	g := s.groups()
 	lineStride := s.org.ChipsPerRank * s.org.Pins / 8
@@ -162,7 +134,7 @@ func (s *DUO) DecodeInto(dst []byte, st *Stored) Claim {
 		for p := 0; p < 2; p++ {
 			word[s.code.K+p] = byte(ci.Xfer.Bits().GetBits(8*p, 8))
 		}
-		nerr, err := scr.ws.DecodeInto(word, word, nil)
+		nerr, err := scr.dec.DecodeInto(word, word, nil)
 		base := i * (s.org.Pins / 8)
 		if err != nil {
 			claim = ClaimDetected
@@ -182,83 +154,6 @@ func (s *DUO) DecodeInto(dst []byte, st *Stored) Claim {
 	}
 	s.pool.Put(scr)
 	return claim
-}
-
-// EncodeBatchInto implements BatchScheme. Encoding is dominated by the
-// per-image burst split, so the batch call is the defining loop.
-func (s *DUO) EncodeBatchInto(sts []*Stored, lines [][]byte) { loopEncodeBatch(s, sts, lines) }
-
-// DecodeBatchInto implements BatchScheme on the slab path: per chip, the
-// codewords of every image are transposed into one slab and certified by
-// a single bitsliced syndrome sweep; only dirty codewords reach the
-// scalar decoder. Results are identical to a DecodeInto loop.
-func (s *DUO) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
-	CheckDecodeBatchArgs(dst, sts, claims)
-	nimg := len(sts)
-	if nimg == 0 {
-		return
-	}
-	bb := s.pool.Get().(*duoScratch)
-	defer s.pool.Put(bb)
-	n, k := s.code.N, s.code.K
-	bb.ensure(n, PadBatchWidth(nimg))
-	g := s.groups()
-	lineStride := s.org.ChipsPerRank * s.org.Pins / 8
-	for i := 0; i < nimg; i++ {
-		claims[i] = ClaimClean
-		for j := range dst[i] {
-			dst[i][j] = 0
-		}
-	}
-	for chip := 0; chip < s.org.ChipsPerRank; chip++ {
-		// Gather: assemble each image's codeword for this chip, staging
-		// 64 images per group and writing whole transposed columns.
-		for grp := 0; grp < bb.slab.Groups(); grp++ {
-			lo := grp * 64
-			hi := lo + 64
-			if hi > nimg {
-				hi = nimg
-			}
-			for j := 0; j < n; j++ {
-				bb.cols[j] = [64]byte{}
-			}
-			for i := lo; i < hi; i++ {
-				ci := sts[i].Chips[chip]
-				s.chipSymbolsInto(bb.word[:k], ci.Data)
-				for p := 0; p < 2; p++ {
-					bb.word[k+p] = byte(ci.Xfer.Bits().GetBits(8*p, 8))
-				}
-				for j := 0; j < n; j++ {
-					bb.cols[j][i-lo] = bb.word[j]
-				}
-			}
-			for j := 0; j < n; j++ {
-				bb.slab.SetColumn(j, grp, &bb.cols[j])
-			}
-		}
-		bb.ws.DecodeBatch(bb.slab, nil, bb.nchanged, bb.errs)
-		// Write back: clean and errored codewords pass the raw burst
-		// through (identical bytes to the scalar paths); corrected ones
-		// read their repaired data symbols out of the slab.
-		base := chip * (s.org.Pins / 8)
-		for i := 0; i < nimg; i++ {
-			ci := sts[i].Chips[chip]
-			switch {
-			case bb.errs[i] != nil:
-				claims[i] = ClaimDetected
-				dram.OrChipInto(s.org, dst[i], chip, ci.Data)
-			case bb.nchanged[i] == 0:
-				dram.OrChipInto(s.org, dst[i], chip, ci.Data)
-			default:
-				if claims[i] != ClaimDetected {
-					claims[i] = ClaimCorrected
-				}
-				for j := 0; j < k; j++ {
-					dst[i][(j/g)*lineStride+base+j%g] = bb.slab.At(i, j)
-				}
-			}
-		}
-	}
 }
 
 // StorageOverhead implements Scheme: 16 redundancy bits per 128 data bits.

@@ -37,13 +37,14 @@ type DUORank struct {
 	scratch  sync.Pool // *duoRankScratch
 }
 
-// duoRankScratch is the per-goroutine decode workspace: a scalar RS
-// decoder plus the assembled and corrected codeword buffers, so the retry
-// loop reuses one decode state across all chip hypotheses.
+// duoRankScratch is the per-goroutine codec workspace: an RS decoder plus
+// the assembled, corrected and agreed codeword buffers, so the retry loop
+// reuses one decode state across all chip hypotheses.
 type duoRankScratch struct {
 	dec       *rs.Decoder
 	word      []byte
 	corrected []byte
+	agreed    []byte
 }
 
 // NewDUORank returns the rank-level DUO scheme; the organization must be
@@ -67,6 +68,7 @@ func NewDUORank(org dram.Organization) *DUORank {
 			dec:       s.code.NewDecoder(),
 			word:      make([]byte, s.code.N),
 			corrected: make([]byte, s.code.N),
+			agreed:    make([]byte, s.code.K),
 		}
 	}
 	return s
@@ -78,38 +80,46 @@ func (s *DUORank) Name() string { return "duo-rank" }
 // Org implements Scheme.
 func (s *DUORank) Org() dram.Organization { return s.org }
 
-// symbolsPerChip returns data-beat symbols per chip (the burst length).
-func (s *DUORank) symbolsPerChip() int { return s.org.BurstLen }
-
-// Encode implements Scheme. Chips[0..7] are data chips; Chips[8] is the
-// ECC chip. Each chip's Xfer burst (8 pins x 1 beat) carries one parity
-// symbol; the ECC chip's data beats carry eight more.
-func (s *DUORank) Encode(line []byte) *Stored {
-	bursts := dram.SplitLine(s.org, line)
-	nChips := s.org.TotalChips()
-	msg := make([]byte, s.code.K)
-	for c, b := range bursts {
-		for beat := 0; beat < s.org.BurstLen; beat++ {
-			msg[c*s.org.BurstLen+beat] = b.BeatByte(beat, 0)
+// NewStored implements Scheme. Chips[0..7] are data chips; Chips[8] is
+// the ECC chip. Each chip's Xfer burst (8 pins x 1 beat) carries one
+// parity symbol; the ECC chip's data beats carry eight more.
+func (s *DUORank) NewStored() *Stored {
+	st := &Stored{Org: s.org, Chips: make([]*ChipImage, s.org.TotalChips())}
+	for i := range st.Chips {
+		st.Chips[i] = &ChipImage{
+			Data: dram.NewBurst(s.org.Pins, s.org.BurstLen),
+			Xfer: dram.NewBurst(s.org.Pins, 1),
 		}
 	}
-	cw := s.code.Encode(msg)
-	parity := cw[s.code.K:] // 17 symbols
-
-	st := &Stored{Org: s.org, Chips: make([]*ChipImage, nChips)}
-	for c, b := range bursts {
-		xfer := dram.NewBurst(s.org.Pins, 1)
-		xfer.SetBeatByte(0, 0, parity[8+c])
-		st.Chips[c] = &ChipImage{Data: b, Xfer: xfer}
-	}
-	eccData := dram.NewBurst(s.org.Pins, s.org.BurstLen)
-	for beat := 0; beat < s.org.BurstLen; beat++ {
-		eccData.SetBeatByte(beat, 0, parity[beat])
-	}
-	eccXfer := dram.NewBurst(s.org.Pins, 1)
-	eccXfer.SetBeatByte(0, 0, parity[16])
-	st.Chips[nChips-1] = &ChipImage{Data: eccData, Xfer: eccXfer}
 	return st
+}
+
+// EncodeBatchInto implements Scheme.
+func (s *DUORank) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, s.encode) }
+
+// encode builds one image: the data chips' bursts, then the 17 parity
+// symbols of the rank-level codeword over their beat bytes.
+func (s *DUORank) encode(st *Stored, line []byte) {
+	scr := s.scratch.Get().(*duoRankScratch)
+	defer s.scratch.Put(scr)
+	cw := scr.word
+	for c := 0; c < s.org.ChipsPerRank; c++ {
+		b := st.Chips[c].Data
+		dram.SplitChipInto(s.org, line, c, b)
+		for beat := 0; beat < s.org.BurstLen; beat++ {
+			cw[c*s.org.BurstLen+beat] = b.BeatByte(beat, 0)
+		}
+	}
+	s.code.EncodeTo(cw[:s.code.K], cw)
+	parity := cw[s.code.K:] // 17 symbols
+	for c := 0; c < s.org.ChipsPerRank; c++ {
+		st.Chips[c].Xfer.SetBeatByte(0, 0, parity[8+c])
+	}
+	ecc := st.Chips[s.org.TotalChips()-1]
+	for beat := 0; beat < s.org.BurstLen; beat++ {
+		ecc.Data.SetBeatByte(beat, 0, parity[beat])
+	}
+	ecc.Xfer.SetBeatByte(0, 0, parity[16])
 }
 
 // assembleInto builds the 81-symbol received word from a stored image.
@@ -145,50 +155,57 @@ func (s *DUORank) chipErasures(c int) []int {
 	return append(out, s.code.K+8+c)
 }
 
-// Decode implements Scheme: direct decode first; on failure, retry under
+// DecodeBatchInto implements Scheme.
+func (s *DUORank) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
+	DecodeEach(dst, sts, claims, s.decode)
+}
+
+// decode recovers one line: direct decode first; on failure, retry under
 // each single-chip erasure hypothesis and accept only a unanimous answer.
-func (s *DUORank) Decode(st *Stored) ([]byte, Claim) {
+func (s *DUORank) decode(dst []byte, st *Stored) Claim {
 	scr := s.scratch.Get().(*duoRankScratch)
 	defer s.scratch.Put(scr)
 	word := scr.word
 	s.assembleInto(word, st)
 	if nerr, err := scr.dec.DecodeInto(scr.corrected, word, nil); err == nil {
-		claim := ClaimClean
+		s.extractInto(dst, scr.corrected)
 		if nerr > 0 {
-			claim = ClaimCorrected
+			return ClaimCorrected
 		}
-		return s.extract(scr.corrected), claim
+		return ClaimClean
 	}
 	// Chip-erasure hypotheses (degraded mode).
-	var agreed []byte
+	agreed := false
 	for c := 0; c < s.org.TotalChips(); c++ {
 		if _, err := scr.dec.DecodeInto(scr.corrected, word, s.erasures[c]); err != nil {
 			continue
 		}
-		data := s.extract(scr.corrected)
-		if agreed == nil {
-			agreed = data
-		} else if !bytes.Equal(agreed, data) {
-			return s.extract(word), ClaimDetected
+		data := scr.corrected[:s.code.K]
+		if !agreed {
+			copy(scr.agreed, data)
+			agreed = true
+		} else if !bytes.Equal(scr.agreed, data) {
+			s.extractInto(dst, word)
+			return ClaimDetected
 		}
 	}
-	if agreed != nil {
-		return agreed, ClaimCorrected
+	if agreed {
+		s.extractInto(dst, scr.agreed)
+		return ClaimCorrected
 	}
-	return s.extract(word), ClaimDetected
+	s.extractInto(dst, word)
+	return ClaimDetected
 }
 
-// extract rebuilds the cache line from the data symbols of a codeword.
-func (s *DUORank) extract(cw []byte) []byte {
-	bursts := make([]*dram.Burst, s.org.ChipsPerRank)
-	for c := range bursts {
-		b := dram.NewBurst(s.org.Pins, s.org.BurstLen)
+// extractInto writes the cache line carried by the data symbols of cw
+// into dst. Each x8 chip moves one byte per beat, so symbol (chip c,
+// beat b) is line byte b*ChipsPerRank + c.
+func (s *DUORank) extractInto(dst, cw []byte) {
+	for c := 0; c < s.org.ChipsPerRank; c++ {
 		for beat := 0; beat < s.org.BurstLen; beat++ {
-			b.SetBeatByte(beat, 0, cw[c*s.org.BurstLen+beat])
+			dst[beat*s.org.ChipsPerRank+c] = cw[c*s.org.BurstLen+beat]
 		}
-		bursts[c] = b
 	}
-	return dram.JoinLine(s.org, bursts)
 }
 
 // StorageOverhead implements Scheme: the ninth chip plus every chip's

@@ -25,7 +25,7 @@ func TestDUORankCleanRoundTrip(t *testing.T) {
 	s := newDUORank()
 	for trial := 0; trial < 30; trial++ {
 		line := randLine(rng, 64)
-		decoded, claim := s.Decode(s.Encode(line))
+		decoded, claim := Decode(s, Encode(s, line))
 		if claim != ClaimClean || !bytes.Equal(decoded, line) {
 			t.Fatalf("clean round trip failed: %v", claim)
 		}
@@ -38,7 +38,7 @@ func TestDUORankCorrectsUpTo8Symbols(t *testing.T) {
 	for nerr := 1; nerr <= 8; nerr++ {
 		for trial := 0; trial < 25; trial++ {
 			line := randLine(rng, 64)
-			st := s.Encode(line)
+			st := Encode(s, line)
 			// Corrupt nerr distinct random beat-symbols across data chips.
 			type pos struct{ c, beat int }
 			seen := map[pos]bool{}
@@ -50,7 +50,7 @@ func TestDUORankCorrectsUpTo8Symbols(t *testing.T) {
 					st.Chips[p.c].Data.SetBeatByte(p.beat, 0, old^byte(1+rng.Intn(255)))
 				}
 			}
-			decoded, claim := s.Decode(st)
+			decoded, claim := Decode(s, st)
 			if out := Classify(line, decoded, claim); out != OutcomeCE {
 				t.Fatalf("nerr=%d: outcome %v", nerr, out)
 			}
@@ -67,10 +67,10 @@ func TestDUORankSurvivesWholeChipViaErasureRetry(t *testing.T) {
 	const trials = 150
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		chip := rng.Intn(9)
 		InjectAccessFault(rng, st, faults.PermanentBank, chip)
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		if out := Classify(line, decoded, claim); out == OutcomeCE {
 			ce++
 		}
@@ -89,9 +89,9 @@ func TestDUORankPinFaultStillBeatAlignedWeakness(t *testing.T) {
 	const trials = 150
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		InjectAccessFault(rng, st, faults.PermanentPin, rng.Intn(8))
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		if Classify(line, decoded, claim) == OutcomeCE {
 			ce++
 		}
@@ -106,14 +106,14 @@ func TestDUORankPinFaultStillBeatAlignedWeakness(t *testing.T) {
 	fails := 0
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		InjectAccessFault(rng, st, faults.PermanentPin, 0)
 		// Five extra cell errors in other chips exceed the post-erasure
 		// budget floor((17-9)/2) = 4.
 		for i := 0; i < 5; i++ {
 			InjectAccessFault(rng, st, faults.PermanentCell, 1+rng.Intn(7))
 		}
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		if Classify(line, decoded, claim).IsFailure() {
 			fails++
 		}
@@ -128,10 +128,10 @@ func TestDUORankTwoDeadChipsDetected(t *testing.T) {
 	s := newDUORank()
 	for trial := 0; trial < 60; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		InjectAccessFault(rng, st, faults.PermanentBank, 0)
 		InjectAccessFault(rng, st, faults.PermanentBank, 3)
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		if out := Classify(line, decoded, claim); out == OutcomeSDC {
 			t.Fatal("two dead chips silently miscorrected")
 		}
@@ -156,9 +156,9 @@ func TestDUORankSingleCellAlwaysCorrected(t *testing.T) {
 	s := newDUORank()
 	for trial := 0; trial < 150; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		InjectAccessFault(rng, st, faults.PermanentCell, -1)
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		if out := Classify(line, decoded, claim); out != OutcomeCE {
 			t.Fatalf("single cell -> %v", out)
 		}

@@ -32,7 +32,7 @@ func (s *IECC) Name() string { return "iecc" }
 // Org implements Scheme.
 func (s *IECC) Org() dram.Organization { return s.org }
 
-// NewStored implements BufferedScheme.
+// NewStored implements Scheme.
 func (s *IECC) NewStored() *Stored {
 	st := &Stored{Org: s.org, Chips: make([]*ChipImage, s.org.ChipsPerRank)}
 	for i := range st.Chips {
@@ -44,17 +44,13 @@ func (s *IECC) NewStored() *Stored {
 	return st
 }
 
-// Encode implements Scheme.
-func (s *IECC) Encode(line []byte) *Stored {
-	st := s.NewStored()
-	s.EncodeInto(st, line)
-	return st
-}
+// EncodeBatchInto implements Scheme.
+func (s *IECC) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, s.encode) }
 
-// EncodeInto implements BufferedScheme. The codeword is systematic and the
-// burst's bit vector is exactly the data half, so the on-die region is
-// just the check bits of the burst.
-func (s *IECC) EncodeInto(st *Stored, line []byte) {
+// encode builds one image. The codeword is systematic and the burst's bit
+// vector is exactly the data half, so the on-die region is just the check
+// bits of the burst.
+func (s *IECC) encode(st *Stored, line []byte) {
 	for i, ci := range st.Chips {
 		dram.SplitChipInto(s.org, line, i, ci.Data)
 		ck := s.code.CheckBits(ci.Data.Bits())
@@ -63,17 +59,17 @@ func (s *IECC) EncodeInto(st *Stored, line []byte) {
 	}
 }
 
-// Decode implements Scheme. Each chip decodes independently inside the
-// die; the controller sees only the (possibly miscorrected) data.
-func (s *IECC) Decode(st *Stored) ([]byte, Claim) {
-	line := make([]byte, s.org.LineBytes())
-	return line, s.DecodeInto(line, st)
+// DecodeBatchInto implements Scheme. Each chip decodes independently
+// inside the die; the controller sees only the (possibly miscorrected)
+// data.
+func (s *IECC) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
+	DecodeEach(dst, sts, claims, s.decode)
 }
 
-// DecodeInto implements BufferedScheme. The syndrome of the (data,
-// on-die check) pair is CheckBits(data) XOR storedCheck, so no N-bit word
-// is assembled; a data-bit correction lands directly in the line buffer.
-func (s *IECC) DecodeInto(dst []byte, st *Stored) Claim {
+// decode recovers one line. The syndrome of the (data, on-die check) pair
+// is CheckBits(data) XOR storedCheck, so no N-bit word is assembled; a
+// data-bit correction lands directly in the line buffer.
+func (s *IECC) decode(dst []byte, st *Stored) Claim {
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -114,14 +110,4 @@ func (s *IECC) Cost() AccessCost {
 		DecodeLatencyNS:          2.0,
 		ExtraReadsPerMaskedWrite: 1.0,
 	}
-}
-
-// EncodeBatchInto implements BatchScheme: the per-access Hamming words
-// are too short for the slab codec to pay off, so the batch calls are
-// the defining loop.
-func (s *IECC) EncodeBatchInto(sts []*Stored, lines [][]byte) { loopEncodeBatch(s, sts, lines) }
-
-// DecodeBatchInto implements BatchScheme.
-func (s *IECC) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
-	loopDecodeBatch(s, dst, sts, claims)
 }

@@ -48,7 +48,9 @@ func InjectAccessFault(rng *rand.Rand, st *Stored, kind faults.Kind, chip int) {
 	ci := st.Chips[chip]
 	switch kind {
 	case faults.InherentCell, faults.TransientBit, faults.PermanentCell:
-		flipStoredBit(rng, ci)
+		// One uniformly random stored bit, data or redundancy: weak cells
+		// do not care which logical region they sit in.
+		flipChipBit(ci, rng.Intn(ci.TotalBits()))
 	case faults.PermanentColumn:
 		// Bitline fault: one fixed lane of the access.
 		faults.InjectLane(rng, ci.Data)
@@ -125,30 +127,9 @@ func FlipRandomStoredBits(rng *rand.Rand, st *Stored, k int) {
 	}
 }
 
+// flipChipBit flips bit idx of the chip image, where indices run over
+// Data, OnDie, Xfer in that order.
 func flipChipBit(ci *ChipImage, idx int) {
-	if ci.Data != nil {
-		n := ci.Data.Pins * ci.Data.Beats
-		if idx < n {
-			ci.Data.Flip(idx%ci.Data.Pins, idx/ci.Data.Pins)
-			return
-		}
-		idx -= n
-	}
-	if ci.OnDie != nil {
-		if idx < ci.OnDie.Len() {
-			ci.OnDie.Flip(idx)
-			return
-		}
-		idx -= ci.OnDie.Len()
-	}
-	ci.Xfer.Flip(idx%ci.Xfer.Pins, idx/ci.Xfer.Pins)
-}
-
-// flipStoredBit flips one uniformly random stored bit of the chip image —
-// data or redundancy, weighted by region size, because weak cells do not
-// care which logical region they sit in.
-func flipStoredBit(rng *rand.Rand, ci *ChipImage) {
-	idx := rng.Intn(ci.TotalBits())
 	if ci.Data != nil {
 		n := ci.Data.Pins * ci.Data.Beats
 		if idx < n {

@@ -16,7 +16,7 @@ func TestFlipStoredIndexesEveryBit(t *testing.T) {
 	for i := range line {
 		line[i] = byte(i)
 	}
-	st := s.Encode(line)
+	st := Encode(s, line)
 	ref := st.Clone()
 	total := st.TotalBits()
 	for idx := 0; idx < total; idx++ {
@@ -40,7 +40,7 @@ func TestFlipStoredIndexesEveryBit(t *testing.T) {
 
 func TestFlipStoredOutOfRangePanics(t *testing.T) {
 	s := NewIECC(dram.DDR4x16())
-	st := s.Encode(make([]byte, 64))
+	st := Encode(s, make([]byte, 64))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range index did not panic")
@@ -52,7 +52,7 @@ func TestFlipStoredOutOfRangePanics(t *testing.T) {
 func TestFlipStoredCoversXferRegion(t *testing.T) {
 	// DUO stores transferred redundancy; high indices must reach it.
 	s := NewDUO(dram.DDR4x16())
-	st := s.Encode(make([]byte, 64))
+	st := Encode(s, make([]byte, 64))
 	ref := st.Clone()
 	// Chip 0's image: 128 data + 16 xfer bits; flip index 128 (first
 	// xfer bit).
@@ -69,7 +69,7 @@ func TestFlipRandomStoredBitsExactCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	s := NewIECC(dram.DDR4x16())
 	for _, k := range []int{1, 2, 5, 16, 100} {
-		st := s.Encode(make([]byte, 64))
+		st := Encode(s, make([]byte, 64))
 		FlipRandomStoredBits(rng, st, k)
 		flips := 0
 		for _, ci := range st.Chips {
@@ -82,7 +82,7 @@ func TestFlipRandomStoredBitsExactCount(t *testing.T) {
 		}
 	}
 	// Saturation beyond the image size.
-	st := s.Encode(make([]byte, 64))
+	st := Encode(s, make([]byte, 64))
 	FlipRandomStoredBits(rng, st, 10000)
 	flips := 0
 	for _, ci := range st.Chips {
@@ -101,7 +101,7 @@ func TestFlipRandomStoredBitsUniformish(t *testing.T) {
 	onDie := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		st := s.Encode(make([]byte, 64))
+		st := Encode(s, make([]byte, 64))
 		FlipRandomStoredBits(rng, st, 1)
 		for _, ci := range st.Chips {
 			if ci.OnDie.PopCount() > 0 {
@@ -125,7 +125,7 @@ func TestInjectAccessFaultAllKindsAllSchemes(t *testing.T) {
 	}
 	for _, s := range schemesUnderTest() {
 		for _, k := range kinds {
-			st := s.Encode(make([]byte, s.Org().LineBytes()))
+			st := Encode(s, make([]byte, s.Org().LineBytes()))
 			InjectAccessFault(rng, st, k, -1)
 			flips := 0
 			for _, ci := range st.Chips {
@@ -148,7 +148,7 @@ func TestApplyDeviceFaultDeterministicLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := NewIECC(dram.DDR4x16())
 	f := faults.Fault{Kind: faults.PermanentCell, Chip: 1, Lane: 37}
-	st := s.Encode(make([]byte, 64))
+	st := Encode(s, make([]byte, 64))
 	ApplyDeviceFault(rng, st, f)
 	if st.Chips[1].Data.PopCount() != 1 {
 		t.Fatal("cell fault flipped more than one bit")
@@ -162,7 +162,7 @@ func TestApplyDeviceFaultDeterministicLane(t *testing.T) {
 func TestApplyDeviceFaultBadChipPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewIECC(dram.DDR4x16())
-	st := s.Encode(make([]byte, 64))
+	st := Encode(s, make([]byte, 64))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("bad chip index did not panic")

@@ -23,7 +23,7 @@ func (n *None) Name() string { return "none" }
 // Org implements Scheme.
 func (n *None) Org() dram.Organization { return n.org }
 
-// NewStored implements BufferedScheme.
+// NewStored implements Scheme.
 func (n *None) NewStored() *Stored {
 	st := &Stored{Org: n.org, Chips: make([]*ChipImage, n.org.ChipsPerRank)}
 	for i := range st.Chips {
@@ -32,28 +32,23 @@ func (n *None) NewStored() *Stored {
 	return st
 }
 
-// Encode implements Scheme.
-func (n *None) Encode(line []byte) *Stored {
-	st := n.NewStored()
-	n.EncodeInto(st, line)
-	return st
-}
+// EncodeBatchInto implements Scheme.
+func (n *None) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, n.encode) }
 
-// EncodeInto implements BufferedScheme.
-func (n *None) EncodeInto(st *Stored, line []byte) {
+// encode stores the line as-is.
+func (n *None) encode(st *Stored, line []byte) {
 	for i, ci := range st.Chips {
 		dram.SplitChipInto(n.org, line, i, ci.Data)
 	}
 }
 
-// Decode implements Scheme.
-func (n *None) Decode(st *Stored) ([]byte, Claim) {
-	line := make([]byte, n.org.LineBytes())
-	return line, n.DecodeInto(line, st)
+// DecodeBatchInto implements Scheme.
+func (n *None) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
+	DecodeEach(dst, sts, claims, n.decode)
 }
 
-// DecodeInto implements BufferedScheme.
-func (n *None) DecodeInto(dst []byte, st *Stored) Claim {
+// decode reads the line back and believes it clean.
+func (n *None) decode(dst []byte, st *Stored) Claim {
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -68,12 +63,3 @@ func (n *None) StorageOverhead() float64 { return 0 }
 
 // Cost implements Scheme.
 func (n *None) Cost() AccessCost { return AccessCost{} }
-
-// EncodeBatchInto implements BatchScheme: pass-through storage has no
-// codec work to batch, so the batch calls are the defining loop.
-func (n *None) EncodeBatchInto(sts []*Stored, lines [][]byte) { loopEncodeBatch(n, sts, lines) }
-
-// DecodeBatchInto implements BatchScheme.
-func (n *None) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
-	loopDecodeBatch(n, dst, sts, claims)
-}

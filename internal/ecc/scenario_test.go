@@ -27,12 +27,12 @@ func regionPops(st *Stored) (data, onDie, xfer int) {
 // diffPops returns the per-region corruption a scenario injected into an
 // encoded image, by XOR-comparing against a clean encode of the same
 // line.
-func diffPops(t *testing.T, scheme BufferedScheme, sc faults.Scenario, seed int64) (data, onDie, xfer int) {
+func diffPops(t *testing.T, scheme Scheme, sc faults.Scenario, seed int64) (data, onDie, xfer int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	line := make([]byte, scheme.Org().LineBytes())
 	rng.Read(line)
-	clean := scheme.Encode(line)
+	clean := Encode(scheme, line)
 	dirty := clean.Clone()
 	ScenarioInjector(sc)(rng, dirty)
 	for c := range dirty.Chips {
@@ -103,7 +103,7 @@ func TestScenarioInjectorRegionReach(t *testing.T) {
 func TestScenarioInjectorChipkillSpansAllImages(t *testing.T) {
 	org := dram.DDR4x16()
 	xed := NewXED(org)
-	nChips := len(xed.Encode(make([]byte, org.LineBytes())).Chips)
+	nChips := len(Encode(xed, make([]byte, org.LineBytes())).Chips)
 	if nChips <= org.ChipsPerRank {
 		t.Fatalf("XED stores %d chip images; expected an appended parity image", nChips)
 	}
@@ -113,7 +113,7 @@ func TestScenarioInjectorChipkillSpansAllImages(t *testing.T) {
 	line := make([]byte, org.LineBytes())
 	for trial := 0; trial < 200; trial++ {
 		rng.Read(line)
-		clean := xed.Encode(line)
+		clean := Encode(xed, line)
 		dirty := clean.Clone()
 		ScenarioInjector(kill)(rng, dirty)
 		for c := range dirty.Chips {

@@ -204,44 +204,80 @@ type AccessCost struct {
 	DetectionRereadRate float64
 }
 
-// BufferedScheme is the allocation-free fast path a Scheme may offer for
-// Monte-Carlo campaigns: the caller owns the Stored image and the decoded
-// line buffer and reuses both across trials.
+// Scheme is one ECC architecture under evaluation, and the one codec
+// contract every scheme implements. The codec calls work on batches of
+// caller-owned images and lines; width 1 is the scalar case. Every scheme
+// encodes and decodes its batch one image at a time, so a batch call is
+// defined to equal, image by image, the same calls at width 1.
 //
-// Ownership rules: EncodeInto must overwrite every stored bit of st (the
-// image may carry fault-injection corruption from a previous trial), and
-// DecodeInto must overwrite every byte of dst. Neither may retain
-// references to the caller's buffers. Implementations keep any per-decode
-// scratch in an internal sync.Pool, so a single scheme value stays safe
-// for concurrent use.
-type BufferedScheme interface {
-	Scheme
-	// NewStored allocates a Stored image shaped for this scheme, ready
-	// for EncodeInto.
-	NewStored() *Stored
-	// EncodeInto (re)builds the physical storage image of line
-	// (Org().LineBytes() bytes) into st.
-	EncodeInto(st *Stored, line []byte)
-	// DecodeInto recovers the line into dst (Org().LineBytes() bytes)
-	// from a possibly corrupted image and reports the decoder's claim.
-	DecodeInto(dst []byte, st *Stored) Claim
-}
-
-// Scheme is one ECC architecture under evaluation.
+// Ownership rules: EncodeBatchInto overwrites every stored bit of each
+// image (an image may carry fault-injection corruption from a previous
+// trial), and DecodeBatchInto overwrites every byte of each line.
+// Neither retains references to the caller's buffers. Implementations
+// keep per-call scratch in an internal sync.Pool, so a single scheme
+// value stays safe for concurrent use.
 type Scheme interface {
 	// Name is a short stable identifier ("pair", "xed", ...).
 	Name() string
 	// Org returns the DRAM organization the scheme runs on.
 	Org() dram.Organization
-	// Encode builds the physical storage image for a cache line of
-	// Org().LineBytes() bytes.
-	Encode(line []byte) *Stored
-	// Decode recovers the line from a (possibly corrupted) image and
-	// reports the decoder's claim.
-	Decode(st *Stored) ([]byte, Claim)
 	// StorageOverhead returns redundancy bits / data bits for the whole
 	// scheme (on-die plus any capacity consumed for parity storage).
 	StorageOverhead() float64
 	// Cost returns the performance model parameters.
 	Cost() AccessCost
+	// NewStored allocates a Stored image shaped for this scheme.
+	NewStored() *Stored
+	// EncodeBatchInto rebuilds the physical storage image sts[i] of the
+	// cache line lines[i] (Org().LineBytes() bytes) for every i.
+	// len(sts) must equal len(lines).
+	EncodeBatchInto(sts []*Stored, lines [][]byte)
+	// DecodeBatchInto recovers dst[i] (Org().LineBytes() bytes) from the
+	// possibly corrupted image sts[i] and reports the decoder's claim in
+	// claims[i], for every i. dst, sts and claims must have equal lengths.
+	DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim)
+}
+
+// BatchScheme is the former name of Scheme, kept for callers that still
+// assert to it.
+type BatchScheme = Scheme
+
+// EncodeEach implements EncodeBatchInto as the loop over a scheme's
+// per-image encoder.
+func EncodeEach(sts []*Stored, lines [][]byte, encode func(st *Stored, line []byte)) {
+	if len(sts) != len(lines) {
+		panic(fmt.Sprintf("ecc: EncodeBatchInto length mismatch: %d images, %d lines", len(sts), len(lines)))
+	}
+	for i, st := range sts {
+		encode(st, lines[i])
+	}
+}
+
+// DecodeEach implements DecodeBatchInto as the loop over a scheme's
+// per-image decoder.
+func DecodeEach(dst [][]byte, sts []*Stored, claims []Claim, decode func(dst []byte, st *Stored) Claim) {
+	if len(dst) != len(sts) || len(claims) != len(sts) {
+		panic(fmt.Sprintf("ecc: DecodeBatchInto length mismatch: %d lines, %d images, %d claims", len(dst), len(sts), len(claims)))
+	}
+	for i, st := range sts {
+		claims[i] = decode(dst[i], st)
+	}
+}
+
+// Encode returns a freshly allocated storage image of line: the
+// allocating convenience form of a width-1 EncodeBatchInto.
+func Encode(s Scheme, line []byte) *Stored {
+	st := s.NewStored()
+	s.EncodeBatchInto([]*Stored{st}, [][]byte{line})
+	return st
+}
+
+// Decode recovers a freshly allocated line from a (possibly corrupted)
+// image and reports the decoder's claim: the allocating convenience form
+// of a width-1 DecodeBatchInto.
+func Decode(s Scheme, st *Stored) ([]byte, Claim) {
+	line := make([]byte, s.Org().LineBytes())
+	claims := make([]Claim, 1)
+	s.DecodeBatchInto([][]byte{line}, []*Stored{st}, claims)
+	return line, claims[0]
 }

@@ -70,7 +70,7 @@ func TestAllSchemesCleanRoundTrip(t *testing.T) {
 	for _, s := range schemesUnderTest() {
 		for trial := 0; trial < 20; trial++ {
 			line := randLine(rng, s.Org().LineBytes())
-			decoded, claim := s.Decode(s.Encode(line))
+			decoded, claim := Decode(s, Encode(s, line))
 			if claim != ClaimClean {
 				t.Fatalf("%s: clean image claimed %v", s.Name(), claim)
 			}
@@ -85,10 +85,10 @@ func TestAllSchemesStoredCloneIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, s := range schemesUnderTest() {
 		line := randLine(rng, s.Org().LineBytes())
-		st := s.Encode(line)
+		st := Encode(s, line)
 		cl := st.Clone()
 		InjectAccessFault(rng, cl, faults.PermanentWord, 0)
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		if claim != ClaimClean || !bytes.Equal(decoded, line) {
 			t.Fatalf("%s: corrupting a clone affected the original", s.Name())
 		}
@@ -103,9 +103,9 @@ func TestSingleCellCorrectedByAllCorrectingSchemes(t *testing.T) {
 		}
 		for trial := 0; trial < 200; trial++ {
 			line := randLine(rng, s.Org().LineBytes())
-			st := s.Encode(line)
+			st := Encode(s, line)
 			InjectAccessFault(rng, st, faults.PermanentCell, -1)
-			decoded, claim := s.Decode(st)
+			decoded, claim := Decode(s, st)
 			out := Classify(line, decoded, claim)
 			if out != OutcomeCE && out != OutcomeOK {
 				t.Fatalf("%s: single cell -> %v (claim %v)", s.Name(), out, claim)
@@ -118,9 +118,9 @@ func TestNoneSchemePassesErrorsThrough(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	s := NewNone(dram.DDR4x16())
 	line := randLine(rng, 64)
-	st := s.Encode(line)
+	st := Encode(s, line)
 	InjectAccessFault(rng, st, faults.PermanentCell, -1)
-	decoded, claim := s.Decode(st)
+	decoded, claim := Decode(s, st)
 	if Classify(line, decoded, claim) != OutcomeSDC {
 		t.Fatal("none scheme must pass corruption as SDC")
 	}
@@ -138,11 +138,11 @@ func TestIECCDoubleCellHazard(t *testing.T) {
 	counts := map[Outcome]int{}
 	for trial := 0; trial < 1500; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		// Two distinct bit flips in chip 0's stored image.
 		InjectAccessFault(rng, st, faults.PermanentCell, 0)
 		InjectAccessFault(rng, st, faults.PermanentCell, 0)
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		counts[Classify(line, decoded, claim)]++
 	}
 	if counts[OutcomeSDC] == 0 {
@@ -163,9 +163,9 @@ func TestXEDSingleChipGarbageMostlyCorrected(t *testing.T) {
 	const trials = 400
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		InjectAccessFault(rng, st, faults.PermanentWord, 1)
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		if out := Classify(line, decoded, claim); out == OutcomeCE {
 			ok++
 		}
@@ -182,10 +182,10 @@ func TestXEDTwoChipErrorsDetected(t *testing.T) {
 	const trials = 300
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		InjectAccessFault(rng, st, faults.PermanentCell, 0)
 		InjectAccessFault(rng, st, faults.PermanentCell, 1)
-		_, claim := s.Decode(st)
+		_, claim := Decode(s, st)
 		if claim == ClaimDetected {
 			due++
 		}
@@ -204,7 +204,7 @@ func TestXEDAliasedPatternIsSDC(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s := NewXED(dram.DDR4x16())
 	line := randLine(rng, 64)
-	st := s.Encode(line)
+	st := Encode(s, line)
 
 	// Build an aliasing pattern from the detector's own code: encode a
 	// random nonzero data pattern.
@@ -219,7 +219,7 @@ func TestXEDAliasedPatternIsSDC(t *testing.T) {
 			ci.OnDie.Flip(j)
 		}
 	}
-	decoded, claim := s.Decode(st)
+	decoded, claim := Decode(s, st)
 	if Classify(line, decoded, claim) != OutcomeSDC {
 		t.Fatalf("aliased pattern gave %v/%v, want SDC", claim, Classify(line, decoded, claim))
 	}
@@ -235,9 +235,9 @@ func TestDUOPinFaultOverwhelmed(t *testing.T) {
 	const trials = 500
 	for trial := 0; trial < trials; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		InjectAccessFault(rng, st, faults.PermanentPin, 0)
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		switch Classify(line, decoded, claim) {
 		case OutcomeCE:
 			corrected++ // single-beat flip: one symbol, correctable
@@ -262,7 +262,7 @@ func TestDUOSingleSymbolErrorsCorrected(t *testing.T) {
 	s := NewDUO(dram.DDR4x16())
 	for trial := 0; trial < 300; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		// Flip 1..8 bits of one byte group in one beat of chip 2.
 		ci := st.Chips[2]
 		beat := rng.Intn(8)
@@ -271,7 +271,7 @@ func TestDUOSingleSymbolErrorsCorrected(t *testing.T) {
 		for _, b := range rng.Perm(8)[:nb] {
 			ci.Data.Flip(grp*8+b, beat)
 		}
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		if out := Classify(line, decoded, claim); out != OutcomeCE {
 			t.Fatalf("DUO single-symbol error -> %v", out)
 		}
@@ -284,9 +284,9 @@ func TestSECDEDBehaviour(t *testing.T) {
 	// Single bit per beat codeword: corrected.
 	for trial := 0; trial < 100; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		st.Chips[rng.Intn(8)].Data.Flip(rng.Intn(8), rng.Intn(8))
-		decoded, claim := s.Decode(st)
+		decoded, claim := Decode(s, st)
 		if out := Classify(line, decoded, claim); out != OutcomeCE {
 			t.Fatalf("SECDED single bit -> %v", out)
 		}
@@ -294,11 +294,11 @@ func TestSECDEDBehaviour(t *testing.T) {
 	// Two bits in the same beat across chips: detected.
 	for trial := 0; trial < 100; trial++ {
 		line := randLine(rng, 64)
-		st := s.Encode(line)
+		st := Encode(s, line)
 		beat := rng.Intn(8)
 		st.Chips[0].Data.Flip(rng.Intn(8), beat)
 		st.Chips[1].Data.Flip(rng.Intn(8), beat)
-		_, claim := s.Decode(st)
+		_, claim := Decode(s, st)
 		if claim != ClaimDetected {
 			t.Fatalf("SECDED double bit in one beat -> %v", claim)
 		}
@@ -338,7 +338,7 @@ func TestCostShapes(t *testing.T) {
 func TestInjectInherentCountsAndZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	s := NewIECC(dram.DDR4x16())
-	st := s.Encode(make([]byte, 64))
+	st := Encode(s, make([]byte, 64))
 	if InjectInherent(rng, st, 0) != 0 {
 		t.Fatal("BER 0 flipped bits")
 	}
@@ -351,12 +351,37 @@ func TestInjectInherentCountsAndZero(t *testing.T) {
 func TestStoredTotalBits(t *testing.T) {
 	// IECC on x16: 4 chips x (128 data + 8 on-die) = 544.
 	s := NewIECC(dram.DDR4x16())
-	if got := s.Encode(make([]byte, 64)).TotalBits(); got != 544 {
+	if got := Encode(s, make([]byte, 64)).TotalBits(); got != 544 {
 		t.Fatalf("IECC stored bits %d, want 544", got)
 	}
 	// DUO: 4 x (128 + 16 transferred) = 576.
 	d := NewDUO(dram.DDR4x16())
-	if got := d.Encode(make([]byte, 64)).TotalBits(); got != 576 {
+	if got := Encode(d, make([]byte, 64)).TotalBits(); got != 576 {
 		t.Fatalf("DUO stored bits %d, want 576", got)
+	}
+}
+
+// TestBatchLengthMismatchPanics pins the argument contract of the codec
+// calls: every scheme rejects batches whose slices disagree in length.
+func TestBatchLengthMismatchPanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, s := range append(schemesUnderTest(), NewDUORank(dram.DDR4x8ECC())) {
+		st := s.NewStored()
+		line := make([]byte, s.Org().LineBytes())
+		mustPanic(s.Name()+" encode", func() { s.EncodeBatchInto([]*Stored{st}, nil) })
+		mustPanic(s.Name()+" decode", func() {
+			s.DecodeBatchInto([][]byte{line}, []*Stored{st, st}, make([]Claim, 2))
+		})
+		mustPanic(s.Name()+" claims", func() {
+			s.DecodeBatchInto([][]byte{line}, []*Stored{st}, nil)
+		})
 	}
 }

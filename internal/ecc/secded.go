@@ -38,54 +38,61 @@ func (s *SECDED) Name() string { return "secded" }
 // Org implements Scheme.
 func (s *SECDED) Org() dram.Organization { return s.org }
 
-// Encode implements Scheme. Chips[0..ChipsPerRank) carry data; the last
-// image is the ECC chip, whose beat b holds the check byte of beat b's
-// codeword.
-func (s *SECDED) Encode(line []byte) *Stored {
-	bursts := dram.SplitLine(s.org, line)
-	st := &Stored{Org: s.org, Chips: make([]*ChipImage, len(bursts)+1)}
-	for i, b := range bursts {
-		st.Chips[i] = &ChipImage{Data: b}
+// NewStored implements Scheme. Chips[0..ChipsPerRank) carry data; the
+// last image is the ECC chip, whose beat b holds the check byte of beat
+// b's codeword.
+func (s *SECDED) NewStored() *Stored {
+	st := &Stored{Org: s.org, Chips: make([]*ChipImage, s.org.TotalChips())}
+	for i := range st.Chips {
+		st.Chips[i] = &ChipImage{Data: dram.NewBurst(s.org.Pins, s.org.BurstLen)}
 	}
-	eccBurst := dram.NewBurst(s.org.Pins, s.org.BurstLen)
-	for beat := 0; beat < s.org.BurstLen; beat++ {
-		data := bitvec.New(s.code.K)
-		for c := 0; c < s.org.ChipsPerRank; c++ {
-			for p := 0; p < s.org.Pins; p++ {
-				data.Set(c*s.org.Pins+p, bursts[c].Get(p, beat))
-			}
-		}
-		cw := s.code.Encode(data)
-		for j := 0; j < s.code.M; j++ {
-			eccBurst.Set(j, beat, cw.Get(s.code.K+j))
-		}
-	}
-	st.Chips[len(bursts)] = &ChipImage{Data: eccBurst}
 	return st
 }
 
-// Decode implements Scheme: one (72,64) decode per beat.
-func (s *SECDED) Decode(st *Stored) ([]byte, Claim) {
+// EncodeBatchInto implements Scheme.
+func (s *SECDED) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, s.encode) }
+
+// encode builds one image. Beat b's codeword protects the bus bits of
+// that beat, which are line bytes [b*K/8, (b+1)*K/8): the bus is K =
+// ChipsPerRank x Pins bits wide, and Pins = M = 8 makes that whole bytes.
+func (s *SECDED) encode(st *Stored, line []byte) {
 	nData := s.org.ChipsPerRank
-	eccBurst := st.Chips[nData].Data
-	claim := ClaimClean
-	out := make([]*dram.Burst, nData)
-	for c := range out {
-		out[c] = dram.NewBurst(s.org.Pins, s.org.BurstLen)
+	for c := 0; c < nData; c++ {
+		dram.SplitChipInto(s.org, line, c, st.Chips[c].Data)
 	}
-	// One reusable word for all beats: every position is overwritten per
-	// beat and the correction happens in place (hamming.DecodeInto), so
-	// the per-beat loop allocates nothing.
-	word := bitvec.New(s.code.N)
+	eccBits := st.Chips[nData].Data.Bits()
+	eccBits.Clear()
+	data := bitvec.New(s.code.K)
+	beatBytes := s.code.K / 8
 	for beat := 0; beat < s.org.BurstLen; beat++ {
+		data.Clear()
+		for j, v := range line[beat*beatBytes : (beat+1)*beatBytes] {
+			data.OrBits(8*j, uint64(v), 8)
+		}
+		eccBits.OrBits(beat*s.org.Pins, uint64(s.code.CheckBits(data)), s.code.M)
+	}
+}
+
+// DecodeBatchInto implements Scheme: one (72,64) decode per beat.
+func (s *SECDED) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
+	DecodeEach(dst, sts, claims, s.decode)
+}
+
+// decode recovers one line. One word serves all beats: every position is
+// overwritten per beat and the correction happens in place
+// (hamming.DecodeInto).
+func (s *SECDED) decode(dst []byte, st *Stored) Claim {
+	nData := s.org.ChipsPerRank
+	eccBits := st.Chips[nData].Data.Bits()
+	claim := ClaimClean
+	word := bitvec.New(s.code.N)
+	beatBytes := s.code.K / 8
+	for beat := 0; beat < s.org.BurstLen; beat++ {
+		word.Clear()
 		for c := 0; c < nData; c++ {
-			for p := 0; p < s.org.Pins; p++ {
-				word.Set(c*s.org.Pins+p, st.Chips[c].Data.Get(p, beat))
-			}
+			word.OrBits(c*s.org.Pins, st.Chips[c].Data.Bits().GetBits(beat*s.org.Pins, s.org.Pins), s.org.Pins)
 		}
-		for j := 0; j < s.code.M; j++ {
-			word.Set(s.code.K+j, eccBurst.Get(j, beat))
-		}
+		word.OrBits(s.code.K, eccBits.GetBits(beat*s.org.Pins, s.code.M), s.code.M)
 		switch s.code.DecodeInto(word, word) {
 		case hamming.Detected:
 			claim = ClaimDetected
@@ -94,13 +101,11 @@ func (s *SECDED) Decode(st *Stored) ([]byte, Claim) {
 				claim = ClaimCorrected
 			}
 		}
-		for c := 0; c < nData; c++ {
-			for p := 0; p < s.org.Pins; p++ {
-				out[c].Set(p, beat, word.Get(c*s.org.Pins+p))
-			}
+		for j := 0; j < beatBytes; j++ {
+			dst[beat*beatBytes+j] = byte(word.GetBits(8*j, 8))
 		}
 	}
-	return dram.JoinLine(s.org, out), claim
+	return claim
 }
 
 // StorageOverhead implements Scheme: the ninth chip, 12.5%.

@@ -51,8 +51,8 @@ func (s *XED) Name() string { return "xed" }
 // Org implements Scheme.
 func (s *XED) Org() dram.Organization { return s.org }
 
-// NewStored implements BufferedScheme: data chips plus the inline parity
-// image.
+// NewStored implements Scheme: Chips[0..ChipsPerRank) are the data
+// chips; Chips[ChipsPerRank] is the inline parity image.
 func (s *XED) NewStored() *Stored {
 	st := &Stored{Org: s.org, Chips: make([]*ChipImage, s.org.ChipsPerRank+1)}
 	for i := range st.Chips {
@@ -64,16 +64,12 @@ func (s *XED) NewStored() *Stored {
 	return st
 }
 
-// Encode implements Scheme. Chips[0..ChipsPerRank) are the data chips;
-// Chips[ChipsPerRank] is the inline parity image.
-func (s *XED) Encode(line []byte) *Stored {
-	st := s.NewStored()
-	s.EncodeInto(st, line)
-	return st
-}
+// EncodeBatchInto implements Scheme.
+func (s *XED) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, s.encode) }
 
-// EncodeInto implements BufferedScheme.
-func (s *XED) EncodeInto(st *Stored, line []byte) {
+// encode builds one image: the data chips, their detector bits and the
+// parity image over them.
+func (s *XED) encode(st *Stored, line []byte) {
 	nData := s.org.ChipsPerRank
 	parity := st.Chips[nData]
 	for i := 0; i < nData; i++ {
@@ -102,14 +98,13 @@ func (s *XED) flagged(ci *ChipImage) bool {
 	return s.code.CheckBits(ci.Data.Bits()) != uint16(ci.OnDie.GetBits(0, s.code.M))
 }
 
-// Decode implements Scheme.
-func (s *XED) Decode(st *Stored) ([]byte, Claim) {
-	line := make([]byte, s.org.LineBytes())
-	return line, s.DecodeInto(line, st)
+// DecodeBatchInto implements Scheme.
+func (s *XED) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
+	DecodeEach(dst, sts, claims, s.decode)
 }
 
-// DecodeInto implements BufferedScheme.
-func (s *XED) DecodeInto(dst []byte, st *Stored) Claim {
+// decode recovers one line.
+func (s *XED) decode(dst []byte, st *Stored) Claim {
 	nData := s.org.ChipsPerRank
 	flaggedChip := -1
 	nFlagged := 0
@@ -179,14 +174,4 @@ func (s *XED) Cost() AccessCost {
 		ExtraWritesPerWrite:      1.0,
 		ExtraReadsPerMaskedWrite: 1.0,
 	}
-}
-
-// EncodeBatchInto implements BatchScheme: XED's per-chip parity is plain
-// XOR with no shared codec state worth batching, so the batch calls are
-// the defining loop.
-func (s *XED) EncodeBatchInto(sts []*Stored, lines [][]byte) { loopEncodeBatch(s, sts, lines) }
-
-// DecodeBatchInto implements BatchScheme.
-func (s *XED) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
-	loopDecodeBatch(s, dst, sts, claims)
 }

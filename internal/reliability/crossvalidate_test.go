@@ -31,11 +31,11 @@ func TestSemiAnalyticMatchesRawMonteCarlo(t *testing.T) {
 		const trials = 120000
 		for i := 0; i < trials; i++ {
 			rng.Read(line)
-			st := scheme.Encode(line)
+			st := ecc.Encode(scheme, line)
 			if ecc.InjectInherent(rng, st, ber) == 0 {
 				continue
 			}
-			decoded, claim := scheme.Decode(st)
+			decoded, claim := ecc.Decode(scheme, st)
 			if ecc.Classify(line, decoded, claim).IsFailure() {
 				fails++
 			}

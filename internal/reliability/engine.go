@@ -43,28 +43,19 @@ import (
 // identity, byte-identical to the schemeLabel format this package used
 // before the registry existed, so old checkpoint directories resume.
 
-// mergeCounts folds one shard's outcome counts into the aggregate.
-func mergeCounts(agg *[4]int64, s [4]int64) {
+// MergeCounts folds one shard's outcome counts into the aggregate. It is
+// the fold every campaign here hands campaign.Run, and the one the fleet
+// coordinator applies to worker fragments in ascending shard order, so
+// its aggregate is byte-identical to a local run.
+func MergeCounts(agg *[4]int64, s [4]int64) {
 	for i := range agg {
 		agg[i] += s[i]
 	}
 }
 
-// MergeCounts is the exported shard-count fold for callers assembling
-// campaign aggregates outside this package (the fleet coordinator folds
-// worker fragments with it, in ascending shard order, so its aggregate
-// is byte-identical to a local campaign.Run).
-func MergeCounts(agg *[4]int64, s [4]int64) { mergeCounts(agg, s) }
-
-// RatesFromCounts normalizes outcome counts by the campaign trial
-// count — the exported form of the per-campaign rate derivation, so
-// remote executors reproduce local rates from merged counts exactly.
+// RatesFromCounts normalizes outcome counts by the campaign trial count,
+// so remote executors reproduce local rates from merged counts exactly.
 func RatesFromCounts(counts [4]int64, trials int) OutcomeRates {
-	return ratesFromCounts(counts, trials)
-}
-
-// ratesFromCounts normalizes outcome counts by the campaign trial count.
-func ratesFromCounts(counts [4]int64, trials int) OutcomeRates {
 	n := float64(trials)
 	return OutcomeRates{
 		OK:  float64(counts[ecc.OutcomeOK]) / n,
@@ -74,78 +65,22 @@ func ratesFromCounts(counts [4]int64, trials int) OutcomeRates {
 	}
 }
 
-// runTrials executes n encode/inject/decode trials with the given RNG and
-// returns the outcome counts. Schemes offering the slab fast path
-// (ecc.BatchScheme) decode in chunks of up to 64 trials per call; plain
-// buffered schemes reuse the stored image and both line buffers across
-// trials (allocation-free steady state). The RNG draw order is identical
-// on every path — encode and injection consume the stream in trial order
-// and decoding draws nothing — so counts do not depend on which path ran.
+// runTrials executes n trials with the given RNG and returns the outcome
+// counts. Each trial draws a random line, encodes it, injects faults,
+// decodes and classifies, reusing one stored image and both line buffers
+// across trials (allocation-free steady state for the pooled schemes).
 func runTrials(scheme ecc.Scheme, rng *rand.Rand, n int, inject func(*rand.Rand, *ecc.Stored)) (counts [4]int64) {
-	if bs, ok := scheme.(ecc.BatchScheme); ok {
-		return runTrialsBatch(bs, rng, n, inject)
-	}
 	line := make([]byte, scheme.Org().LineBytes())
-	if buf, ok := scheme.(ecc.BufferedScheme); ok {
-		st := buf.NewStored()
-		decoded := make([]byte, len(line))
-		for t := 0; t < n; t++ {
-			rng.Read(line)
-			buf.EncodeInto(st, line)
-			inject(rng, st)
-			claim := buf.DecodeInto(decoded, st)
-			counts[ecc.Classify(line, decoded, claim)]++
-		}
-		return counts
-	}
+	decoded := make([]byte, len(line))
+	st := scheme.NewStored()
+	lines, sts, dst := [][]byte{line}, []*ecc.Stored{st}, [][]byte{decoded}
+	claims := make([]ecc.Claim, 1)
 	for t := 0; t < n; t++ {
 		rng.Read(line)
-		st := scheme.Encode(line)
+		scheme.EncodeBatchInto(sts, lines)
 		inject(rng, st)
-		decoded, claim := scheme.Decode(st)
-		counts[ecc.Classify(line, decoded, claim)]++
-	}
-	return counts
-}
-
-// trialChunk is how many trials runTrialsBatch hands to one
-// DecodeBatchInto call: one slab group, so the bitsliced syndrome sweep
-// certifies a whole chunk of clean trials in a single pass.
-const trialChunk = 64
-
-// runTrialsBatch is the slab inner loop: per chunk, the trials are
-// encoded and injected one at a time in trial order (preserving the RNG
-// stream of the scalar path exactly), then the whole chunk is decoded
-// with one DecodeBatchInto call and classified.
-func runTrialsBatch(scheme ecc.BatchScheme, rng *rand.Rand, n int, inject func(*rand.Rand, *ecc.Stored)) (counts [4]int64) {
-	width := trialChunk
-	if n < width {
-		width = n
-	}
-	lineBytes := scheme.Org().LineBytes()
-	lines := make([][]byte, width)
-	decoded := make([][]byte, width)
-	sts := make([]*ecc.Stored, width)
-	claims := make([]ecc.Claim, width)
-	for i := 0; i < width; i++ {
-		lines[i] = make([]byte, lineBytes)
-		decoded[i] = make([]byte, lineBytes)
-		sts[i] = scheme.NewStored()
-	}
-	for done := 0; done < n; done += width {
-		m := width
-		if n-done < m {
-			m = n - done
-		}
-		for i := 0; i < m; i++ {
-			rng.Read(lines[i])
-			scheme.EncodeInto(sts[i], lines[i])
-			inject(rng, sts[i])
-		}
-		scheme.DecodeBatchInto(decoded[:m], sts[:m], claims[:m])
-		for i := 0; i < m; i++ {
-			counts[ecc.Classify(lines[i], decoded[i], claims[i])]++
-		}
+		scheme.DecodeBatchInto(dst, sts, claims)
+		counts[ecc.Classify(line, decoded, claims[0])]++
 	}
 	return counts
 }
@@ -217,7 +152,7 @@ func BuildProfile(scheme ecc.Scheme, cfg SweepConfig) *ConditionalProfile {
 // from the campaign label, seed and shard index alone.
 func BuildProfileCtx(ctx context.Context, scheme ecc.Scheme, cfg SweepConfig, opts campaign.Options) (*ConditionalProfile, error) {
 	cfg.setDefaults()
-	totalBits := scheme.Encode(make([]byte, scheme.Org().LineBytes())).TotalBits()
+	totalBits := scheme.NewStored().TotalBits()
 	prof := &ConditionalProfile{
 		SchemeName: scheme.Name(),
 		TotalBits:  totalBits,
@@ -238,11 +173,11 @@ func BuildProfileCtx(ctx context.Context, scheme ecc.Scheme, cfg SweepConfig, op
 		}
 		counts, err := campaign.Run(ctx, spec, opts, func(rng *rand.Rand, n int) [4]int64 {
 			return runTrials(scheme, rng, n, ambient)
-		}, mergeCounts)
+		}, MergeCounts)
 		if err != nil {
 			return nil, err
 		}
-		prof.PerK[0] = ratesFromCounts(counts, cfg.Trials)
+		prof.PerK[0] = RatesFromCounts(counts, cfg.Trials)
 	}
 
 	for k := 1; k <= cfg.MaxK; k++ {
@@ -265,11 +200,11 @@ func BuildProfileCtx(ctx context.Context, scheme ecc.Scheme, cfg SweepConfig, op
 		}
 		counts, err := campaign.Run(ctx, spec, opts, func(rng *rand.Rand, n int) [4]int64 {
 			return runTrials(scheme, rng, n, inject)
-		}, mergeCounts)
+		}, MergeCounts)
 		if err != nil {
 			return nil, err
 		}
-		prof.PerK[k] = ratesFromCounts(counts, cfg.Trials)
+		prof.PerK[k] = RatesFromCounts(counts, cfg.Trials)
 	}
 	return prof, nil
 }
@@ -384,7 +319,7 @@ func CoverageCtx(ctx context.Context, scheme ecc.Scheme, label string, trials in
 	}
 	counts, err := campaign.Run(ctx, spec, opts, func(rng *rand.Rand, n int) [4]int64 {
 		return runTrials(scheme, rng, n, inject)
-	}, mergeCounts)
+	}, MergeCounts)
 	if err != nil {
 		return CoverageResult{}, err
 	}
@@ -392,7 +327,7 @@ func CoverageCtx(ctx context.Context, scheme ecc.Scheme, label string, trials in
 		Scheme: scheme.Name(),
 		Label:  label,
 		Trials: trials,
-		Rates:  ratesFromCounts(counts, trials),
+		Rates:  RatesFromCounts(counts, trials),
 	}, nil
 }
 
@@ -462,7 +397,7 @@ func ScenarioShardFn(scheme ecc.Scheme, sc faults.Scenario) func(rng *rand.Rand,
 // stream.
 func ScenarioCoverageCtx(ctx context.Context, scheme ecc.Scheme, sc faults.Scenario, trials int, seed int64, opts campaign.Options) (CoverageResult, error) {
 	spec := ScenarioCampaignSpec(scheme, sc, trials, seed)
-	counts, err := campaign.Run(ctx, spec, opts, ScenarioShardFn(scheme, sc), mergeCounts)
+	counts, err := campaign.Run(ctx, spec, opts, ScenarioShardFn(scheme, sc), MergeCounts)
 	if err != nil {
 		return CoverageResult{}, err
 	}
@@ -470,7 +405,7 @@ func ScenarioCoverageCtx(ctx context.Context, scheme ecc.Scheme, sc faults.Scena
 		Scheme: scheme.Name(),
 		Label:  sc.Spec(),
 		Trials: trials,
-		Rates:  ratesFromCounts(counts, trials),
+		Rates:  RatesFromCounts(counts, trials),
 	}, nil
 }
 

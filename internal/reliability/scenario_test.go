@@ -120,36 +120,6 @@ func TestScenarioCoverageWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// scalarOnly hides a scheme's batch fast path, forcing runTrials down the
-// one-trial-at-a-time BufferedScheme loop.
-type scalarOnly struct{ ecc.BufferedScheme }
-
-// TestScenarioBatchMatchesScalar: for every registered scenario, the slab
-// batch decode path must classify bit-identically to the scalar path —
-// same campaign label, same seeds, same counts. Scenario injectors draw
-// from the trial RNG in encode order on both paths, so any divergence is
-// a draw-order or decode bug.
-func TestScenarioBatchMatchesScalar(t *testing.T) {
-	for _, name := range []string{"pair", "duo", "iecc", "xed"} {
-		s, err := schemes.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		batch, ok := s.(ecc.BatchScheme)
-		if !ok {
-			t.Fatalf("%s does not offer the batch fast path", name)
-		}
-		for _, id := range faults.ScenarioIDs() {
-			sc := faults.MustScenario(id)
-			fast := ScenarioCoverage(batch, sc, 500, 11)
-			slow := ScenarioCoverage(scalarOnly{batch}, sc, 500, 11)
-			if fast != slow {
-				t.Errorf("%s under %s: batch %+v != scalar %+v", name, id, fast, slow)
-			}
-		}
-	}
-}
-
 // TestScenarioCampaignLabel pins the scenario campaign's checkpoint
 // identity: the "scenario" prefix (its own namespace, away from the
 // frozen "coverage" labels whose short names collide with scenario IDs)

@@ -26,12 +26,11 @@
 //     decodes with this view.
 //
 // Every code is systematic: positions [0,K) carry the message and
-// positions [K,N) the parity, which one parity map produces on both the
-// scalar path (EncodeTo) and the slab path (EncodeBatch). One workspace
-// Decoder corrects errors and erasures (syndromes, Berlekamp-Massey, a
-// root search over the locators, Forney's formula divided by u_pos), and
-// one BatchWorkspace certifies 64 codewords per bitsliced syndrome sweep
-// before handing the dirty ones to that Decoder.
+// positions [K,N) the parity, which one parity map produces (EncodeTo).
+// One workspace Decoder corrects errors and erasures (syndromes,
+// Berlekamp-Massey, a root search over the locators, Forney's formula
+// divided by u_pos), one codeword per call: PAIR and DUO decode one chip
+// access at a time.
 //
 // A code with N-K parity symbols corrects any nu symbol errors plus s
 // symbol erasures with 2*nu + s <= N-K. Beyond that the decoder reports

@@ -304,8 +304,7 @@ func TestMinimumDistanceSpotCheck(t *testing.T) {
 }
 
 // decodeAlloc decodes into a fresh codeword with a fresh workspace, the
-// allocating shape many tests want. Hot paths use a Decoder (or a
-// BatchWorkspace).
+// allocating shape many tests want. Hot paths reuse a Decoder.
 func decodeAlloc(c *Code, received []byte, erasures []int) ([]byte, int, error) {
 	out := make([]byte, c.N)
 	nchanged, err := c.NewDecoder().DecodeInto(out, received, erasures)

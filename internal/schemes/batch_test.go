@@ -9,7 +9,7 @@ import (
 )
 
 // batchSpecs returns every canonical (scheme, org) spec plus the spared
-// PAIR variant, so the batch suites cover each registered construction.
+// PAIR variant, so the batch suite covers each registered construction.
 func batchSpecs() []string {
 	var specs []string
 	for _, e := range All() {
@@ -20,43 +20,14 @@ func batchSpecs() []string {
 	return append(specs, "pair:spare=3.7")
 }
 
-// TestBatchSchemeCoverage pins the slab fast path to the buffered
-// schemes: every BufferedScheme must also implement BatchScheme (the
-// campaign engine dispatches on the interface, so a missing method pair
-// silently drops a scheme back to the scalar loop), and nothing else may
-// implement it half-way.
-func TestBatchSchemeCoverage(t *testing.T) {
-	batchNames := map[string]bool{}
-	for _, spec := range batchSpecs() {
-		s, err := New(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		_, buffered := s.(ecc.BufferedScheme)
-		_, batch := s.(ecc.BatchScheme)
-		if buffered != batch {
-			t.Errorf("%s: BufferedScheme=%v but BatchScheme=%v", spec, buffered, batch)
-		}
-		if batch {
-			batchNames[s.Name()] = true
-		}
-	}
-	for _, name := range []string{"none", "iecc", "xed", "duo", "pair", "pair-spared"} {
-		if !batchNames[name] {
-			t.Errorf("scheme %q lost its BatchScheme implementation", name)
-		}
-	}
-}
-
-// TestBatchDifferentialAllSchemes is the defining property of
-// BatchScheme, checked against every registered implementation on every
-// organization it supports: EncodeBatchInto/DecodeBatchInto produce
-// byte- and claim-identical results to the per-image
-// EncodeInto/DecodeInto loops. Each image carries a different injected
-// fault weight (0..4 flipped stored bits, cycling), so the slabs mix
-// clean, correctable, and beyond-bound codewords; widths 9 and 16
-// exercise both padded and exact slab layouts, and the spared-PAIR spec
-// exercises the uniform per-chip erasure path.
+// TestBatchDifferentialAllSchemes checks the defining property of the
+// batch codec calls against every registered scheme on every
+// organization it supports: EncodeBatchInto/DecodeBatchInto at widths 9
+// and 16 produce byte- and claim-identical results, image by image, to
+// width-1 calls. Each image carries a different injected fault weight
+// (0..4 flipped stored bits, cycling), so one batch mixes clean,
+// correctable and beyond-bound images, and the spared-PAIR spec
+// exercises the per-chip erasure path.
 func TestBatchDifferentialAllSchemes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, spec := range batchSpecs() {
@@ -64,19 +35,15 @@ func TestBatchDifferentialAllSchemes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
-		bs, ok := s.(ecc.BatchScheme)
-		if !ok {
-			continue
-		}
 		t.Run(spec, func(t *testing.T) {
 			for _, nimg := range []int{9, 16} {
-				testBatchDifferential(t, rng, bs, nimg)
+				testBatchDifferential(t, rng, s, nimg)
 			}
 		})
 	}
 }
 
-func testBatchDifferential(t *testing.T, rng *rand.Rand, s ecc.BatchScheme, nimg int) {
+func testBatchDifferential(t *testing.T, rng *rand.Rand, s ecc.Scheme, nimg int) {
 	t.Helper()
 	lineBytes := s.Org().LineBytes()
 	lines := make([][]byte, nimg)
@@ -89,41 +56,42 @@ func testBatchDifferential(t *testing.T, rng *rand.Rand, s ecc.BatchScheme, nimg
 		ref[i] = s.NewStored()
 	}
 
-	// Encode: the batch call must rebuild images identical to the loop.
+	// Encode: the batch call must rebuild images identical to width-1
+	// calls.
 	s.EncodeBatchInto(sts, lines)
 	for i := range ref {
-		s.EncodeInto(ref[i], lines[i])
+		s.EncodeBatchInto(ref[i:i+1], lines[i:i+1])
 		if !storedEqual(sts[i], ref[i]) {
-			t.Fatalf("nimg=%d image %d: EncodeBatchInto differs from EncodeInto", nimg, i)
+			t.Fatalf("nimg=%d image %d: width-%d encode differs from width 1", nimg, i, nimg)
 		}
 	}
 
 	// Inject: image i gets i%5 random stored-bit flips, mixing clean,
-	// correctable and beyond-bound codewords in one slab.
+	// correctable and beyond-bound images in one batch.
 	for i := range sts {
 		ecc.FlipRandomStoredBits(rng, sts[i], i%5)
 	}
 
 	// Decode both ways from the SAME images (decode does not mutate the
 	// stored image) and demand identical bytes and claims.
-	scalarDst := make([][]byte, nimg)
+	oneDst := make([][]byte, nimg)
 	batchDst := make([][]byte, nimg)
-	scalarClaims := make([]ecc.Claim, nimg)
+	oneClaims := make([]ecc.Claim, nimg)
 	batchClaims := make([]ecc.Claim, nimg)
 	for i := range sts {
-		scalarDst[i] = make([]byte, lineBytes)
+		oneDst[i] = make([]byte, lineBytes)
 		batchDst[i] = make([]byte, lineBytes)
-		scalarClaims[i] = s.DecodeInto(scalarDst[i], sts[i])
+		s.DecodeBatchInto(oneDst[i:i+1], sts[i:i+1], oneClaims[i:i+1])
 	}
 	s.DecodeBatchInto(batchDst, sts, batchClaims)
 	for i := range sts {
-		if batchClaims[i] != scalarClaims[i] {
-			t.Fatalf("nimg=%d image %d: batch claim %v, scalar claim %v",
-				nimg, i, batchClaims[i], scalarClaims[i])
+		if batchClaims[i] != oneClaims[i] {
+			t.Fatalf("nimg=%d image %d: width-%d claim %v, width-1 claim %v",
+				nimg, i, nimg, batchClaims[i], oneClaims[i])
 		}
-		if !bytes.Equal(batchDst[i], scalarDst[i]) {
-			t.Fatalf("nimg=%d image %d (claim %v): batch bytes differ from scalar decode",
-				nimg, i, scalarClaims[i])
+		if !bytes.Equal(batchDst[i], oneDst[i]) {
+			t.Fatalf("nimg=%d image %d (claim %v): width-%d bytes differ from width 1",
+				nimg, i, oneClaims[i], nimg)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // every registered scheme on EVERY organization it claims to support —
 // the seed tests only exercised default-organization constructors. For
 // each (scheme, org) pair it checks fault-free Encode/Decode identity
-// (on both the allocating and buffered paths), a sane non-negative
-// AccessCost, and TotalBits consistency between the two encode paths.
+// (on fresh and on reused buffers), a sane non-negative AccessCost, and
+// TotalBits consistency between the two.
 func TestDifferentialAllSchemesAllOrgs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, e := range All() {
@@ -42,17 +42,13 @@ func testRoundTrip(t *testing.T, rng *rand.Rand, s ecc.Scheme) {
 	}
 
 	line := make([]byte, s.Org().LineBytes())
-	buf, buffered := s.(ecc.BufferedScheme)
-	var st *ecc.Stored
-	var decoded []byte
-	if buffered {
-		st = buf.NewStored()
-		decoded = make([]byte, len(line))
-	}
+	st := s.NewStored()
+	dst := [][]byte{make([]byte, len(line))}
+	claims := make([]ecc.Claim, 1)
 	totalBits := -1
 	for trial := 0; trial < 25; trial++ {
 		rng.Read(line)
-		stored := s.Encode(line)
+		stored := ecc.Encode(s, line)
 		if totalBits == -1 {
 			totalBits = stored.TotalBits()
 			if totalBits < len(line)*8 {
@@ -61,19 +57,17 @@ func testRoundTrip(t *testing.T, rng *rand.Rand, s ecc.Scheme) {
 		} else if got := stored.TotalBits(); got != totalBits {
 			t.Fatalf("TotalBits drifted across encodes: %d then %d", totalBits, got)
 		}
-		got, claim := s.Decode(stored)
+		got, claim := ecc.Decode(s, stored)
 		if claim != ecc.ClaimClean || !bytes.Equal(got, line) {
 			t.Fatalf("fault-free decode: claim %v, match %v", claim, bytes.Equal(got, line))
 		}
-		if !buffered {
-			continue
-		}
-		buf.EncodeInto(st, line)
+		s.EncodeBatchInto([]*ecc.Stored{st}, [][]byte{line})
 		if got := st.TotalBits(); got != totalBits {
-			t.Fatalf("buffered image TotalBits %d != %d", got, totalBits)
+			t.Fatalf("reused image TotalBits %d != %d", got, totalBits)
 		}
-		if claim := buf.DecodeInto(decoded, st); claim != ecc.ClaimClean || !bytes.Equal(decoded, line) {
-			t.Fatalf("buffered fault-free decode: claim %v, match %v", claim, bytes.Equal(decoded, line))
+		s.DecodeBatchInto(dst, []*ecc.Stored{st}, claims)
+		if claims[0] != ecc.ClaimClean || !bytes.Equal(dst[0], line) {
+			t.Fatalf("reused-buffer fault-free decode: claim %v, match %v", claims[0], bytes.Equal(dst[0], line))
 		}
 	}
 }

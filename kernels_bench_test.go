@@ -72,111 +72,6 @@ func BenchmarkRSDecodeTwoErrors(b *testing.B) {
 	}
 }
 
-// cleanSlab64 builds a 64-codeword slab of distinct clean (20,16)
-// codewords plus the per-call result buffers.
-func cleanSlab64(c *rs.Code) (*rs.Slab, []int, []error) {
-	rng := rand.New(rand.NewSource(1))
-	s := rs.NewSlab(c.N, 64)
-	msg := make([]byte, c.K)
-	for i := 0; i < 64; i++ {
-		rng.Read(msg)
-		s.SetCodeword(i, c.Encode(msg))
-	}
-	return s, make([]int, 64), make([]error, 64)
-}
-
-// BenchmarkRSBatchDecodeClean is the slab clean path: one bitsliced
-// syndrome sweep certifies all 64 codewords at once.
-func BenchmarkRSBatchDecodeClean(b *testing.B) {
-	c := rs.MustNew(20, 16)
-	ws := c.NewBatchWorkspace()
-	s, nchanged, errs := cleanSlab64(c)
-	b.SetBytes(16 * 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ndirty := ws.DecodeBatch(s, nil, nchanged, errs); ndirty != 0 {
-			b.Fatal("clean slab reported dirty")
-		}
-	}
-}
-
-// BenchmarkRSBatchDecodeSparse is the campaign-realistic mix: one dirty
-// codeword in the slab of 64, re-injected each iteration (DecodeBatch
-// corrects the slab in place).
-func BenchmarkRSBatchDecodeSparse(b *testing.B) {
-	c := rs.MustNew(20, 16)
-	ws := c.NewBatchWorkspace()
-	s, nchanged, errs := cleanSlab64(c)
-	v := s.At(13, 3)
-	b.SetBytes(16 * 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Set(13, 3, v^0x55)
-		if ndirty := ws.DecodeBatch(s, nil, nchanged, errs); ndirty != 1 {
-			b.Fatal("expected exactly one dirty codeword")
-		}
-	}
-}
-
-// BenchmarkRSBatchDecodeDirty is the worst case: every codeword dirty, so
-// the sweep buys nothing and all 64 take the scalar fallback.
-func BenchmarkRSBatchDecodeDirty(b *testing.B) {
-	c := rs.MustNew(20, 16)
-	ws := c.NewBatchWorkspace()
-	s, nchanged, errs := cleanSlab64(c)
-	orig := make([]byte, 64)
-	for cw := 0; cw < 64; cw++ {
-		orig[cw] = s.At(cw, 5)
-	}
-	b.SetBytes(16 * 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for cw := 0; cw < 64; cw++ {
-			s.Set(cw, 5, orig[cw]^0xA5)
-		}
-		if ndirty := ws.DecodeBatch(s, nil, nchanged, errs); ndirty != 64 {
-			b.Fatal("expected all codewords dirty")
-		}
-	}
-}
-
-func BenchmarkRSBatchEncode(b *testing.B) {
-	c := rs.MustNew(20, 16)
-	rng := rand.New(rand.NewSource(1))
-	s := rs.NewSlab(c.N, 64)
-	msg := make([]byte, c.K)
-	for i := 0; i < 64; i++ {
-		rng.Read(msg)
-		s.SetData(i, msg)
-	}
-	b.SetBytes(16 * 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.EncodeBatch(s)
-	}
-}
-
-func BenchmarkExpandableBatchDecodeClean(b *testing.B) {
-	e, _ := rs.NewEvaluation(20, 16)
-	ws := e.NewBatchWorkspace()
-	rng := rand.New(rand.NewSource(1))
-	s := rs.NewSlab(e.N, 64)
-	msg := make([]byte, e.K)
-	for i := 0; i < 64; i++ {
-		rng.Read(msg)
-		s.SetCodeword(i, e.Encode(msg))
-	}
-	nchanged := make([]int, 64)
-	errs := make([]error, 64)
-	b.SetBytes(16 * 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if ndirty := ws.DecodeBatch(s, nil, nchanged, errs); ndirty != 0 {
-			b.Fatal("clean slab reported dirty")
-		}
-	}
-}
-
 func BenchmarkExpandableDecodeClean(b *testing.B) {
 	e, _ := rs.NewEvaluation(20, 16)
 	d := e.NewDecoder()
@@ -227,10 +122,12 @@ func BenchmarkHammingDecode136(b *testing.B) {
 	}
 }
 
+// BenchmarkSchemeEncodeDecode measures one line's width-1 encode and
+// decode through the codec contract, on reused buffers.
 func BenchmarkSchemeEncodeDecode(b *testing.B) {
 	for _, mk := range []struct {
 		name string
-		s    ecc.BufferedScheme
+		s    ecc.Scheme
 	}{
 		{"iecc", ecc.NewIECC(dram.DDR4x16())},
 		{"xed", ecc.NewXED(dram.DDR4x16())},
@@ -240,12 +137,12 @@ func BenchmarkSchemeEncodeDecode(b *testing.B) {
 		b.Run(mk.name, func(b *testing.B) {
 			line := make([]byte, 64)
 			rand.New(rand.NewSource(1)).Read(line)
-			st := mk.s.NewStored()
-			dst := make([]byte, 64)
+			lines, sts := [][]byte{line}, []*ecc.Stored{mk.s.NewStored()}
+			dst, claims := [][]byte{make([]byte, 64)}, make([]ecc.Claim, 1)
 			b.SetBytes(64)
 			for i := 0; i < b.N; i++ {
-				mk.s.EncodeInto(st, line)
-				if claim := mk.s.DecodeInto(dst, st); claim != ecc.ClaimClean {
+				mk.s.EncodeBatchInto(sts, lines)
+				if mk.s.DecodeBatchInto(dst, sts, claims); claims[0] != ecc.ClaimClean {
 					b.Fatal("clean decode failed")
 				}
 			}
@@ -253,13 +150,12 @@ func BenchmarkSchemeEncodeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSchemeBatchDecode measures the scheme-level slab path on a
-// clean batch of 64 images — the campaign steady state, where one
-// bitsliced sweep per chip certifies the whole batch.
+// BenchmarkSchemeBatchDecode measures one DecodeBatchInto call over a
+// clean batch of 64 images, decoded one image at a time.
 func BenchmarkSchemeBatchDecode(b *testing.B) {
 	for _, mk := range []struct {
 		name string
-		s    ecc.BatchScheme
+		s    ecc.Scheme
 	}{
 		{"iecc", ecc.NewIECC(dram.DDR4x16())},
 		{"xed", ecc.NewXED(dram.DDR4x16())},

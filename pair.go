@@ -8,8 +8,13 @@
 // Quick start:
 //
 //	scheme := pair.NewPAIR()
-//	stored := scheme.Encode(line)            // protect a 64B cache line
-//	data, claim := scheme.Decode(stored)     // recover it
+//	stored := pair.Encode(scheme, line)        // protect a 64B cache line
+//	data, claim := pair.Decode(scheme, stored) // recover it
+//
+// Every scheme implements one codec contract (see Scheme): batches of
+// caller-owned images encoded and decoded one image at a time, width 1
+// being the scalar case. Encode and Decode are its allocating
+// single-line form.
 //
 // The experiment surface lives behind RunExperiment / ExperimentIDs; the
 // pairsim binary and the repository benchmarks are thin wrappers over it.
@@ -48,6 +53,13 @@ const (
 	OutcomeDUE = ecc.OutcomeDUE
 	OutcomeSDC = ecc.OutcomeSDC
 )
+
+// Encode returns a freshly allocated storage image of line under scheme.
+func Encode(scheme Scheme, line []byte) *Stored { return ecc.Encode(scheme, line) }
+
+// Decode recovers the line from a (possibly corrupted) storage image and
+// reports the decoder's claim.
+func Decode(scheme Scheme, st *Stored) ([]byte, Claim) { return ecc.Decode(scheme, st) }
 
 // Classify compares a decode result against the golden line.
 func Classify(golden, decoded []byte, claim Claim) Outcome {

@@ -38,7 +38,7 @@ func TestFacadeRoundTrip(t *testing.T) {
 	for _, s := range pair.AllSchemes() {
 		line := make([]byte, s.Org().LineBytes())
 		rng.Read(line)
-		decoded, claim := s.Decode(s.Encode(line))
+		decoded, claim := pair.Decode(s, pair.Encode(s, line))
 		if pair.Classify(line, decoded, claim) != pair.OutcomeOK {
 			t.Fatalf("%s: clean round trip failed", s.Name())
 		}

@@ -22,12 +22,12 @@ func Update(scheme Scheme, st *Stored, off int, data []byte) (*Stored, error) {
 	if off < 0 || off+len(data) > lineBytes {
 		return nil, fmt.Errorf("pair: update [%d,%d) outside %d-byte line", off, off+len(data), lineBytes)
 	}
-	current, claim := scheme.Decode(st)
+	current, claim := ecc.Decode(scheme, st)
 	if claim == ecc.ClaimDetected {
 		return nil, fmt.Errorf("pair: masked write hit an uncorrectable line")
 	}
 	merged := make([]byte, lineBytes)
 	copy(merged, current)
 	copy(merged[off:], data)
-	return scheme.Encode(merged), nil
+	return ecc.Encode(scheme, merged), nil
 }

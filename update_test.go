@@ -13,7 +13,7 @@ func TestUpdateMergesAndReencodes(t *testing.T) {
 	for _, s := range pair.AllSchemes() {
 		line := make([]byte, s.Org().LineBytes())
 		rng.Read(line)
-		st := s.Encode(line)
+		st := pair.Encode(s, line)
 		patch := []byte{0xDE, 0xAD, 0xBE, 0xEF}
 		updated, err := pair.Update(s, st, 12, patch)
 		if err != nil {
@@ -21,7 +21,7 @@ func TestUpdateMergesAndReencodes(t *testing.T) {
 		}
 		want := append([]byte(nil), line...)
 		copy(want[12:], patch)
-		decoded, claim := s.Decode(updated)
+		decoded, claim := pair.Decode(s, updated)
 		if pair.Classify(want, decoded, claim) != pair.OutcomeOK {
 			t.Fatalf("%s: updated line does not decode clean", s.Name())
 		}
@@ -34,13 +34,13 @@ func TestUpdateMergesAndReencodes(t *testing.T) {
 func TestUpdateScrubsLatentError(t *testing.T) {
 	s := pair.NewPAIR()
 	line := make([]byte, 64)
-	st := s.Encode(line)
+	st := pair.Encode(s, line)
 	st.Chips[0].Data.Flip(3, 3) // latent weak cell
 	updated, err := pair.Update(s, st, 0, []byte{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, claim := s.Decode(updated)
+	decoded, claim := pair.Decode(s, updated)
 	if claim != pair.ClaimClean {
 		t.Fatal("latent error not scrubbed by RMW")
 	}
@@ -51,7 +51,7 @@ func TestUpdateScrubsLatentError(t *testing.T) {
 
 func TestUpdateRejectsBadRange(t *testing.T) {
 	s := pair.NewPAIR()
-	st := s.Encode(make([]byte, 64))
+	st := pair.Encode(s, make([]byte, 64))
 	if _, err := pair.Update(s, st, 62, []byte{1, 2, 3}); err == nil {
 		t.Fatal("overflow accepted")
 	}
@@ -63,7 +63,7 @@ func TestUpdateRejectsBadRange(t *testing.T) {
 func TestUpdateRefusesUncorrectable(t *testing.T) {
 	s := pair.NewPAIR()
 	line := make([]byte, 64)
-	st := s.Encode(line)
+	st := pair.Encode(s, line)
 	// Garble a whole chip: uncorrectable.
 	for p := 0; p < 16; p++ {
 		st.Chips[0].Data.SetPinSymbol(p, byte(p)*37+1)
