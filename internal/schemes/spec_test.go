@@ -92,6 +92,11 @@ func TestNewErrorsEnumerateRegistry(t *testing.T) {
 		t.Fatal("chip without spare accepted")
 	}
 
+	_, err = New("pair:spare=3.3")
+	if err == nil || !strings.Contains(err.Error(), "pin 3") {
+		t.Fatalf("repeated spared pin: error %v, want one naming pin 3", err)
+	}
+
 	// A PAIR codeword longer than the field's 255 nonzero points cannot
 	// exist: the spec is an error, never a panic.
 	for _, spec := range []string{"pair:exp=300", "pair:base=240"} {
