@@ -96,20 +96,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runScenarioMap(stdout, sc, org, pairT, rng)
 	}
 
-	mask := dram.NewBurst(org.Pins, org.BurstLen)
+	chip := dram.Chip{Data: dram.NewRegion(org.Pins, org.BurstLen)}
+	mask := chip.Data
 
 	var flips int
 	switch *kind {
 	case "cell":
-		flips = faults.InjectNCells(rng, mask, 1)
+		flips = faults.InjectNCells(rng, &chip, 1)
 	case "pin":
-		flips = faults.InjectPin(rng, mask)
+		flips = faults.InjectPin(rng, &chip)
 	case "lane":
 		flips = faults.InjectLane(rng, mask)
 	case "beat":
 		flips = faults.InjectBeat(rng, mask)
 	case "word":
-		flips = faults.InjectWord(rng, mask)
+		flips = faults.InjectWord(rng, &chip)
 	case "pin-burst":
 		flips = faults.InjectPinBurst(rng, mask, *blen)
 	case "beat-burst":
@@ -130,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // renderGrid prints the pins x beats corruption grid of one chip access.
-func renderGrid(w io.Writer, mask *dram.Burst, org dram.Organization) {
+func renderGrid(w io.Writer, mask dram.Region, org dram.Organization) {
 	for pin := 0; pin < org.Pins; pin++ {
 		var row strings.Builder
 		touched := false
@@ -151,20 +152,21 @@ func renderGrid(w io.Writer, mask *dram.Burst, org dram.Organization) {
 }
 
 // countSyms counts the corrupted pin-aligned (PAIR) and beat-aligned
-// (DUO) symbols of one chip-access mask. A BL16 pin carries BurstLen/8
-// symbols, so PAIR counts per part — a pin fault on DDR5 touches two
-// pin-aligned symbols, not one.
-func countSyms(mask *dram.Burst, org dram.Organization) (pairSyms, duoSyms int) {
-	for pin := 0; pin < org.Pins; pin++ {
-		for part := 0; part < org.BurstLen/8; part++ {
-			if mask.PinSymbolPart(pin, part) != 0 {
-				pairSyms++
-			}
+// (DUO) symbols of one chip-access mask. PAIR's symbols are the bytes of
+// the mask's pin-major view (a BL16 pin carries two, so a pin fault on
+// DDR5 touches two pin-aligned symbols, not one); DUO's are the mask's
+// own bytes, which exist only when a beat is whole bytes.
+func countSyms(mask dram.Region, org dram.Organization) (pairSyms, duoSyms int) {
+	pins := dram.NewRegion(org.BurstLen, org.Pins)
+	dram.Transpose(pins, mask)
+	for _, sym := range pins.Bits {
+		if sym != 0 {
+			pairSyms++
 		}
 	}
-	for beat := 0; beat < org.BurstLen; beat++ {
-		for g := 0; g < org.Pins/8; g++ {
-			if mask.BeatByte(beat, g) != 0 {
+	if org.Pins%8 == 0 {
+		for _, sym := range mask.Bits {
+			if sym != 0 {
 				duoSyms++
 			}
 		}
@@ -179,17 +181,14 @@ func countSyms(mask *dram.Burst, org dram.Organization) (pairSyms, duoSyms int) 
 // quotes the worst corrupted chip: per-chip-access codes decode each chip
 // independently, so the rank survives only if its worst chip does.
 func runScenarioMap(stdout io.Writer, sc faults.Scenario, org dram.Organization, pairT int, rng *rand.Rand) int {
-	access := make([]faults.ChipAccess, org.ChipsPerRank)
-	for i := range access {
-		access[i] = faults.ChipAccess{Data: dram.NewBurst(org.Pins, org.BurstLen)}
-	}
-	flips := sc.Inject(rng, access)
+	chips, _ := dram.NewChips(org.ChipsPerRank, dram.Shape{Pins: org.Pins, Beats: org.BurstLen})
+	flips := sc.Inject(rng, chips)
 	fmt.Fprintf(stdout, "scenario %q on a %d-chip x%d BL%d rank access (%d bits flipped)\n",
 		sc.Spec(), org.ChipsPerRank, org.Pins, org.BurstLen, flips)
 
 	worstPair, worstDuo := 0, 0
-	for i := range access {
-		mask := access[i].Data
+	for i := range chips {
+		mask := chips[i].Data
 		if mask.PopCount() == 0 {
 			fmt.Fprintf(stdout, "\nchip %d: clean\n", i)
 			continue

@@ -57,11 +57,13 @@ func main() {
 	}
 	same := true
 	for i := range stored.Chips {
-		if !upgraded.Chips[i].Data.Equal(stored.Chips[i].Data) {
+		if !equal(upgraded.Chips[i].Data.Bits, stored.Chips[i].Data.Bits) {
 			same = false
 		}
-		for j := 0; j < 16; j++ { // the 16 base-parity bits per chip
-			if upgraded.Chips[i].OnDie.Get(j) != stored.Chips[i].OnDie.Get(j) {
+		// The on-die region is one beat; its first 16 bits are the base
+		// parity.
+		for j := 0; j < 16; j++ {
+			if upgraded.Chips[i].OnDie.Get(j, 0) != stored.Chips[i].OnDie.Get(j, 0) {
 				same = false
 			}
 		}
@@ -69,8 +71,8 @@ func main() {
 	fmt.Printf("  data and base parity preserved verbatim: %v\n", same)
 
 	// The upgraded image now survives a double-pin failure.
-	upgraded.Chips[0].Data.SetPinSymbol(1, 0x00)
-	upgraded.Chips[0].Data.SetPinSymbol(8, 0xFF)
+	upgraded.Chips[0].Data.SetPinSymbolPart(1, 0, 0x00)
+	upgraded.Chips[0].Data.SetPinSymbolPart(8, 0, 0xFF)
 	decoded, claim := pair.Decode(fullScheme, upgraded)
 	fmt.Printf("  double-pin failure after upgrade: claim=%v, outcome=%v\n",
 		claim, pair.Classify(line, decoded, claim))

@@ -42,25 +42,25 @@ func main() {
 	// Case 2: a DQ pin dies — every beat on pin 9 of chip 2 is garbage.
 	// Pin alignment makes this a single-symbol error.
 	st = stored.Clone()
-	st.Chips[2].Data.SetPinSymbol(9, st.Chips[2].Data.PinSymbol(9)^0xB7)
+	st.Chips[2].Data.SetPinSymbolPart(9, 0, st.Chips[2].Data.PinSymbolPart(9, 0)^0xB7)
 	report("dead DQ pin", scheme, line, st)
 
 	// Case 3: two corrupted pins in one chip — needs the expanded t=2
 	// code (the base RS(18,16) would have flagged this as uncorrectable).
 	st = stored.Clone()
-	st.Chips[1].Data.SetPinSymbol(3, st.Chips[1].Data.PinSymbol(3)^0x01)
-	st.Chips[1].Data.SetPinSymbol(14, st.Chips[1].Data.PinSymbol(14)^0xFF)
+	st.Chips[1].Data.SetPinSymbolPart(3, 0, st.Chips[1].Data.PinSymbolPart(3, 0)^0x01)
+	st.Chips[1].Data.SetPinSymbolPart(14, 0, st.Chips[1].Data.PinSymbolPart(14, 0)^0xFF)
 	report("two corrupted pins", scheme, line, st)
 
 	// Case 4: a whole row goes bad — beyond any per-access code's
 	// correction power, but PAIR flags it instead of lying.
 	st = stored.Clone()
 	for p := 0; p < 16; p++ {
-		st.Chips[3].Data.SetPinSymbol(p, byte(rng.Intn(256)))
+		st.Chips[3].Data.SetPinSymbolPart(p, 0, byte(rng.Intn(256)))
 	}
-	for i := 0; i < st.Chips[3].OnDie.Len(); i++ {
+	for i := 0; i < st.Chips[3].OnDie.Len(); i++ { // the on-die parity is one beat
 		if rng.Intn(2) == 1 {
-			st.Chips[3].OnDie.Flip(i)
+			st.Chips[3].OnDie.Flip(i, 0)
 		}
 	}
 	report("row failure (whole access garbage)", scheme, line, st)
@@ -74,8 +74,8 @@ func main() {
 		panic(err)
 	}
 	st = pair.Encode(spared, line)
-	st.Chips[0].Data.SetPinSymbol(3, st.Chips[0].Data.PinSymbol(3)^0x5A)
-	st.Chips[0].Data.SetPinSymbol(7, st.Chips[0].Data.PinSymbol(7)^0xC3)
+	st.Chips[0].Data.SetPinSymbolPart(3, 0, st.Chips[0].Data.PinSymbolPart(3, 0)^0x5A)
+	st.Chips[0].Data.SetPinSymbolPart(7, 0, st.Chips[0].Data.PinSymbolPart(7, 0)^0xC3)
 	st.Chips[0].Data.Flip(12, 1)
 	report("two dead pins + weak cell (spared)", spared, line, st)
 }

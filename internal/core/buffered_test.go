@@ -11,13 +11,15 @@ import (
 )
 
 func pairStoredEqual(a, b *ecc.Stored) bool {
-	if len(a.Chips) != len(b.Chips) {
+	if ecc.CheckShape(a, b) != nil {
 		return false
 	}
 	for i := range a.Chips {
-		if !a.Chips[i].Data.Equal(b.Chips[i].Data) ||
-			!a.Chips[i].OnDie.Equal(b.Chips[i].OnDie) {
-			return false
+		rb := b.Chips[i].Regions()
+		for j, r := range a.Chips[i].Regions() {
+			if !bytes.Equal(r.Bits, rb[j].Bits) {
+				return false
+			}
 		}
 	}
 	return true

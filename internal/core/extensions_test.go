@@ -82,9 +82,11 @@ func TestDDR5PinFaultIsTwoSymbols(t *testing.T) {
 	}
 }
 
+// --- Pin sparing: erasure decoding of known-bad pins -------------------
+
 func TestPinSymbolPartRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	b := dram.NewBurst(16, 16)
+	b := dram.NewRegion(16, 16)
 	want := make([][2]byte, 16)
 	for p := 0; p < 16; p++ {
 		want[p] = [2]byte{byte(rng.Intn(256)), byte(rng.Intn(256))}
@@ -98,7 +100,17 @@ func TestPinSymbolPartRoundTrip(t *testing.T) {
 	}
 }
 
-// --- Pin sparing: erasure decoding of known-bad pins -------------------
+func TestExpandStoredRejectsForeignImage(t *testing.T) {
+	// An IECC image carries 8 on-die bits where a base PAIR image carries
+	// 16: the shape mismatch is an error, not an index panic.
+	org := dram.DDR4x16()
+	base, full := MustNew(org, BaseConfig()), MustNew(org, DefaultConfig())
+	st := ecc.Encode(ecc.NewIECC(org), make([]byte, org.LineBytes()))
+	_, err := full.ExpandStored(base, st)
+	if err == nil || !strings.Contains(err.Error(), "chip 0 is shaped") {
+		t.Fatalf("expanding an IECC image: err = %v", err)
+	}
+}
 
 func TestWithSparedPinsValidation(t *testing.T) {
 	s := MustNew(dram.DDR4x16(), DefaultConfig())
@@ -188,7 +200,7 @@ func TestSparedSchemeSharesEncoder(t *testing.T) {
 	a := ecc.Encode(s, line)
 	b := ecc.Encode(spared, line)
 	for i := range a.Chips {
-		if !a.Chips[i].OnDie.Equal(b.Chips[i].OnDie) {
+		if !bytes.Equal(a.Chips[i].OnDie.Bits, b.Chips[i].OnDie.Bits) {
 			t.Fatal("sparing changed the stored image")
 		}
 	}

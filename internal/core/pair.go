@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"sync"
 
-	"pair/internal/bitvec"
 	"pair/internal/dram"
 	"pair/internal/ecc"
 	"pair/internal/rs"
@@ -80,7 +79,7 @@ type Scheme struct {
 type pairScratch struct {
 	dec  *rs.Decoder
 	word []byte
-	b    *dram.Burst
+	b    dram.Region
 }
 
 // New builds a PAIR scheme on the given organization.
@@ -115,7 +114,7 @@ func New(org dram.Organization, cfg Config) (*Scheme, error) {
 		return &pairScratch{
 			dec:  full.NewDecoder(),
 			word: make([]byte, full.N),
-			b:    dram.NewBurst(org.Pins, org.BurstLen),
+			b:    dram.NewRegion(org.Pins, org.BurstLen),
 		}
 	}
 	return s, nil
@@ -140,41 +139,12 @@ func (s *Scheme) symbolsPerPin() int { return s.org.BurstLen / 8 }
 // k returns the data symbols per codeword.
 func (s *Scheme) k() int { return s.org.Pins * s.symbolsPerPin() }
 
-// dataSymbols extracts the pin-aligned data symbols of one chip access:
-// symbol pin*spp+part is bits [part*8, part*8+8) of the pin's burst.
-func (s *Scheme) dataSymbols(b *dram.Burst) []byte {
-	out := make([]byte, s.k())
-	s.dataSymbolsInto(out, b)
-	return out
-}
-
-// dataSymbolsInto is dataSymbols into a caller-owned slice (length k). It
-// transposes beat-major burst bits into pin-major symbols one beat field at
-// a time instead of one bit at a time.
-func (s *Scheme) dataSymbolsInto(syms []byte, b *dram.Burst) {
-	spp := s.symbolsPerPin()
-	for i := range syms {
-		syms[i] = 0
-	}
-	bits := b.Bits()
-	for beat := 0; beat < s.org.BurstLen; beat++ {
-		field := bits.GetBits(beat*s.org.Pins, s.org.Pins)
-		part := beat / 8
-		sh := uint(beat % 8)
-		for p := 0; p < s.org.Pins; p++ {
-			syms[p*spp+part] |= byte((field>>uint(p))&1) << sh
-		}
-	}
-}
-
-// writeDataSymbols writes pin-aligned symbols back into a burst.
-func (s *Scheme) writeDataSymbols(b *dram.Burst, syms []byte) {
-	spp := s.symbolsPerPin()
-	for p := 0; p < s.org.Pins; p++ {
-		for part := 0; part < spp; part++ {
-			b.SetPinSymbolPart(p, part, syms[p*spp+part])
-		}
-	}
+// symbols returns the pin-major view of a chip burst over syms (length
+// k): symbol pin*spp+part is the 8 bits the pin carries during beats
+// [8*part, 8*part+8). Transposing a burst into it gathers the data
+// symbols; transposing it into a burst writes them back.
+func (s *Scheme) symbols(syms []byte) dram.Region {
+	return dram.Region{Pins: s.org.BurstLen, Beats: s.org.Pins, Bits: syms}
 }
 
 // Org implements ecc.Scheme.
@@ -196,16 +166,9 @@ func (s *Scheme) parityBits() int {
 }
 
 // NewStored implements ecc.Scheme: one data burst plus the on-die parity
-// region per chip.
+// region per chip, parity symbol j in on-die byte j.
 func (s *Scheme) NewStored() *ecc.Stored {
-	st := &ecc.Stored{Org: s.org, Chips: make([]*ecc.ChipImage, s.org.ChipsPerRank)}
-	for i := range st.Chips {
-		st.Chips[i] = &ecc.ChipImage{
-			Data:  dram.NewBurst(s.org.Pins, s.org.BurstLen),
-			OnDie: bitvec.New(s.parityBits()),
-		}
-	}
-	return st
+	return ecc.NewImage(s.org, s.org.ChipsPerRank, s.parityBits(), 0)
 }
 
 // EncodeBatchInto implements ecc.Scheme. Each chip's access is encoded
@@ -220,14 +183,12 @@ func (s *Scheme) encode(st *ecc.Stored, line []byte) {
 	scr := s.pool.Get().(*pairScratch)
 	word := scr.word
 	k := s.k()
-	for i, ci := range st.Chips {
-		dram.SplitChipInto(s.org, line, i, ci.Data)
-		s.dataSymbolsInto(word[:k], ci.Data)
+	for i := range st.Chips {
+		c := &st.Chips[i]
+		dram.SplitChip(s.org, line, i, c.Data)
+		dram.Transpose(s.symbols(word[:k]), c.Data)
 		s.full.EncodeTo(word[:k], word)
-		ci.OnDie.Clear()
-		for j, sym := range word[k:] {
-			ci.OnDie.OrBits(j*8, uint64(sym), 8)
-		}
+		copy(c.OnDie.Bits, word[k:])
 	}
 	s.pool.Put(scr)
 }
@@ -246,34 +207,29 @@ func (s *Scheme) decode(dst []byte, st *ecc.Stored) ecc.Claim {
 // decodeErased recovers one line with optional per-chip erasure symbol
 // lists (see WithSparedPins).
 func (s *Scheme) decodeErased(dst []byte, st *ecc.Stored, erasures map[int][]int) ecc.Claim {
-	for i := range dst {
-		dst[i] = 0
-	}
 	claim := ecc.ClaimClean
 	k := s.k()
-	np := s.cfg.BaseParity + s.cfg.Expansion
 	scr := s.pool.Get().(*pairScratch)
 	word := scr.word
-	for i, ci := range st.Chips {
-		s.dataSymbolsInto(word[:k], ci.Data)
-		for j := 0; j < np; j++ {
-			word[k+j] = byte(ci.OnDie.GetBits(j*8, 8))
-		}
+	for i := range st.Chips {
+		c := &st.Chips[i]
+		dram.Transpose(s.symbols(word[:k]), c.Data)
+		copy(word[k:], c.OnDie.Bits)
 		nerr, err := scr.dec.DecodeInto(word, word, erasures[i])
 		switch {
 		case err != nil:
 			claim = ecc.ClaimDetected
 			// Pass the raw data along with the flag (word is unspecified
 			// after a decode failure).
-			dram.OrChipInto(s.org, dst, i, ci.Data)
+			dram.JoinChip(s.org, dst, i, c.Data)
 		case nerr == 0:
-			dram.OrChipInto(s.org, dst, i, ci.Data)
+			dram.JoinChip(s.org, dst, i, c.Data)
 		default:
 			if claim != ecc.ClaimDetected {
 				claim = ecc.ClaimCorrected
 			}
-			s.writeDataSymbols(scr.b, word[:k])
-			dram.OrChipInto(s.org, dst, i, scr.b)
+			dram.Transpose(scr.b, s.symbols(word[:k]))
+			dram.JoinChip(s.org, dst, i, scr.b)
 		}
 	}
 	s.pool.Put(scr)
@@ -363,7 +319,8 @@ func (s *SparedScheme) SparedPins() int { return s.npins }
 // base-only scheme and returns the image upgraded to this scheme's
 // expansion level. The base parity bits are preserved verbatim — the
 // demonstration of in-place expandability. The source scheme must share
-// this scheme's organization and base parity.
+// this scheme's organization and base parity, and the image must be
+// shaped like the source scheme's own.
 func (s *Scheme) ExpandStored(baseScheme *Scheme, st *ecc.Stored) (*ecc.Stored, error) {
 	if baseScheme.org != s.org || baseScheme.cfg.BaseParity != s.cfg.BaseParity {
 		return nil, fmt.Errorf("core: incompatible base scheme")
@@ -371,30 +328,22 @@ func (s *Scheme) ExpandStored(baseScheme *Scheme, st *ecc.Stored) (*ecc.Stored, 
 	if baseScheme.cfg.Expansion != 0 {
 		return nil, fmt.Errorf("core: source scheme already expanded")
 	}
-	out := &ecc.Stored{Org: st.Org, Chips: make([]*ecc.ChipImage, len(st.Chips))}
-	for i, ci := range st.Chips {
-		cwBase := make([]byte, baseScheme.full.N)
-		copy(cwBase, s.dataSymbols(ci.Data))
-		for j := 0; j < baseScheme.cfg.BaseParity; j++ {
-			var sym byte
-			for bit := 0; bit < 8; bit++ {
-				if ci.OnDie.Get(j*8 + bit) {
-					sym |= 1 << bit
-				}
-			}
-			cwBase[s.k()+j] = sym
-		}
+	if err := ecc.CheckShape(st, baseScheme.NewStored()); err != nil {
+		return nil, fmt.Errorf("core: image is not a %s image: %w", baseScheme.Name(), err)
+	}
+	out := s.NewStored()
+	k := s.k()
+	cwBase := make([]byte, baseScheme.full.N)
+	for i := range st.Chips {
+		c := &st.Chips[i]
+		dram.Transpose(s.symbols(cwBase[:k]), c.Data)
+		copy(cwBase[k:], c.OnDie.Bits)
 		cwFull, err := baseScheme.full.ExtendCodeword(cwBase, s.full)
 		if err != nil {
 			return nil, err
 		}
-		onDie := bitvec.New(s.parityBits())
-		for j, sym := range cwFull[s.k():] {
-			for bit := 0; bit < 8; bit++ {
-				onDie.Set(j*8+bit, sym&(1<<bit) != 0)
-			}
-		}
-		out.Chips[i] = &ecc.ChipImage{Data: ci.Data.Clone(), OnDie: onDie}
+		copy(out.Chips[i].Data.Bits, c.Data.Bits)
+		copy(out.Chips[i].OnDie.Bits, cwFull[k:])
 	}
 	return out, nil
 }

@@ -141,8 +141,8 @@ func TestTwoSymbolErrorsNeedExpansion(t *testing.T) {
 		pins := rng.Perm(16)[:2]
 		for _, p := range pins {
 			v := byte(1 + rng.Intn(255))
-			stB.Chips[chip].Data.SetPinSymbol(p, stB.Chips[chip].Data.PinSymbol(p)^v)
-			stF.Chips[chip].Data.SetPinSymbol(p, stF.Chips[chip].Data.PinSymbol(p)^v)
+			stB.Chips[chip].Data.SetPinSymbolPart(p, 0, stB.Chips[chip].Data.PinSymbolPart(p, 0)^v)
+			stF.Chips[chip].Data.SetPinSymbolPart(p, 0, stF.Chips[chip].Data.PinSymbolPart(p, 0)^v)
 		}
 		if d, c := ecc.Decode(base, stB); ecc.Classify(line, d, c).IsFailure() {
 			baseFailed++
@@ -170,7 +170,7 @@ func TestParityRegionFaultsHandled(t *testing.T) {
 		// Corrupt up to 8 bits of ONE parity symbol.
 		sym := rng.Intn(4)
 		for _, b := range rng.Perm(8)[:1+rng.Intn(8)] {
-			ci.OnDie.Flip(sym*8 + b)
+			ci.OnDie.Flip(sym*8+b, 0)
 		}
 		decoded, claim := ecc.Decode(s, st)
 		if out := ecc.Classify(line, decoded, claim); out != ecc.OutcomeCE {
@@ -210,12 +210,12 @@ func TestExpandStoredPreservesBaseParity(t *testing.T) {
 	}
 	for i := range stFull.Chips {
 		// Data unchanged.
-		if !stFull.Chips[i].Data.Equal(stBase.Chips[i].Data) {
+		if !bytes.Equal(stFull.Chips[i].Data.Bits, stBase.Chips[i].Data.Bits) {
 			t.Fatal("expansion modified data")
 		}
 		// Base parity bits bit-identical.
 		for j := 0; j < 16; j++ {
-			if stFull.Chips[i].OnDie.Get(j) != stBase.Chips[i].OnDie.Get(j) {
+			if stFull.Chips[i].OnDie.Get(j, 0) != stBase.Chips[i].OnDie.Get(j, 0) {
 				t.Fatal("expansion modified base parity")
 			}
 		}
@@ -223,7 +223,7 @@ func TestExpandStoredPreservesBaseParity(t *testing.T) {
 	// The expanded image must equal a direct full encoding.
 	direct := ecc.Encode(full, line)
 	for i := range direct.Chips {
-		if !direct.Chips[i].OnDie.Equal(stFull.Chips[i].OnDie) {
+		if !bytes.Equal(direct.Chips[i].OnDie.Bits, stFull.Chips[i].OnDie.Bits) {
 			t.Fatal("expanded image differs from direct encoding")
 		}
 	}
@@ -231,7 +231,7 @@ func TestExpandStoredPreservesBaseParity(t *testing.T) {
 	st := stFull.Clone()
 	pins := rng.Perm(16)[:2]
 	for _, p := range pins {
-		st.Chips[0].Data.SetPinSymbol(p, st.Chips[0].Data.PinSymbol(p)^0x3C)
+		st.Chips[0].Data.SetPinSymbolPart(p, 0, st.Chips[0].Data.PinSymbolPart(p, 0)^0x3C)
 	}
 	decoded, claim := ecc.Decode(full, st)
 	if out := ecc.Classify(line, decoded, claim); out != ecc.OutcomeCE {

@@ -1,22 +1,34 @@
 // Package dram models the organization of a DDR4-style memory subsystem at
 // the fidelity the PAIR study needs: device geometry (channel, rank, chip,
 // bank group, bank, row, column), the DQ-pin/beat structure of a burst
-// access, and the mapping between 64-byte cache lines and per-chip bursts.
+// access, and the stored bit layout of one rank access.
 //
-// The pin/beat structure matters because PAIR's codewords are aligned to DQ
-// pins: the 8 bits a pin carries during a BL8 burst form one Reed-Solomon
-// symbol. The same Burst container therefore exposes both views — the
-// pin-aligned view PAIR uses and the beat-aligned byte view DUO's
-// rank-level code uses — so fault injection happens once, in physical
-// coordinates, and each scheme sees the same physical corruption through
-// its own symbolization.
+// # Stored layout
+//
+// A Region is a pins x beats bit matrix over bytes: bit (pin, beat) is bit
+// index beat*Pins + pin, LSB-first (bit i is bit i%8 of Bits[i/8]). This
+// beat-major order is the order bits cross the bus, so
+//
+//   - a chip's beat is a contiguous field of the line, and splitting a
+//     line over chips (SplitChip, JoinChip) is byte copies on x8 and x16;
+//   - the beat-aligned byte symbols of rank-level codes (DUO) and the data
+//     words of Hamming codes (IECC, XED, SECDED) are the stored bytes as
+//     they are;
+//   - the global stored-bit index the fault injectors draw is the storage
+//     index, so every draw lands on the same physical bit by construction.
+//
+// Only PAIR needs the pin view: the 8 bits a pin carries during 8 beats
+// form one Reed-Solomon symbol. Transpose turns a burst into its pin-major
+// view and back.
+//
+// A Chip is one chip's stored image of a rank access: its Data burst, its
+// OnDie redundancy (stored as a one-beat region) and its Xfer redundancy
+// (extension beats on the same pins). Fault injection happens once, in
+// these physical coordinates, and each scheme sees the same physical
+// corruption through its own symbolization.
 package dram
 
-import (
-	"fmt"
-
-	"pair/internal/bitvec"
-)
+import "fmt"
 
 // Organization describes a DRAM device and its rank-level arrangement.
 type Organization struct {
@@ -153,263 +165,4 @@ func (o Organization) LineBytes() int { return o.ChipsPerRank * o.AccessBits() /
 // ChipBitsPerBank returns data bits stored per bank of one chip.
 func (o Organization) ChipBitsPerBank() int64 {
 	return int64(o.Rows) * int64(o.Cols) * int64(o.AccessBits())
-}
-
-// Burst is the bits one chip transfers during one column access, indexed by
-// (pin, beat). Bit (pin, beat) is stored at index beat*Pins + pin.
-type Burst struct {
-	Pins, Beats int
-	bits        *bitvec.Vec
-}
-
-// NewBurst returns an all-zero burst of the given shape.
-func NewBurst(pins, beats int) *Burst {
-	if pins <= 0 || beats <= 0 {
-		panic(fmt.Sprintf("dram: invalid burst shape %dx%d", pins, beats))
-	}
-	return &Burst{Pins: pins, Beats: beats, bits: bitvec.New(pins * beats)}
-}
-
-func (b *Burst) index(pin, beat int) int {
-	if pin < 0 || pin >= b.Pins || beat < 0 || beat >= b.Beats {
-		panic(fmt.Sprintf("dram: burst index (%d,%d) out of %dx%d", pin, beat, b.Pins, b.Beats))
-	}
-	return beat*b.Pins + pin
-}
-
-// Get returns the bit carried by pin during beat.
-func (b *Burst) Get(pin, beat int) bool { return b.bits.Get(b.index(pin, beat)) }
-
-// Set assigns the bit carried by pin during beat.
-func (b *Burst) Set(pin, beat int, v bool) { b.bits.Set(b.index(pin, beat), v) }
-
-// Flip toggles the bit carried by pin during beat.
-func (b *Burst) Flip(pin, beat int) { b.bits.Flip(b.index(pin, beat)) }
-
-// Bits returns the underlying bit vector (shared, not a copy).
-func (b *Burst) Bits() *bitvec.Vec { return b.bits }
-
-// Clone returns a deep copy.
-func (b *Burst) Clone() *Burst {
-	return &Burst{Pins: b.Pins, Beats: b.Beats, bits: b.bits.Clone()}
-}
-
-// CopyFrom overwrites b with other's contents. Shapes must match.
-func (b *Burst) CopyFrom(other *Burst) {
-	if b.Pins != other.Pins || b.Beats != other.Beats {
-		panic("dram: burst shape mismatch in CopyFrom")
-	}
-	b.bits.CopyFrom(other.bits)
-}
-
-// Xor applies an error mask of identical shape.
-func (b *Burst) Xor(mask *Burst) {
-	if b.Pins != mask.Pins || b.Beats != mask.Beats {
-		panic("dram: burst shape mismatch in Xor")
-	}
-	b.bits.Xor(mask.bits)
-}
-
-// Equal reports shape and content equality.
-func (b *Burst) Equal(other *Burst) bool {
-	return b.Pins == other.Pins && b.Beats == other.Beats && b.bits.Equal(other.bits)
-}
-
-// PopCount returns the number of set bits (error weight for masks).
-func (b *Burst) PopCount() int { return b.bits.PopCount() }
-
-// PinSymbol returns the up-to-8 bits pin carries across the burst as one
-// byte, beat 0 in bit 0 — the PAIR symbolization. Beats must be <= 8.
-func (b *Burst) PinSymbol(pin int) byte {
-	if b.Beats > 8 {
-		panic("dram: PinSymbol requires burst length <= 8")
-	}
-	var v byte
-	for beat := 0; beat < b.Beats; beat++ {
-		if b.Get(pin, beat) {
-			v |= 1 << beat
-		}
-	}
-	return v
-}
-
-// SetPinSymbol writes the pin-aligned symbol back (inverse of PinSymbol).
-func (b *Burst) SetPinSymbol(pin int, v byte) {
-	if b.Beats > 8 {
-		panic("dram: SetPinSymbol requires burst length <= 8")
-	}
-	for beat := 0; beat < b.Beats; beat++ {
-		b.Set(pin, beat, v&(1<<beat) != 0)
-	}
-}
-
-// PinSymbolPart returns 8 bits of pin's burst starting at beat part*8 —
-// the generalization of PinSymbol for bursts longer than 8 beats (DDR5
-// BL16 pins carry two symbols each).
-func (b *Burst) PinSymbolPart(pin, part int) byte {
-	base := part * 8
-	if base+8 > b.Beats {
-		panic(fmt.Sprintf("dram: symbol part %d exceeds %d beats", part, b.Beats))
-	}
-	var v byte
-	for i := 0; i < 8; i++ {
-		if b.Get(pin, base+i) {
-			v |= 1 << i
-		}
-	}
-	return v
-}
-
-// SetPinSymbolPart writes a pin symbol part back (inverse of
-// PinSymbolPart).
-func (b *Burst) SetPinSymbolPart(pin, part int, v byte) {
-	base := part * 8
-	if base+8 > b.Beats {
-		panic(fmt.Sprintf("dram: symbol part %d exceeds %d beats", part, b.Beats))
-	}
-	for i := 0; i < 8; i++ {
-		b.Set(pin, base+i, v&(1<<i) != 0)
-	}
-}
-
-// BeatByte returns the byte formed by pins [8*group, 8*group+8) during
-// beat — the beat-aligned symbolization rank-level codes (DUO) use.
-func (b *Burst) BeatByte(beat, group int) byte {
-	base := group * 8
-	if base+8 > b.Pins {
-		panic(fmt.Sprintf("dram: beat byte group %d exceeds %d pins", group, b.Pins))
-	}
-	var v byte
-	for i := 0; i < 8; i++ {
-		if b.Get(base+i, beat) {
-			v |= 1 << i
-		}
-	}
-	return v
-}
-
-// SetBeatByte writes the beat-aligned byte back (inverse of BeatByte).
-func (b *Burst) SetBeatByte(beat, group int, v byte) {
-	base := group * 8
-	if base+8 > b.Pins {
-		panic(fmt.Sprintf("dram: beat byte group %d exceeds %d pins", group, b.Pins))
-	}
-	for i := 0; i < 8; i++ {
-		b.Set(base+i, beat, v&(1<<i) != 0)
-	}
-}
-
-// Bytes serializes the burst beat-major (beat 0's pins first, LSB = pin 0).
-func (b *Burst) Bytes() []byte { return b.bits.Bytes() }
-
-// BurstFromBytes deserializes a burst previously produced by Bytes.
-func BurstFromBytes(buf []byte, pins, beats int) *Burst {
-	return &Burst{Pins: pins, Beats: beats, bits: bitvec.FromBytes(buf, pins*beats)}
-}
-
-// getLineBits reads the w-bit field (w <= 16) at bit offset off of an
-// LSB-first byte buffer.
-func getLineBits(buf []byte, off, w int) uint64 {
-	var v uint64
-	bo, sh := off>>3, off&7
-	nb := (sh + w + 7) / 8
-	for i := 0; i < nb; i++ {
-		v |= uint64(buf[bo+i]) << (8 * i)
-	}
-	return (v >> uint(sh)) & (1<<uint(w) - 1)
-}
-
-// orLineBits ORs the low w bits (w <= 16) of val into the byte buffer at
-// bit offset off.
-func orLineBits(buf []byte, off int, val uint64, w int) {
-	val &= 1<<uint(w) - 1
-	bo, sh := off>>3, off&7
-	val <<= uint(sh)
-	for i := 0; val != 0; i++ {
-		buf[bo+i] |= byte(val)
-		val >>= 8
-	}
-}
-
-// SplitLine distributes a cache line over the data chips of a rank access:
-// beat-major, chip c carrying bits [c*Pins, (c+1)*Pins) of each beat. The
-// returned slice has one Burst per data chip. len(line) must equal
-// o.LineBytes().
-func SplitLine(o Organization, line []byte) []*Burst {
-	bursts := make([]*Burst, o.ChipsPerRank)
-	for c := range bursts {
-		bursts[c] = NewBurst(o.Pins, o.BurstLen)
-	}
-	SplitLineInto(o, line, bursts)
-	return bursts
-}
-
-// SplitLineInto is SplitLine over caller-owned bursts: it overwrites every
-// bit of each burst and allocates nothing. Bursts must have the access
-// shape (Pins x BurstLen).
-func SplitLineInto(o Organization, line []byte, bursts []*Burst) {
-	if len(bursts) != o.ChipsPerRank {
-		panic(fmt.Sprintf("dram: %d bursts, want %d", len(bursts), o.ChipsPerRank))
-	}
-	for c, b := range bursts {
-		SplitChipInto(o, line, c, b)
-	}
-}
-
-// SplitChipInto extracts chip's burst of the rank access into b,
-// overwriting every bit and allocating nothing.
-func SplitChipInto(o Organization, line []byte, chip int, b *Burst) {
-	if len(line) != o.LineBytes() {
-		panic(fmt.Sprintf("dram: line length %d, want %d", len(line), o.LineBytes()))
-	}
-	if b.Pins != o.Pins || b.Beats != o.BurstLen {
-		panic("dram: burst shape mismatch in SplitChipInto")
-	}
-	busWidth := o.ChipsPerRank * o.Pins
-	b.bits.Clear()
-	for beat := 0; beat < o.BurstLen; beat++ {
-		field := getLineBits(line, beat*busWidth+chip*o.Pins, o.Pins)
-		b.bits.OrBits(beat*o.Pins, field, o.Pins)
-	}
-}
-
-// OrChipInto ORs chip's burst bits into their line positions. Callers
-// assembling a line chip by chip zero it first (JoinLineInto does both).
-func OrChipInto(o Organization, line []byte, chip int, b *Burst) {
-	if len(line) != o.LineBytes() {
-		panic(fmt.Sprintf("dram: line length %d, want %d", len(line), o.LineBytes()))
-	}
-	if b.Pins != o.Pins || b.Beats != o.BurstLen {
-		panic("dram: burst shape mismatch in OrChipInto")
-	}
-	busWidth := o.ChipsPerRank * o.Pins
-	for beat := 0; beat < o.BurstLen; beat++ {
-		field := b.bits.GetBits(beat*o.Pins, o.Pins)
-		orLineBits(line, beat*busWidth+chip*o.Pins, field, o.Pins)
-	}
-}
-
-// JoinLine reassembles a cache line from per-chip bursts (inverse of
-// SplitLine).
-func JoinLine(o Organization, bursts []*Burst) []byte {
-	line := make([]byte, o.LineBytes())
-	JoinLineInto(o, line, bursts)
-	return line
-}
-
-// JoinLineInto is JoinLine into a caller-owned line buffer: it overwrites
-// every byte and allocates nothing.
-func JoinLineInto(o Organization, line []byte, bursts []*Burst) {
-	if len(line) != o.LineBytes() {
-		panic(fmt.Sprintf("dram: line length %d, want %d", len(line), o.LineBytes()))
-	}
-	if len(bursts) != o.ChipsPerRank {
-		panic(fmt.Sprintf("dram: %d bursts, want %d", len(bursts), o.ChipsPerRank))
-	}
-	for i := range line {
-		line[i] = 0
-	}
-	for c, b := range bursts {
-		OrChipInto(o, line, c, b)
-	}
 }

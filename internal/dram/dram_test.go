@@ -49,10 +49,14 @@ func TestOrganizationValidateRejects(t *testing.T) {
 }
 
 func TestBurstGetSetFlip(t *testing.T) {
-	b := NewBurst(16, 8)
-	b.Set(3, 5, true)
+	b := NewRegion(16, 8)
+	b.Flip(3, 5)
 	if !b.Get(3, 5) || b.PopCount() != 1 {
-		t.Fatal("set/get failed")
+		t.Fatal("flip/get failed")
+	}
+	// Bit (pin, beat) is storage bit beat*Pins + pin, LSB-first.
+	if b.Bits[(5*16+3)/8] != 1<<((5*16+3)%8) {
+		t.Fatalf("bit (3,5) stored as %v", b.Bits)
 	}
 	b.Flip(3, 5)
 	if b.Get(3, 5) || b.PopCount() != 0 {
@@ -61,7 +65,7 @@ func TestBurstGetSetFlip(t *testing.T) {
 }
 
 func TestBurstIndexPanics(t *testing.T) {
-	b := NewBurst(16, 8)
+	b := NewRegion(16, 8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range burst access did not panic")
@@ -70,39 +74,66 @@ func TestBurstIndexPanics(t *testing.T) {
 	b.Get(16, 0)
 }
 
+// pinSymbols returns the pin-major view of a burst: byte p*(Beats/8)+j is
+// the j-th symbol pin p carries.
+func pinSymbols(b Region) []byte {
+	v := NewRegion(b.Beats, b.Pins)
+	Transpose(v, b)
+	return v.Bits
+}
+
 func TestPinSymbolRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	b := NewBurst(16, 8)
-	want := make([]byte, 16)
-	for p := range want {
-		want[p] = byte(rng.Intn(256))
-		b.SetPinSymbol(p, want[p])
-	}
-	for p := range want {
-		if b.PinSymbol(p) != want[p] {
-			t.Fatalf("pin %d symbol mismatch", p)
+	for _, shape := range [][2]int{{16, 8}, {8, 8}, {4, 8}, {16, 16}} {
+		b := NewRegion(shape[0], shape[1])
+		syms := NewRegion(shape[1], shape[0])
+		rng.Read(syms.Bits)
+		Transpose(b, syms)
+		if !bytes.Equal(pinSymbols(b), syms.Bits) {
+			t.Fatalf("%dx%d: transpose round trip failed", shape[0], shape[1])
+		}
+		for p := 0; p < b.Pins; p++ {
+			for part := 0; part < b.Beats/8; part++ {
+				if got, want := b.PinSymbolPart(p, part), syms.Bits[p*b.Beats/8+part]; got != want {
+					t.Fatalf("%dx%d pin %d part %d: symbol %#x, view %#x", shape[0], shape[1], p, part, got, want)
+				}
+				v := byte(rng.Intn(256))
+				b.SetPinSymbolPart(p, part, v)
+				if b.PinSymbolPart(p, part) != v {
+					t.Fatalf("%dx%d pin %d part %d: set/get mismatch", shape[0], shape[1], p, part)
+				}
+			}
 		}
 	}
 }
 
 func TestPinSymbolBeatOrientation(t *testing.T) {
 	// Bit of beat k must land in bit k of the symbol.
-	b := NewBurst(16, 8)
-	b.Set(7, 3, true)
-	if b.PinSymbol(7) != 1<<3 {
-		t.Fatalf("symbol = %#x, want %#x", b.PinSymbol(7), 1<<3)
+	b := NewRegion(16, 8)
+	b.Flip(7, 3)
+	if got := pinSymbols(b)[7]; got != 1<<3 {
+		t.Fatalf("symbol = %#x, want %#x", got, 1<<3)
+	}
+	// On BL16 beat 8+k is bit k of the pin's second symbol.
+	b = NewRegion(16, 16)
+	b.Flip(7, 11)
+	if got := pinSymbols(b)[7*2+1]; got != 1<<3 || b.PinSymbolPart(7, 1) != 1<<3 {
+		t.Fatalf("BL16 symbol = %#x, want %#x", got, 1<<3)
 	}
 }
 
 func TestBeatByteRoundTrip(t *testing.T) {
+	// Beat-aligned byte symbols are the stored bytes: bit i of byte
+	// beat*Pins/8+g is pin 8g+i during beat.
 	rng := rand.New(rand.NewSource(2))
-	b := NewBurst(16, 8)
+	b := NewRegion(16, 8)
+	rng.Read(b.Bits)
 	for beat := 0; beat < 8; beat++ {
 		for g := 0; g < 2; g++ {
-			v := byte(rng.Intn(256))
-			b.SetBeatByte(beat, g, v)
-			if b.BeatByte(beat, g) != v {
-				t.Fatalf("beat %d group %d mismatch", beat, g)
+			for i := 0; i < 8; i++ {
+				if b.Get(8*g+i, beat) != (b.Bits[beat*2+g]&(1<<i) != 0) {
+					t.Fatalf("beat %d group %d bit %d mismatch", beat, g, i)
+				}
 			}
 		}
 	}
@@ -111,49 +142,126 @@ func TestBeatByteRoundTrip(t *testing.T) {
 func TestPinAndBeatViewsSeeSamePhysicalBits(t *testing.T) {
 	// A single physical bit (pin 9, beat 4) must appear in pin symbol 9 at
 	// bit 4 AND in beat 4's group-1 byte at bit 1.
-	b := NewBurst(16, 8)
-	b.Set(9, 4, true)
-	if b.PinSymbol(9) != 1<<4 {
+	b := NewRegion(16, 8)
+	b.Flip(9, 4)
+	if pinSymbols(b)[9] != 1<<4 {
 		t.Fatal("pin view wrong")
 	}
-	if b.BeatByte(4, 1) != 1<<1 {
+	if b.Bits[4*2+1] != 1<<1 {
 		t.Fatal("beat view wrong")
 	}
 }
 
 func TestBurstBytesRoundTrip(t *testing.T) {
+	// A burst's bytes are its beat-major serialization (beat 0's pins
+	// first, pin 0 in the LSB): a region over given bytes reads back the
+	// bits they encode, and flips write the same bytes back.
 	rng := rand.New(rand.NewSource(3))
-	b := NewBurst(16, 8)
-	for p := 0; p < 16; p++ {
-		b.SetPinSymbol(p, byte(rng.Intn(256)))
+	buf := make([]byte, 16)
+	rng.Read(buf)
+	b := Region{Pins: 16, Beats: 8, Bits: buf}
+	back := NewRegion(16, 8)
+	for beat := 0; beat < 8; beat++ {
+		for pin := 0; pin < 16; pin++ {
+			if b.Get(pin, beat) != (buf[beat*2+pin/8]&(1<<(pin%8)) != 0) {
+				t.Fatalf("bit (%d,%d) misread", pin, beat)
+			}
+			if b.Get(pin, beat) {
+				back.Flip(pin, beat)
+			}
+		}
 	}
-	back := BurstFromBytes(b.Bytes(), 16, 8)
-	if !b.Equal(back) {
+	if !bytes.Equal(back.Bits, buf) {
 		t.Fatal("bytes round trip failed")
 	}
 }
 
 func TestBurstXorAsErrorMask(t *testing.T) {
-	b := NewBurst(8, 8)
-	b.SetPinSymbol(2, 0xFF)
-	mask := NewBurst(8, 8)
-	mask.Set(2, 0, true)
-	b.Xor(mask)
-	if b.PinSymbol(2) != 0xFE {
-		t.Fatalf("mask application wrong: %#x", b.PinSymbol(2))
+	// An error mask applies to a burst of the same shape byte by byte.
+	b := NewRegion(8, 8)
+	b.SetPinSymbolPart(2, 0, 0xFF)
+	mask := NewRegion(8, 8)
+	mask.Flip(2, 0)
+	for i, v := range mask.Bits {
+		b.Bits[i] ^= v
 	}
+	if b.PinSymbolPart(2, 0) != 0xFE {
+		t.Fatalf("mask application wrong: %#x", b.PinSymbolPart(2, 0))
+	}
+}
+
+func TestTransposeMatchesBitLoop(t *testing.T) {
+	// The 8x8 block path must agree with the bit-by-bit definition.
+	rng := rand.New(rand.NewSource(3))
+	for _, shape := range [][2]int{{16, 8}, {8, 16}, {16, 16}, {8, 8}, {4, 8}, {8, 4}} {
+		src := NewRegion(shape[0], shape[1])
+		rng.Read(src.Bits)
+		if pad := src.Len() % 8; pad != 0 {
+			src.Bits[len(src.Bits)-1] &= 1<<pad - 1
+		}
+		dst := NewRegion(shape[1], shape[0])
+		rng.Read(dst.Bits) // stale contents must be overwritten
+		Transpose(dst, src)
+		for p := 0; p < src.Pins; p++ {
+			for beat := 0; beat < src.Beats; beat++ {
+				if dst.Get(beat, p) != src.Get(p, beat) {
+					t.Fatalf("%dx%d: bit (%d,%d) not transposed", shape[0], shape[1], p, beat)
+				}
+			}
+		}
+	}
+}
+
+func TestChipStoredBitOrder(t *testing.T) {
+	chips, buf := NewChips(2, Shape{Pins: 16, Beats: 8, OnDie: 12, Xfer: 1})
+	c := &chips[1]
+	if c.TotalBits() != 128+12+16 || c.Shape() != (Shape{Pins: 16, Beats: 8, OnDie: 12, Xfer: 1}) {
+		t.Fatalf("chip has %d bits, shape %+v", c.TotalBits(), c.Shape())
+	}
+	if len(buf) != 2*(16+2+2) {
+		t.Fatalf("buffer of %d bytes", len(buf))
+	}
+	// Stored bit i indexes Data, then OnDie, then Xfer.
+	for _, tc := range []struct {
+		idx  int
+		r    Region
+		pin  int
+		beat int
+	}{{0, c.Data, 0, 0}, {127, c.Data, 15, 7}, {128, c.OnDie, 0, 0}, {139, c.OnDie, 11, 0}, {140, c.Xfer, 0, 0}, {155, c.Xfer, 15, 0}} {
+		c.Flip(tc.idx)
+		if !tc.r.Get(tc.pin, tc.beat) || tc.r.PopCount() != 1 {
+			t.Fatalf("stored bit %d did not land on (%d,%d)", tc.idx, tc.pin, tc.beat)
+		}
+		c.Flip(tc.idx)
+	}
+	// Chips are sliced in order from the one buffer.
+	c.Flip(0)
+	if buf[20] != 1 {
+		t.Fatal("chip 1 does not start at byte 20 of the buffer")
+	}
+	if chips[0].Data.PopCount()+chips[0].OnDie.PopCount()+chips[0].Xfer.PopCount() != 0 {
+		t.Fatal("flip on chip 1 reached chip 0")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("stored bit past the chip did not panic")
+		}
+	}()
+	c.Flip(c.TotalBits())
 }
 
 func TestSplitJoinLineRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, org := range []Organization{DDR4x16(), DDR4x8ECC()} {
+	for _, org := range []Organization{DDR4x16(), DDR4x8ECC(), DDR4x4()} {
 		line := make([]byte, org.LineBytes())
 		rng.Read(line)
-		bursts := SplitLine(org, line)
-		if len(bursts) != org.ChipsPerRank {
-			t.Fatalf("split produced %d bursts", len(bursts))
+		back := make([]byte, len(line))
+		b := NewRegion(org.Pins, org.BurstLen)
+		for c := 0; c < org.ChipsPerRank; c++ {
+			rng.Read(b.Bits) // stale contents must be overwritten
+			SplitChip(org, line, c, b)
+			JoinChip(org, back, c, b)
 		}
-		back := JoinLine(org, bursts)
 		if !bytes.Equal(back, line) {
 			t.Fatalf("split/join round trip failed for x%d", org.Pins)
 		}
@@ -161,19 +269,23 @@ func TestSplitJoinLineRoundTrip(t *testing.T) {
 }
 
 func TestSplitLineChipLocality(t *testing.T) {
-	// Byte 0 of the line travels on chip 0's pins during beat 0 for x16.
-	org := DDR4x16()
-	line := make([]byte, 64)
-	line[0] = 0xFF // bits 0..7 of beat 0 => chip 0, pins 0..7
-	bursts := SplitLine(org, line)
-	for p := 0; p < 8; p++ {
-		if !bursts[0].Get(p, 0) {
-			t.Fatalf("chip 0 pin %d beat 0 not set", p)
-		}
-	}
-	for c := 1; c < 4; c++ {
-		if bursts[c].PopCount() != 0 {
-			t.Fatalf("chip %d unexpectedly carries data", c)
+	// Bit k of beat b of the bus is chip k/Pins's pin k%Pins: byte 0 of
+	// the line travels on chip 0's pins 0..7 during beat 0 for x16, and on
+	// chips 0 and 1 for x4.
+	for _, org := range []Organization{DDR4x16(), DDR4x4()} {
+		line := make([]byte, 64)
+		line[0] = 0xFF
+		b := NewRegion(org.Pins, org.BurstLen)
+		for c := 0; c < org.ChipsPerRank; c++ {
+			SplitChip(org, line, c, b)
+			for p := 0; p < org.Pins; p++ {
+				want := c*org.Pins+p < 8
+				for beat := 0; beat < org.BurstLen; beat++ {
+					if b.Get(p, beat) != (want && beat == 0) {
+						t.Fatalf("x%d chip %d pin %d beat %d wrong", org.Pins, c, p, beat)
+					}
+				}
+			}
 		}
 	}
 }

@@ -38,7 +38,12 @@ func TestSplitJoinDDR5(t *testing.T) {
 	o := DDR5x16()
 	line := make([]byte, 64)
 	rng.Read(line)
-	back := JoinLine(o, SplitLine(o, line))
+	back := make([]byte, 64)
+	b := NewRegion(o.Pins, o.BurstLen)
+	for c := 0; c < o.ChipsPerRank; c++ {
+		SplitChip(o, line, c, b)
+		JoinChip(o, back, c, b)
+	}
 	for i := range line {
 		if back[i] != line[i] {
 			t.Fatal("DDR5 split/join round trip failed")
@@ -48,16 +53,13 @@ func TestSplitJoinDDR5(t *testing.T) {
 
 func TestBurstShapePanics(t *testing.T) {
 	cases := []func(){
-		func() { NewBurst(0, 8) },
-		func() { NewBurst(16, 8).PinSymbolPart(0, 1) }, // part beyond BL8
-		func() { NewBurst(16, 8).SetPinSymbolPart(0, 1, 0) },
-		func() { NewBurst(16, 16).PinSymbol(0) }, // BL16 needs parts
-		func() { NewBurst(16, 16).SetPinSymbol(0, 1) },
-		func() { NewBurst(16, 8).BeatByte(0, 2) }, // group beyond pins
-		func() { NewBurst(16, 8).SetBeatByte(0, 2, 0) },
-		func() { NewBurst(8, 8).Xor(NewBurst(16, 8)) },
-		func() { SplitLine(DDR4x16(), make([]byte, 63)) },
-		func() { JoinLine(DDR4x16(), nil) },
+		func() { NewRegion(0, 8) },
+		func() { NewRegion(16, 8).PinSymbolPart(0, 1) }, // part beyond BL8
+		func() { NewRegion(16, 8).SetPinSymbolPart(0, 1, 0) },
+		func() { Transpose(NewRegion(16, 8), NewRegion(16, 8)) }, // not transposed shapes
+		func() { SplitChip(DDR4x16(), make([]byte, 63), 0, NewRegion(16, 8)) },
+		func() { SplitChip(DDR4x16(), make([]byte, 64), 0, NewRegion(8, 8)) },
+		func() { JoinChip(DDR4x16(), nil, 0, NewRegion(16, 8)) },
 	}
 	for i, f := range cases {
 		func() {
@@ -72,15 +74,15 @@ func TestBurstShapePanics(t *testing.T) {
 }
 
 func TestJoinLineShapeMismatchPanics(t *testing.T) {
+	// Joining a chip whose burst is not the organization's access shape
+	// into a line panics instead of writing a partial chip.
 	o := DDR4x16()
-	bursts := SplitLine(o, make([]byte, 64))
-	bursts[1] = NewBurst(8, 8)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("shape mismatch did not panic")
 		}
 	}()
-	JoinLine(o, bursts)
+	JoinChip(o, make([]byte, 64), 1, NewRegion(8, 8))
 }
 
 func TestAddressString(t *testing.T) {

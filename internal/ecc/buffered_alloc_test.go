@@ -8,10 +8,12 @@ package ecc
 import (
 	"math/rand"
 	"testing"
+
+	"pair/internal/faults"
 )
 
 // TestBufferedSchemeAllocs pins a width-1 EncodeBatchInto +
-// DecodeBatchInto at zero allocations per trial for every pooled scheme.
+// DecodeBatchInto at zero allocations per trial for every scheme.
 func TestBufferedSchemeAllocs(t *testing.T) {
 	for _, s := range pooledSchemesUnderTest() {
 		t.Run(s.Name(), func(t *testing.T) {
@@ -28,5 +30,21 @@ func TestBufferedSchemeAllocs(t *testing.T) {
 				t.Fatalf("EncodeBatchInto+DecodeBatchInto allocated %.1f/op, want 0", n)
 			}
 		})
+	}
+}
+
+// TestInjectorAllocs pins the per-trial injectors of the BER sweep and
+// the scenario campaigns at zero allocations on a reused image.
+func TestInjectorAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, s := range pooledSchemesUnderTest() {
+		st := s.NewStored()
+		if n := testing.AllocsPerRun(200, func() { FlipRandomStoredBits(rng, st, 12) }); n != 0 {
+			t.Fatalf("%s: FlipRandomStoredBits(k=12) allocated %.1f/op, want 0", s.Name(), n)
+		}
+		pin := ScenarioInjector(faults.MustScenario("pin"))
+		if n := testing.AllocsPerRun(200, func() { pin(rng, st) }); n != 0 {
+			t.Fatalf("%s: pin ScenarioInjector allocated %.1f/op, want 0", s.Name(), n)
+		}
 	}
 }

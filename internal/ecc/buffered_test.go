@@ -9,7 +9,7 @@ import (
 	"pair/internal/faults"
 )
 
-// pooledSchemesUnderTest returns the schemes in this package whose
+// pooledSchemesUnderTest returns every scheme in this package; each
 // per-image codec allocates nothing in steady state.
 func pooledSchemesUnderTest() []Scheme {
 	return []Scheme{
@@ -18,37 +18,13 @@ func pooledSchemesUnderTest() []Scheme {
 		NewXED(dram.DDR4x16()),
 		NewDUO(dram.DDR4x16()),
 		NewDUORank(dram.DDR4x8ECC()),
+		NewSECDED(dram.DDR4x8ECC()),
 	}
 }
 
-func chipImagesEqual(a, b *ChipImage) bool {
-	if (a.Data == nil) != (b.Data == nil) ||
-		(a.OnDie == nil) != (b.OnDie == nil) ||
-		(a.Xfer == nil) != (b.Xfer == nil) {
-		return false
-	}
-	if a.Data != nil && !a.Data.Equal(b.Data) {
-		return false
-	}
-	if a.OnDie != nil && !a.OnDie.Equal(b.OnDie) {
-		return false
-	}
-	if a.Xfer != nil && !a.Xfer.Equal(b.Xfer) {
-		return false
-	}
-	return true
-}
-
+// storedEqual reports whether two images have the same shape and bits.
 func storedEqual(a, b *Stored) bool {
-	if len(a.Chips) != len(b.Chips) {
-		return false
-	}
-	for i := range a.Chips {
-		if !chipImagesEqual(a.Chips[i], b.Chips[i]) {
-			return false
-		}
-	}
-	return true
+	return CheckShape(a, b) == nil && bytes.Equal(a.buf, b.buf)
 }
 
 // corruptBoth applies the identical corruption to both images by replaying

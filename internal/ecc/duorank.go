@@ -83,59 +83,37 @@ func (s *DUORank) Org() dram.Organization { return s.org }
 // NewStored implements Scheme. Chips[0..7] are data chips; Chips[8] is
 // the ECC chip. Each chip's Xfer burst (8 pins x 1 beat) carries one
 // parity symbol; the ECC chip's data beats carry eight more.
-func (s *DUORank) NewStored() *Stored {
-	st := &Stored{Org: s.org, Chips: make([]*ChipImage, s.org.TotalChips())}
-	for i := range st.Chips {
-		st.Chips[i] = &ChipImage{
-			Data: dram.NewBurst(s.org.Pins, s.org.BurstLen),
-			Xfer: dram.NewBurst(s.org.Pins, 1),
-		}
-	}
-	return st
-}
+func (s *DUORank) NewStored() *Stored { return NewImage(s.org, s.org.TotalChips(), 0, 1) }
 
 // EncodeBatchInto implements Scheme.
 func (s *DUORank) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, s.encode) }
 
 // encode builds one image: the data chips' bursts, then the 17 parity
-// symbols of the rank-level codeword over their beat bytes.
+// symbols of the rank-level codeword over their beat bytes. An x8 chip
+// moves one byte per beat, so its burst's bytes are its beat symbols.
 func (s *DUORank) encode(st *Stored, line []byte) {
 	scr := s.scratch.Get().(*duoRankScratch)
 	defer s.scratch.Put(scr)
-	cw := scr.word
 	for c := 0; c < s.org.ChipsPerRank; c++ {
-		b := st.Chips[c].Data
-		dram.SplitChipInto(s.org, line, c, b)
-		for beat := 0; beat < s.org.BurstLen; beat++ {
-			cw[c*s.org.BurstLen+beat] = b.BeatByte(beat, 0)
-		}
+		dram.SplitChip(s.org, line, c, st.Chips[c].Data)
 	}
-	s.code.EncodeTo(cw[:s.code.K], cw)
-	parity := cw[s.code.K:] // 17 symbols
-	for c := 0; c < s.org.ChipsPerRank; c++ {
-		st.Chips[c].Xfer.SetBeatByte(0, 0, parity[8+c])
+	s.assembleInto(scr.word, st)
+	s.code.EncodeTo(scr.word[:s.code.K], scr.word)
+	parity := scr.word[s.code.K:] // 17 symbols
+	eccChip := &st.Chips[s.org.TotalChips()-1]
+	copy(eccChip.Data.Bits, parity[:8])
+	for c := range st.Chips {
+		st.Chips[c].Xfer.Bits[0] = parity[8+c]
 	}
-	ecc := st.Chips[s.org.TotalChips()-1]
-	for beat := 0; beat < s.org.BurstLen; beat++ {
-		ecc.Data.SetBeatByte(beat, 0, parity[beat])
-	}
-	ecc.Xfer.SetBeatByte(0, 0, parity[16])
 }
 
-// assembleInto builds the 81-symbol received word from a stored image.
+// assembleInto builds the 81-symbol received word from a stored image:
+// each data chip's burst, the ECC chip's burst, then every chip's
+// forwarded symbol.
 func (s *DUORank) assembleInto(word []byte, st *Stored) {
-	nChips := s.org.TotalChips()
-	for c := 0; c < s.org.ChipsPerRank; c++ {
-		for beat := 0; beat < s.org.BurstLen; beat++ {
-			word[c*s.org.BurstLen+beat] = st.Chips[c].Data.BeatByte(beat, 0)
-		}
-	}
-	ecc := st.Chips[nChips-1]
-	for beat := 0; beat < s.org.BurstLen; beat++ {
-		word[s.code.K+beat] = ecc.Data.BeatByte(beat, 0)
-	}
-	for c := 0; c < nChips; c++ {
-		word[s.code.K+8+c] = st.Chips[c].Xfer.BeatByte(0, 0)
+	for c := range st.Chips {
+		copy(word[c*s.org.BurstLen:], st.Chips[c].Data.Bits)
+		word[s.code.K+8+c] = st.Chips[c].Xfer.Bits[0]
 	}
 }
 

@@ -46,8 +46,8 @@ func TestDUORankCorrectsUpTo8Symbols(t *testing.T) {
 				p := pos{rng.Intn(8), rng.Intn(8)}
 				if !seen[p] {
 					seen[p] = true
-					old := st.Chips[p.c].Data.BeatByte(p.beat, 0)
-					st.Chips[p.c].Data.SetBeatByte(p.beat, 0, old^byte(1+rng.Intn(255)))
+					// An x8 chip's beat symbol is its burst byte.
+					st.Chips[p.c].Data.Bits[p.beat] ^= byte(1 + rng.Intn(255))
 				}
 			}
 			decoded, claim := Decode(s, st)

@@ -1,7 +1,6 @@
 package ecc
 
 import (
-	"pair/internal/bitvec"
 	"pair/internal/dram"
 	"pair/internal/hamming"
 )
@@ -33,30 +32,37 @@ func (s *IECC) Name() string { return "iecc" }
 func (s *IECC) Org() dram.Organization { return s.org }
 
 // NewStored implements Scheme.
-func (s *IECC) NewStored() *Stored {
-	st := &Stored{Org: s.org, Chips: make([]*ChipImage, s.org.ChipsPerRank)}
-	for i := range st.Chips {
-		st.Chips[i] = &ChipImage{
-			Data:  dram.NewBurst(s.org.Pins, s.org.BurstLen),
-			OnDie: bitvec.New(s.code.M),
-		}
-	}
-	return st
-}
+func (s *IECC) NewStored() *Stored { return NewImage(s.org, s.org.ChipsPerRank, s.code.M, 0) }
 
 // EncodeBatchInto implements Scheme.
 func (s *IECC) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, s.encode) }
 
-// encode builds one image. The codeword is systematic and the burst's bit
-// vector is exactly the data half, so the on-die region is just the check
+// encode builds one image. The codeword is systematic and the burst's
+// bytes are exactly the data half, so the on-die region is just the check
 // bits of the burst.
 func (s *IECC) encode(st *Stored, line []byte) {
-	for i, ci := range st.Chips {
-		dram.SplitChipInto(s.org, line, i, ci.Data)
-		ck := s.code.CheckBits(ci.Data.Bits())
-		ci.OnDie.Clear()
-		ci.OnDie.OrBits(0, uint64(ck), s.code.M)
+	for i := range st.Chips {
+		c := &st.Chips[i]
+		dram.SplitChip(s.org, line, i, c.Data)
+		putCheck(c.OnDie, s.code.CheckBits(c.Data.Bits))
 	}
+}
+
+// putCheck stores check bits in a one-beat on-die region (at most 16).
+func putCheck(r dram.Region, ck uint16) {
+	r.Bits[0] = byte(ck)
+	if len(r.Bits) > 1 {
+		r.Bits[1] = byte(ck >> 8)
+	}
+}
+
+// storedCheck returns the check bits putCheck stored.
+func storedCheck(r dram.Region) uint16 {
+	ck := uint16(r.Bits[0])
+	if len(r.Bits) > 1 {
+		ck |= uint16(r.Bits[1]) << 8
+	}
+	return ck
 }
 
 // DecodeBatchInto implements Scheme. Each chip decodes independently
@@ -70,15 +76,12 @@ func (s *IECC) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
 // is CheckBits(data) XOR storedCheck, so no N-bit word is assembled; a
 // data-bit correction lands directly in the line buffer.
 func (s *IECC) decode(dst []byte, st *Stored) Claim {
-	for i := range dst {
-		dst[i] = 0
-	}
 	claim := ClaimClean
 	busWidth := s.org.ChipsPerRank * s.org.Pins
-	for i, ci := range st.Chips {
-		dram.OrChipInto(s.org, dst, i, ci.Data)
-		syn := s.code.CheckBits(ci.Data.Bits()) ^ uint16(ci.OnDie.GetBits(0, s.code.M))
-		pos, outcome := s.code.DecodeSyndrome(syn)
+	for i := range st.Chips {
+		c := &st.Chips[i]
+		dram.JoinChip(s.org, dst, i, c.Data)
+		pos, outcome := s.code.DecodeSyndrome(s.code.CheckBits(c.Data.Bits) ^ storedCheck(c.OnDie))
 		switch outcome {
 		case hamming.Detected:
 			claim = ClaimDetected

@@ -3,8 +3,8 @@ package ecc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
-	"pair/internal/dram"
 	"pair/internal/faults"
 )
 
@@ -12,25 +12,9 @@ import (
 // redundancy and transferred redundancy alike, since all are DRAM cells —
 // independently with probability ber. Returns the number of bits flipped.
 func InjectInherent(rng *rand.Rand, st *Stored, ber float64) int {
-	if ber <= 0 {
-		return 0
-	}
 	n := 0
-	for _, ci := range st.Chips {
-		if ci.Data != nil {
-			n += faults.InjectInherent(rng, ci.Data, ber)
-		}
-		if ci.OnDie != nil {
-			for i := 0; i < ci.OnDie.Len(); i++ {
-				if rng.Float64() < ber {
-					ci.OnDie.Flip(i)
-					n++
-				}
-			}
-		}
-		if ci.Xfer != nil {
-			n += faults.InjectInherent(rng, ci.Xfer, ber)
-		}
+	for i := range st.Chips {
+		n += faults.InjectInherent(rng, &st.Chips[i], ber)
 	}
 	return n
 }
@@ -45,21 +29,21 @@ func InjectAccessFault(rng *rand.Rand, st *Stored, kind faults.Kind, chip int) {
 	if chip < 0 {
 		chip = rng.Intn(len(st.Chips))
 	}
-	ci := st.Chips[chip]
+	c := &st.Chips[chip]
 	switch kind {
 	case faults.InherentCell, faults.TransientBit, faults.PermanentCell:
 		// One uniformly random stored bit, data or redundancy: weak cells
 		// do not care which logical region they sit in.
-		flipChipBit(ci, rng.Intn(ci.TotalBits()))
+		c.Flip(rng.Intn(c.TotalBits()))
 	case faults.PermanentColumn:
 		// Bitline fault: one fixed lane of the access.
-		faults.InjectLane(rng, ci.Data)
+		faults.InjectLane(rng, c.Data)
 	case faults.PermanentPin:
-		injectPinFault(rng, ci, rng.Intn(ci.Data.Pins))
+		faults.InjectPin(rng, c)
 	case faults.PermanentLocalWordline:
-		faults.InjectLocalWordline(rng, ci.Data)
+		faults.InjectLocalWordline(rng, c.Data)
 	case faults.PermanentWord, faults.PermanentRow, faults.PermanentBank:
-		corruptArray(rng, ci)
+		faults.InjectWord(rng, c)
 	default:
 		panic(fmt.Sprintf("ecc: cannot inject access fault of kind %v", kind))
 	}
@@ -74,17 +58,17 @@ func ApplyDeviceFault(rng *rand.Rand, st *Stored, f faults.Fault) {
 	if f.Chip < 0 || f.Chip >= len(st.Chips) {
 		panic(fmt.Sprintf("ecc: device fault chip %d outside image with %d chips", f.Chip, len(st.Chips)))
 	}
-	ci := st.Chips[f.Chip]
+	c := &st.Chips[f.Chip]
 	switch f.Kind {
 	case faults.InherentCell, faults.TransientBit, faults.PermanentCell, faults.PermanentColumn:
-		d := ci.Data
+		d := c.Data
 		d.Flip(f.Lane%d.Pins, (f.Lane/d.Pins)%d.Beats)
 	case faults.PermanentPin:
-		injectPinFault(rng, ci, f.Lane%ci.Data.Pins)
+		faults.InjectPinAt(rng, c, f.Lane%c.Data.Pins)
 	case faults.PermanentLocalWordline:
-		faults.ApplyLocalWordline(rng, ci.Data, f.Lane)
+		faults.ApplyLocalWordline(rng, c.Data, f.Lane)
 	case faults.PermanentWord, faults.PermanentRow, faults.PermanentBank:
-		corruptArray(rng, ci)
+		faults.InjectWord(rng, c)
 	default:
 		panic(fmt.Sprintf("ecc: cannot apply device fault of kind %v", f.Kind))
 	}
@@ -95,13 +79,14 @@ func ApplyDeviceFault(rng *rand.Rand, st *Stored, f faults.Fault) {
 // the primitive the semi-analytic BER sweep uses to place exactly k
 // distinct weak cells.
 func FlipStored(st *Stored, idx int) {
-	for _, ci := range st.Chips {
-		n := ci.TotalBits()
-		if idx < n {
-			flipChipBit(ci, idx)
-			return
+	for i := range st.Chips {
+		c := &st.Chips[i]
+		if n := c.TotalBits(); idx >= n {
+			idx -= n
+			continue
 		}
-		idx -= n
+		c.Flip(idx)
+		return
 	}
 	panic(fmt.Sprintf("ecc: stored bit index %d out of range", idx))
 }
@@ -113,95 +98,17 @@ func FlipRandomStoredBits(rng *rand.Rand, st *Stored, k int) {
 	if k > total {
 		k = total
 	}
-	// Floyd's sampling of k distinct indices.
-	chosen := make(map[int]bool, k)
+	// Floyd's sampling of k distinct indices. Flips are XORs, so each
+	// index is flipped as soon as it is drawn; the chosen set is a short
+	// slice (k <= 16 in every sweep) scanned linearly.
+	var small [16]int
+	chosen := small[:0]
 	for j := total - k; j < total; j++ {
 		v := rng.Intn(j + 1)
-		if chosen[v] {
+		if slices.Contains(chosen, v) {
 			v = j
 		}
-		chosen[v] = true
+		chosen = append(chosen, v)
+		FlipStored(st, v)
 	}
-	for idx := range chosen {
-		FlipStored(st, idx)
-	}
-}
-
-// flipChipBit flips bit idx of the chip image, where indices run over
-// Data, OnDie, Xfer in that order.
-func flipChipBit(ci *ChipImage, idx int) {
-	if ci.Data != nil {
-		n := ci.Data.Pins * ci.Data.Beats
-		if idx < n {
-			ci.Data.Flip(idx%ci.Data.Pins, idx/ci.Data.Pins)
-			return
-		}
-		idx -= n
-	}
-	if ci.OnDie != nil {
-		if idx < ci.OnDie.Len() {
-			ci.OnDie.Flip(idx)
-			return
-		}
-		idx -= ci.OnDie.Len()
-	}
-	ci.Xfer.Flip(idx%ci.Xfer.Pins, idx/ci.Xfer.Pins)
-}
-
-// injectPinFault corrupts the given pin's lane in everything that crosses
-// the pins: the data burst and any transferred redundancy beats. The
-// on-die region is untouched — it never leaves the die.
-func injectPinFault(rng *rand.Rand, ci *ChipImage, pin int) {
-	n := 0
-	for n == 0 {
-		for beat := 0; beat < ci.Data.Beats; beat++ {
-			if rng.Intn(2) == 1 {
-				ci.Data.Flip(pin, beat)
-				n++
-			}
-		}
-		if ci.Xfer != nil && pin < ci.Xfer.Pins {
-			for beat := 0; beat < ci.Xfer.Beats; beat++ {
-				if rng.Intn(2) == 1 {
-					ci.Xfer.Flip(pin, beat)
-					n++
-				}
-			}
-		}
-	}
-}
-
-// corruptArray randomizes the whole chip image (each bit flips with
-// probability 1/2, at least one flip) — the per-access signature of word,
-// row and bank faults, which garble everything the affected array region
-// holds, redundancy included.
-func corruptArray(rng *rand.Rand, ci *ChipImage) {
-	n := 0
-	for n == 0 {
-		n += randomize(rng, ci.Data)
-		if ci.OnDie != nil {
-			for i := 0; i < ci.OnDie.Len(); i++ {
-				if rng.Intn(2) == 1 {
-					ci.OnDie.Flip(i)
-					n++
-				}
-			}
-		}
-		if ci.Xfer != nil {
-			n += randomize(rng, ci.Xfer)
-		}
-	}
-}
-
-func randomize(rng *rand.Rand, b *dram.Burst) int {
-	n := 0
-	for pin := 0; pin < b.Pins; pin++ {
-		for beat := 0; beat < b.Beats; beat++ {
-			if rng.Intn(2) == 1 {
-				b.Flip(pin, beat)
-				n++
-			}
-		}
-	}
-	return n
 }

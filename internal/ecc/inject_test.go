@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -24,17 +25,15 @@ func TestFlipStoredIndexesEveryBit(t *testing.T) {
 	}
 	// Everything flipped once: no chip image may equal the original.
 	for i := range st.Chips {
-		if st.Chips[i].Data.Equal(ref.Chips[i].Data) {
+		if bytes.Equal(st.Chips[i].Data.Bits, ref.Chips[i].Data.Bits) {
 			t.Fatal("data region untouched by full flip sweep")
 		}
 	}
 	for idx := 0; idx < total; idx++ {
 		FlipStored(st, idx)
 	}
-	for i := range st.Chips {
-		if !st.Chips[i].Data.Equal(ref.Chips[i].Data) || !st.Chips[i].OnDie.Equal(ref.Chips[i].OnDie) {
-			t.Fatal("double flip sweep did not restore the image")
-		}
+	if !bytes.Equal(st.buf, ref.buf) {
+		t.Fatal("double flip sweep did not restore the image")
 	}
 }
 
@@ -57,10 +56,10 @@ func TestFlipStoredCoversXferRegion(t *testing.T) {
 	// Chip 0's image: 128 data + 16 xfer bits; flip index 128 (first
 	// xfer bit).
 	FlipStored(st, 128)
-	if !st.Chips[0].Data.Equal(ref.Chips[0].Data) {
+	if !bytes.Equal(st.Chips[0].Data.Bits, ref.Chips[0].Data.Bits) {
 		t.Fatal("index 128 hit the data region")
 	}
-	if st.Chips[0].Xfer.Equal(ref.Chips[0].Xfer) {
+	if bytes.Equal(st.Chips[0].Xfer.Bits, ref.Chips[0].Xfer.Bits) {
 		t.Fatal("index 128 did not hit the xfer region")
 	}
 }
@@ -129,13 +128,7 @@ func TestInjectAccessFaultAllKindsAllSchemes(t *testing.T) {
 			InjectAccessFault(rng, st, k, -1)
 			flips := 0
 			for _, ci := range st.Chips {
-				flips += ci.Data.PopCount()
-				if ci.OnDie != nil {
-					flips += ci.OnDie.PopCount()
-				}
-				if ci.Xfer != nil {
-					flips += ci.Xfer.PopCount()
-				}
+				flips += ci.Data.PopCount() + ci.OnDie.PopCount() + ci.Xfer.PopCount()
 			}
 			if flips == 0 {
 				t.Fatalf("%s/%v: injection flipped nothing", s.Name(), k)

@@ -24,21 +24,15 @@ func (n *None) Name() string { return "none" }
 func (n *None) Org() dram.Organization { return n.org }
 
 // NewStored implements Scheme.
-func (n *None) NewStored() *Stored {
-	st := &Stored{Org: n.org, Chips: make([]*ChipImage, n.org.ChipsPerRank)}
-	for i := range st.Chips {
-		st.Chips[i] = &ChipImage{Data: dram.NewBurst(n.org.Pins, n.org.BurstLen)}
-	}
-	return st
-}
+func (n *None) NewStored() *Stored { return NewImage(n.org, n.org.ChipsPerRank, 0, 0) }
 
 // EncodeBatchInto implements Scheme.
 func (n *None) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, n.encode) }
 
 // encode stores the line as-is.
 func (n *None) encode(st *Stored, line []byte) {
-	for i, ci := range st.Chips {
-		dram.SplitChipInto(n.org, line, i, ci.Data)
+	for i := range st.Chips {
+		dram.SplitChip(n.org, line, i, st.Chips[i].Data)
 	}
 }
 
@@ -49,11 +43,8 @@ func (n *None) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
 
 // decode reads the line back and believes it clean.
 func (n *None) decode(dst []byte, st *Stored) Claim {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, ci := range st.Chips {
-		dram.OrChipInto(n.org, dst, i, ci.Data)
+	for i := range st.Chips {
+		dram.JoinChip(n.org, dst, i, st.Chips[i].Data)
 	}
 	return ClaimClean
 }

@@ -1,6 +1,7 @@
 package ecc
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -11,15 +12,9 @@ import (
 // regionPops sums the per-region population counts of a stored image.
 func regionPops(st *Stored) (data, onDie, xfer int) {
 	for _, ci := range st.Chips {
-		if ci.Data != nil {
-			data += ci.Data.PopCount()
-		}
-		if ci.OnDie != nil {
-			onDie += ci.OnDie.PopCount()
-		}
-		if ci.Xfer != nil {
-			xfer += ci.Xfer.PopCount()
-		}
+		data += ci.Data.PopCount()
+		onDie += ci.OnDie.PopCount()
+		xfer += ci.Xfer.PopCount()
 	}
 	return
 }
@@ -35,17 +30,8 @@ func diffPops(t *testing.T, scheme Scheme, sc faults.Scenario, seed int64) (data
 	clean := Encode(scheme, line)
 	dirty := clean.Clone()
 	ScenarioInjector(sc)(rng, dirty)
-	for c := range dirty.Chips {
-		d, cl := dirty.Chips[c], clean.Chips[c]
-		if d.Data != nil {
-			d.Data.Xor(cl.Data)
-		}
-		if d.OnDie != nil {
-			d.OnDie.Xor(cl.OnDie)
-		}
-		if d.Xfer != nil {
-			d.Xfer.Xor(cl.Xfer)
-		}
+	for i := range dirty.buf {
+		dirty.buf[i] ^= clean.buf[i]
 	}
 	return regionPops(dirty)
 }
@@ -118,9 +104,7 @@ func TestScenarioInjectorChipkillSpansAllImages(t *testing.T) {
 		ScenarioInjector(kill)(rng, dirty)
 		for c := range dirty.Chips {
 			d, cl := dirty.Chips[c], clean.Chips[c]
-			if (d.Data != nil && !d.Data.Equal(cl.Data)) ||
-				(d.OnDie != nil && !d.OnDie.Equal(cl.OnDie)) ||
-				(d.Xfer != nil && !d.Xfer.Equal(cl.Xfer)) {
+			if !bytes.Equal(d.Data.Bits, cl.Data.Bits) || !bytes.Equal(d.OnDie.Bits, cl.OnDie.Bits) || !bytes.Equal(d.Xfer.Bits, cl.Xfer.Bits) {
 				hit[c] = true
 			}
 		}

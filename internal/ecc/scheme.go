@@ -15,7 +15,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"pair/internal/bitvec"
 	"pair/internal/dram"
 )
 
@@ -102,81 +101,57 @@ func Classify(golden, decoded []byte, claim Claim) Outcome {
 	}
 }
 
-// ChipImage is the physical storage image one chip contributes to a
-// protected rank access. Fault injection distinguishes three regions
-// because real faults do:
-//
-//   - Data: the bits that cross the DQ pins during the burst. Pin faults
-//     corrupt exactly these, one pin lane at a time.
-//   - OnDie: redundancy that lives in the array and is consumed inside
-//     the die (IECC check bits, XED's detector parity, PAIR's parity
-//     symbols). Cell and array faults reach it; pin faults never do.
-//   - Xfer: redundancy that crosses the pins on extension beats (DUO's
-//     forwarded redundancy). Pin faults corrupt its lane too.
-//
-// Unused regions are nil.
-type ChipImage struct {
-	Data  *dram.Burst
-	OnDie *bitvec.Vec
-	Xfer  *dram.Burst
-}
-
-// Clone deep-copies the image.
-func (ci *ChipImage) Clone() *ChipImage {
-	out := &ChipImage{}
-	if ci.Data != nil {
-		out.Data = ci.Data.Clone()
-	}
-	if ci.OnDie != nil {
-		out.OnDie = ci.OnDie.Clone()
-	}
-	if ci.Xfer != nil {
-		out.Xfer = ci.Xfer.Clone()
-	}
-	return out
-}
-
-// TotalBits returns the number of stored bits in the image.
-func (ci *ChipImage) TotalBits() int {
-	n := 0
-	if ci.Data != nil {
-		n += ci.Data.Pins * ci.Data.Beats
-	}
-	if ci.OnDie != nil {
-		n += ci.OnDie.Len()
-	}
-	if ci.Xfer != nil {
-		n += ci.Xfer.Pins * ci.Xfer.Beats
-	}
-	return n
-}
-
 // Stored is the complete physical image of one protected line: one
-// ChipImage per chip the scheme stores bits on (data chips first; schemes
+// dram.Chip per chip the scheme stores bits on (data chips first; schemes
 // with extra parity storage, like XED's inline parity line, append the
-// extra images after the data chips and document the layout).
+// extra images after the data chips and document the layout). Every chip
+// of an image has one shape, and all of them are sliced from one buffer.
+// Images come from a scheme's NewStored (built with NewImage).
 type Stored struct {
 	Org   dram.Organization
-	Chips []*ChipImage
+	Chips []dram.Chip
+	buf   []byte // backs every chip's regions
+}
+
+// NewImage returns a zeroed image of n chips, each a Pins x BurstLen data
+// burst of org plus onDie on-die bits and xfer extension beats (0 for an
+// absent region), all sliced from one buffer.
+func NewImage(org dram.Organization, n, onDie, xfer int) *Stored {
+	chips, buf := dram.NewChips(n, dram.Shape{Pins: org.Pins, Beats: org.BurstLen, OnDie: onDie, Xfer: xfer})
+	return &Stored{Org: org, Chips: chips, buf: buf}
 }
 
 // Clone deep-copies the stored image (the unit of fault injection: inject
-// into a clone, decode, compare with the original).
+// into a clone, decode, compare with the original) with one copy.
 func (s *Stored) Clone() *Stored {
-	out := &Stored{Org: s.Org, Chips: make([]*ChipImage, len(s.Chips))}
-	for i, ci := range s.Chips {
-		out.Chips[i] = ci.Clone()
-	}
+	sh := s.Chips[0].Shape()
+	out := NewImage(s.Org, len(s.Chips), sh.OnDie, sh.Xfer)
+	copy(out.buf, s.buf)
 	return out
 }
 
 // TotalBits sums stored bits over all chips.
 func (s *Stored) TotalBits() int {
 	n := 0
-	for _, ci := range s.Chips {
-		n += ci.TotalBits()
+	for i := range s.Chips {
+		n += s.Chips[i].TotalBits()
 	}
 	return n
+}
+
+// CheckShape returns an error naming the first difference when st is not
+// shaped like want — chip count, then each chip's region sizes — and nil
+// when the two images have the same layout.
+func CheckShape(st, want *Stored) error {
+	if len(st.Chips) != len(want.Chips) {
+		return fmt.Errorf("ecc: image has %d chips, want %d", len(st.Chips), len(want.Chips))
+	}
+	for i := range st.Chips {
+		if got, w := st.Chips[i].Shape(), want.Chips[i].Shape(); got != w {
+			return fmt.Errorf("ecc: chip %d is shaped %+v, want %+v", i, got, w)
+		}
+	}
+	return nil
 }
 
 // AccessCost captures the performance-relevant mechanics of a scheme; the

@@ -1,7 +1,6 @@
 package ecc
 
 import (
-	"pair/internal/bitvec"
 	"pair/internal/dram"
 	"pair/internal/hamming"
 )
@@ -41,13 +40,7 @@ func (s *SECDED) Org() dram.Organization { return s.org }
 // NewStored implements Scheme. Chips[0..ChipsPerRank) carry data; the
 // last image is the ECC chip, whose beat b holds the check byte of beat
 // b's codeword.
-func (s *SECDED) NewStored() *Stored {
-	st := &Stored{Org: s.org, Chips: make([]*ChipImage, s.org.TotalChips())}
-	for i := range st.Chips {
-		st.Chips[i] = &ChipImage{Data: dram.NewBurst(s.org.Pins, s.org.BurstLen)}
-	}
-	return st
-}
+func (s *SECDED) NewStored() *Stored { return NewImage(s.org, s.org.TotalChips(), 0, 0) }
 
 // EncodeBatchInto implements Scheme.
 func (s *SECDED) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, s.encode) }
@@ -58,18 +51,12 @@ func (s *SECDED) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts
 func (s *SECDED) encode(st *Stored, line []byte) {
 	nData := s.org.ChipsPerRank
 	for c := 0; c < nData; c++ {
-		dram.SplitChipInto(s.org, line, c, st.Chips[c].Data)
+		dram.SplitChip(s.org, line, c, st.Chips[c].Data)
 	}
-	eccBits := st.Chips[nData].Data.Bits()
-	eccBits.Clear()
-	data := bitvec.New(s.code.K)
+	eccBytes := st.Chips[nData].Data.Bits // byte b is beat b's check byte
 	beatBytes := s.code.K / 8
-	for beat := 0; beat < s.org.BurstLen; beat++ {
-		data.Clear()
-		for j, v := range line[beat*beatBytes : (beat+1)*beatBytes] {
-			data.OrBits(8*j, uint64(v), 8)
-		}
-		eccBits.OrBits(beat*s.org.Pins, uint64(s.code.CheckBits(data)), s.code.M)
+	for beat := range eccBytes {
+		eccBytes[beat] = byte(s.code.CheckBits(line[beat*beatBytes : (beat+1)*beatBytes]))
 	}
 }
 
@@ -78,31 +65,29 @@ func (s *SECDED) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
 	DecodeEach(dst, sts, claims, s.decode)
 }
 
-// decode recovers one line. One word serves all beats: every position is
-// overwritten per beat and the correction happens in place
-// (hamming.DecodeInto).
+// decode recovers one line the way IECC does: the data chips join the
+// line, beat b's syndrome is CheckBits(its line bytes) XOR its stored
+// check byte, and a data-bit correction flips the line bit directly.
 func (s *SECDED) decode(dst []byte, st *Stored) Claim {
 	nData := s.org.ChipsPerRank
-	eccBits := st.Chips[nData].Data.Bits()
+	for c := 0; c < nData; c++ {
+		dram.JoinChip(s.org, dst, c, st.Chips[c].Data)
+	}
 	claim := ClaimClean
-	word := bitvec.New(s.code.N)
 	beatBytes := s.code.K / 8
-	for beat := 0; beat < s.org.BurstLen; beat++ {
-		word.Clear()
-		for c := 0; c < nData; c++ {
-			word.OrBits(c*s.org.Pins, st.Chips[c].Data.Bits().GetBits(beat*s.org.Pins, s.org.Pins), s.org.Pins)
-		}
-		word.OrBits(s.code.K, eccBits.GetBits(beat*s.org.Pins, s.code.M), s.code.M)
-		switch s.code.DecodeInto(word, word) {
+	for beat, ck := range st.Chips[nData].Data.Bits {
+		data := dst[beat*beatBytes : (beat+1)*beatBytes]
+		pos, outcome := s.code.DecodeSyndrome(s.code.CheckBits(data) ^ uint16(ck))
+		switch outcome {
 		case hamming.Detected:
 			claim = ClaimDetected
 		case hamming.Corrected:
 			if claim != ClaimDetected {
 				claim = ClaimCorrected
 			}
-		}
-		for j := 0; j < beatBytes; j++ {
-			dst[beat*beatBytes+j] = byte(word.GetBits(8*j, 8))
+			if pos < s.code.K {
+				data[pos/8] ^= 1 << (pos % 8)
+			}
 		}
 	}
 	return claim

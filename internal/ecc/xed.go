@@ -1,9 +1,6 @@
 package ecc
 
 import (
-	"sync"
-
-	"pair/internal/bitvec"
 	"pair/internal/dram"
 	"pair/internal/hamming"
 )
@@ -32,7 +29,6 @@ import (
 type XED struct {
 	org  dram.Organization
 	code *hamming.Code
-	rec  sync.Pool // *dram.Burst reconstruction scratch
 }
 
 // NewXED returns the XED scheme on the given organization.
@@ -40,9 +36,7 @@ func NewXED(org dram.Organization) *XED {
 	if err := org.Validate(); err != nil {
 		panic(err)
 	}
-	s := &XED{org: org, code: hamming.MustSEC(org.AccessBits())}
-	s.rec.New = func() any { return dram.NewBurst(org.Pins, org.BurstLen) }
-	return s
+	return &XED{org: org, code: hamming.MustSEC(org.AccessBits())}
 }
 
 // Name implements Scheme.
@@ -53,16 +47,7 @@ func (s *XED) Org() dram.Organization { return s.org }
 
 // NewStored implements Scheme: Chips[0..ChipsPerRank) are the data
 // chips; Chips[ChipsPerRank] is the inline parity image.
-func (s *XED) NewStored() *Stored {
-	st := &Stored{Org: s.org, Chips: make([]*ChipImage, s.org.ChipsPerRank+1)}
-	for i := range st.Chips {
-		st.Chips[i] = &ChipImage{
-			Data:  dram.NewBurst(s.org.Pins, s.org.BurstLen),
-			OnDie: bitvec.New(s.code.M),
-		}
-	}
-	return st
-}
+func (s *XED) NewStored() *Stored { return NewImage(s.org, s.org.ChipsPerRank+1, s.code.M, 0) }
 
 // EncodeBatchInto implements Scheme.
 func (s *XED) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, lines, s.encode) }
@@ -71,31 +56,29 @@ func (s *XED) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, l
 // parity image over them.
 func (s *XED) encode(st *Stored, line []byte) {
 	nData := s.org.ChipsPerRank
-	parity := st.Chips[nData]
-	for i := 0; i < nData; i++ {
-		ci := st.Chips[i]
-		dram.SplitChipInto(s.org, line, i, ci.Data)
-		s.setDetectorBits(ci)
-		if i == 0 {
-			parity.Data.CopyFrom(ci.Data)
-		} else {
-			parity.Data.Xor(ci.Data)
+	parity := st.Chips[nData].Data.Bits
+	clear(parity)
+	for i := range st.Chips {
+		c := &st.Chips[i]
+		if i < nData {
+			dram.SplitChip(s.org, line, i, c.Data)
+			xorInto(parity, c.Data.Bits)
 		}
+		putCheck(c.OnDie, s.code.CheckBits(c.Data.Bits))
 	}
-	s.setDetectorBits(parity)
 }
 
-// setDetectorBits writes the on-die check bits of the image's burst.
-func (s *XED) setDetectorBits(ci *ChipImage) {
-	ck := s.code.CheckBits(ci.Data.Bits())
-	ci.OnDie.Clear()
-	ci.OnDie.OrBits(0, uint64(ck), s.code.M)
+// xorInto sets dst ^= src byte by byte.
+func xorInto(dst, src []byte) {
+	for i, v := range src {
+		dst[i] ^= v
+	}
 }
 
 // flagged reports whether the chip's detector fires (nonzero syndrome):
 // the data's recomputed check bits disagree with the stored ones.
-func (s *XED) flagged(ci *ChipImage) bool {
-	return s.code.CheckBits(ci.Data.Bits()) != uint16(ci.OnDie.GetBits(0, s.code.M))
+func (s *XED) flagged(c *dram.Chip) bool {
+	return s.code.CheckBits(c.Data.Bits) != storedCheck(c.OnDie)
 }
 
 // DecodeBatchInto implements Scheme.
@@ -109,47 +92,36 @@ func (s *XED) decode(dst []byte, st *Stored) Claim {
 	flaggedChip := -1
 	nFlagged := 0
 	for i := 0; i < nData; i++ {
-		if s.flagged(st.Chips[i]) {
+		dram.JoinChip(s.org, dst, i, st.Chips[i].Data)
+		if s.flagged(&st.Chips[i]) {
 			flaggedChip = i
 			nFlagged++
 		}
-	}
-	for i := range dst {
-		dst[i] = 0
 	}
 	switch {
 	case nFlagged == 0:
 		// Nothing signalled: data passes through. The rank parity is NOT
 		// verified on ordinary reads (faithful to XED's design), so an
 		// aliased pattern sails through as SDC.
-		for i := 0; i < nData; i++ {
-			dram.OrChipInto(s.org, dst, i, st.Chips[i].Data)
-		}
 		return ClaimClean
-	case nFlagged == 1:
-		parityImg := st.Chips[nData]
-		if s.flagged(parityImg) {
-			// Reconstruction source is itself suspect.
-			for i := 0; i < nData; i++ {
-				dram.OrChipInto(s.org, dst, i, st.Chips[i].Data)
-			}
-			return ClaimDetected
-		}
-		rec := s.rec.Get().(*dram.Burst)
-		rec.CopyFrom(parityImg.Data)
+	case nFlagged == 1 && !s.flagged(&st.Chips[nData]):
+		// Rebuild the flagged chip's burst as the parity image XOR the
+		// other data chips. A burst is at most 16 pins x 16 beats.
+		parity := st.Chips[nData].Data
+		var buf [32]byte
+		rec := parity
+		rec.Bits = buf[:len(parity.Bits)]
+		copy(rec.Bits, parity.Bits)
 		for i := 0; i < nData; i++ {
 			if i != flaggedChip {
-				rec.Xor(st.Chips[i].Data)
-				dram.OrChipInto(s.org, dst, i, st.Chips[i].Data)
+				xorInto(rec.Bits, st.Chips[i].Data.Bits)
 			}
 		}
-		dram.OrChipInto(s.org, dst, flaggedChip, rec)
-		s.rec.Put(rec)
+		dram.JoinChip(s.org, dst, flaggedChip, rec)
 		return ClaimCorrected
 	default:
-		for i := 0; i < nData; i++ {
-			dram.OrChipInto(s.org, dst, i, st.Chips[i].Data)
-		}
+		// Two or more chips flagged, or one flagged with a suspect
+		// reconstruction source (the parity image itself flags).
 		return ClaimDetected
 	}
 }

@@ -128,46 +128,6 @@ func overlap1D(a, b, n int) int64 {
 	}
 }
 
-// ApplyToAccess XORs the fault's per-access error pattern into mask. The
-// access is assumed to be inside the fault's footprint. Patterns that are
-// "random garbage" in the model (word/row/bank faults) are drawn from rng;
-// structural patterns (cell, lane, pin) are deterministic.
-func (f Fault) ApplyToAccess(rng *rand.Rand, mask *dram.Burst) {
-	switch f.Kind {
-	case InherentCell, TransientBit, PermanentCell:
-		mask.Flip(f.Lane%mask.Pins, (f.Lane/mask.Pins)%mask.Beats)
-	case PermanentColumn:
-		mask.Flip(f.Lane%mask.Pins, (f.Lane/mask.Pins)%mask.Beats)
-	case PermanentPin:
-		pin := f.Lane % mask.Pins
-		n := 0
-		for n == 0 {
-			for beat := 0; beat < mask.Beats; beat++ {
-				if rng.Intn(2) == 1 {
-					mask.Flip(pin, beat)
-					n++
-				}
-			}
-		}
-	case PermanentLocalWordline:
-		injectLocalWordlineAt(rng, mask, f.Lane%(mask.Pins/MatPins))
-	case PermanentWord, PermanentRow, PermanentBank:
-		n := 0
-		for n == 0 {
-			for pin := 0; pin < mask.Pins; pin++ {
-				for beat := 0; beat < mask.Beats; beat++ {
-					if rng.Intn(2) == 1 {
-						mask.Flip(pin, beat)
-						n++
-					}
-				}
-			}
-		}
-	default:
-		panic(fmt.Sprintf("faults: cannot apply kind %v", f.Kind))
-	}
-}
-
 // IsTransient reports whether scrubbing removes the fault.
 func (f Fault) IsTransient() bool { return f.Kind == TransientBit }
 

@@ -1,11 +1,13 @@
 // Package faults models DRAM fault behaviour at the two granularities the
 // PAIR evaluation needs.
 //
-// Access level: injectors that corrupt a single chip access (a
-// dram.Burst) with a given pattern — inherent weak-cell flips at a swept
-// bit-error rate, single-cell upsets, whole-pin (DQ/TSV) faults, bitline
-// lanes, beat faults, and burst errors along or across pins. These drive
-// the codeword-level reliability experiments (F1/F2/T2/F6/F7).
+// Access level: injectors that corrupt a single chip access (a dram.Chip,
+// or the dram.Region of its data burst) with a given pattern — inherent
+// weak-cell flips at a swept bit-error rate, single-cell upsets, whole-pin
+// (DQ/TSV) faults, bitline lanes, beat faults, and burst errors along or
+// across pins. These drive the codeword-level reliability experiments
+// (F1/F2/T2/F6/F7). Each pattern has one implementation, which the fault
+// scenarios and the ecc bridge share.
 //
 // Device level: permanent fault records with geometric footprints (which
 // accesses of which bank/row/column they touch), FIT rates shaped after
@@ -110,49 +112,66 @@ func DefaultFITTable() []FITEntry {
 
 // --- Access-level injectors -------------------------------------------
 //
-// Each injector XORs an error pattern into mask (a zeroed Burst of the
-// chip-access shape) and returns the number of bits flipped.
+// Each injector XORs an error pattern into a chip access and returns the
+// number of bits flipped. Array patterns take the whole dram.Chip and
+// reach every stored bit; interface patterns reach what crosses the pins;
+// the rest take the data burst alone.
 
-// InjectInherent flips each bit independently with probability ber.
-func InjectInherent(rng *rand.Rand, mask *dram.Burst, ber float64) int {
+// InjectInherent flips every stored bit of the chip independently with
+// probability ber — data, on-die and transferred redundancy alike, since
+// all are DRAM cells — walking each region pin by pin.
+func InjectInherent(rng *rand.Rand, c *dram.Chip, ber float64) int {
+	if ber <= 0 {
+		return 0
+	}
 	n := 0
-	for pin := 0; pin < mask.Pins; pin++ {
-		for beat := 0; beat < mask.Beats; beat++ {
-			if rng.Float64() < ber {
-				mask.Flip(pin, beat)
-				n++
+	for _, r := range c.Regions() {
+		for pin := 0; pin < r.Pins; pin++ {
+			for beat := 0; beat < r.Beats; beat++ {
+				if rng.Float64() < ber {
+					r.Flip(pin, beat)
+					n++
+				}
 			}
 		}
 	}
 	return n
 }
 
-// InjectNCells flips exactly n distinct random bits.
-func InjectNCells(rng *rand.Rand, mask *dram.Burst, n int) int {
-	total := mask.Pins * mask.Beats
+// InjectNCells flips exactly n distinct random stored bits of the chip
+// (every bit when n exceeds the chip's size) and returns the count.
+func InjectNCells(rng *rand.Rand, c *dram.Chip, n int) int {
+	total := c.TotalBits()
 	if n > total {
 		n = total
 	}
-	perm := rng.Perm(total)
-	for _, idx := range perm[:n] {
-		mask.Flip(idx%mask.Pins, idx/mask.Pins)
+	for _, idx := range rng.Perm(total)[:n] {
+		c.Flip(idx)
 	}
 	return n
 }
 
-// InjectPin corrupts one random pin: each of its beats is replaced by a
-// random value, guaranteeing at least one flipped bit. Returns flips.
-func InjectPin(rng *rand.Rand, mask *dram.Burst) int {
-	return injectPinAt(rng, mask, rng.Intn(mask.Pins))
+// InjectPin corrupts one random pin of the chip (see InjectPinAt).
+func InjectPin(rng *rand.Rand, c *dram.Chip) int {
+	return InjectPinAt(rng, c, rng.Intn(c.Data.Pins))
 }
 
-func injectPinAt(rng *rand.Rand, mask *dram.Burst, pin int) int {
+// InjectPinAt corrupts the given pin's lane in everything that crosses
+// the pins — the data burst, then any transferred redundancy — and never
+// the on-die region, which stays inside the die. Each beat on the lane
+// flips with probability 1/2, and at least one bit flips.
+func InjectPinAt(rng *rand.Rand, c *dram.Chip, pin int) int {
 	n := 0
 	for n == 0 {
-		for beat := 0; beat < mask.Beats; beat++ {
-			if rng.Intn(2) == 1 {
-				mask.Flip(pin, beat)
-				n++
+		for _, r := range [2]dram.Region{c.Data, c.Xfer} {
+			if pin >= r.Pins {
+				continue
+			}
+			for beat := 0; beat < r.Beats; beat++ {
+				if rng.Intn(2) == 1 {
+					r.Flip(pin, beat)
+					n++
+				}
 			}
 		}
 	}
@@ -161,7 +180,7 @@ func injectPinAt(rng *rand.Rand, mask *dram.Burst, pin int) int {
 
 // InjectLane flips one fixed (pin, beat) position — the per-access
 // signature of a bitline (column) fault.
-func InjectLane(rng *rand.Rand, mask *dram.Burst) int {
+func InjectLane(rng *rand.Rand, mask dram.Region) int {
 	mask.Flip(rng.Intn(mask.Pins), rng.Intn(mask.Beats))
 	return 1
 }
@@ -169,7 +188,7 @@ func InjectLane(rng *rand.Rand, mask *dram.Burst) int {
 // InjectBeat corrupts one random beat across all pins (an IO-strobe
 // glitch): each pin's bit in that beat flips with probability 1/2, at
 // least one flip guaranteed.
-func InjectBeat(rng *rand.Rand, mask *dram.Burst) int {
+func InjectBeat(rng *rand.Rand, mask dram.Region) int {
 	beat := rng.Intn(mask.Beats)
 	n := 0
 	for n == 0 {
@@ -183,18 +202,22 @@ func InjectBeat(rng *rand.Rand, mask *dram.Burst) int {
 	return n
 }
 
-// InjectWord replaces the whole access with random corruption: every bit
-// flips with probability 1/2 (at least one flip guaranteed). The
-// returned count is exact: the retry loop only repeats after a pass that
-// flipped nothing, which leaves both the mask and the count untouched.
-func InjectWord(rng *rand.Rand, mask *dram.Burst) int {
+// InjectWord replaces the whole chip access with random corruption: every
+// stored bit — data, on-die and transferred redundancy — flips with
+// probability 1/2, at least one flip guaranteed. It is the per-access
+// signature of word, row and bank faults and of a chip kill. The returned
+// count is exact: the retry loop only repeats after a pass that flipped
+// nothing, which leaves both the chip and the count untouched.
+func InjectWord(rng *rand.Rand, c *dram.Chip) int {
 	n := 0
 	for n == 0 {
-		for pin := 0; pin < mask.Pins; pin++ {
-			for beat := 0; beat < mask.Beats; beat++ {
-				if rng.Intn(2) == 1 {
-					mask.Flip(pin, beat)
-					n++
+		for _, r := range c.Regions() {
+			for pin := 0; pin < r.Pins; pin++ {
+				for beat := 0; beat < r.Beats; beat++ {
+					if rng.Intn(2) == 1 {
+						r.Flip(pin, beat)
+						n++
+					}
 				}
 			}
 		}
@@ -209,19 +232,19 @@ const MatPins = 2
 // InjectLocalWordline corrupts the MatPins adjacent pins of one random
 // mat across all beats (each bit flips with probability 1/2, at least one
 // flip). Returns the number of flips.
-func InjectLocalWordline(rng *rand.Rand, mask *dram.Burst) int {
+func InjectLocalWordline(rng *rand.Rand, mask dram.Region) int {
 	return injectLocalWordlineAt(rng, mask, rng.Intn(mask.Pins/MatPins))
 }
 
 // ApplyLocalWordline corrupts the pins of the given mat index (for
 // device-level faults whose mat is fixed).
-func ApplyLocalWordline(rng *rand.Rand, mask *dram.Burst, mat int) int {
+func ApplyLocalWordline(rng *rand.Rand, mask dram.Region, mat int) int {
 	return injectLocalWordlineAt(rng, mask, mat%(mask.Pins/MatPins))
 }
 
 // injectLocalWordlineAt corrupts the mat's pins; as in InjectWord, the
 // zero-flip retry keeps the returned count equal to the bits flipped.
-func injectLocalWordlineAt(rng *rand.Rand, mask *dram.Burst, mat int) int {
+func injectLocalWordlineAt(rng *rand.Rand, mask dram.Region, mat int) int {
 	base := mat * MatPins
 	n := 0
 	for n == 0 {
@@ -242,7 +265,7 @@ func injectLocalWordlineAt(rng *rand.Rand, mask *dram.Burst, mat int) int {
 // confines to one symbol. The length clamps to [0, mask.Beats]; like
 // every injector it returns the actual number of flipped bits, so a
 // non-positive b flips nothing, returns 0 and draws no randomness.
-func InjectPinBurst(rng *rand.Rand, mask *dram.Burst, b int) int {
+func InjectPinBurst(rng *rand.Rand, mask dram.Region, b int) int {
 	if b <= 0 {
 		return 0
 	}
@@ -262,7 +285,7 @@ func InjectPinBurst(rng *rand.Rand, mask *dram.Burst, b int) int {
 // confine but pin-aligned symbols spread. The length clamps to
 // [0, mask.Pins] and the return value is the actual flip count, exactly
 // as for InjectPinBurst.
-func InjectBeatBurst(rng *rand.Rand, mask *dram.Burst, b int) int {
+func InjectBeatBurst(rng *rand.Rand, mask dram.Region, b int) int {
 	if b <= 0 {
 		return 0
 	}

@@ -7,7 +7,10 @@ import (
 	"pair/internal/dram"
 )
 
-func newMask() *dram.Burst { return dram.NewBurst(16, 8) }
+func newMask() dram.Region { return dram.NewRegion(16, 8) }
+
+// newChip returns a chip access with only a 16x8 data burst.
+func newChip() *dram.Chip { return &dram.Chip{Data: newMask()} }
 
 func TestKindStrings(t *testing.T) {
 	for k := Kind(0); int(k) < NumKinds; k++ {
@@ -44,16 +47,15 @@ func TestInjectInherentRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	total, flips := 0, 0
 	for trial := 0; trial < 2000; trial++ {
-		m := newMask()
-		flips += InjectInherent(rng, m, 0.01)
+		flips += InjectInherent(rng, newChip(), 0.01)
 		total += 128
 	}
 	rate := float64(flips) / float64(total)
 	if rate < 0.007 || rate > 0.013 {
 		t.Fatalf("observed BER %.4f, want ~0.01", rate)
 	}
-	m := newMask()
-	if InjectInherent(rng, m, 0) != 0 || m.PopCount() != 0 {
+	m := newChip()
+	if InjectInherent(rng, m, 0) != 0 || m.Data.PopCount() != 0 {
 		t.Fatal("BER 0 flipped bits")
 	}
 }
@@ -61,13 +63,13 @@ func TestInjectInherentRate(t *testing.T) {
 func TestInjectNCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for n := 0; n <= 5; n++ {
-		m := newMask()
-		if got := InjectNCells(rng, m, n); got != n || m.PopCount() != n {
-			t.Fatalf("n=%d: injected %d, popcount %d", n, got, m.PopCount())
+		m := newChip()
+		if got := InjectNCells(rng, m, n); got != n || m.Data.PopCount() != n {
+			t.Fatalf("n=%d: injected %d, popcount %d", n, got, m.Data.PopCount())
 		}
 	}
 	// Saturation: more cells than bits.
-	m := newMask()
+	m := newChip()
 	if got := InjectNCells(rng, m, 1000); got != 128 {
 		t.Fatalf("saturated injection = %d, want 128", got)
 	}
@@ -76,14 +78,14 @@ func TestInjectNCells(t *testing.T) {
 func TestInjectPinConfinedToOnePin(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
-		m := newMask()
+		m := newChip()
 		n := InjectPin(rng, m)
 		if n == 0 {
 			t.Fatal("pin fault flipped nothing")
 		}
 		pins := map[int]bool{}
-		for pin := 0; pin < m.Pins; pin++ {
-			if m.PinSymbol(pin) != 0 {
+		for pin := 0; pin < m.Data.Pins; pin++ {
+			if m.Data.PinSymbolPart(pin, 0) != 0 {
 				pins[pin] = true
 			}
 		}
@@ -123,8 +125,8 @@ func TestInjectBeatConfinedToOneBeat(t *testing.T) {
 func TestInjectWordNonEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 50; trial++ {
-		m := newMask()
-		if InjectWord(rng, m) == 0 || m.PopCount() == 0 {
+		m := newChip()
+		if InjectWord(rng, m) == 0 || m.Data.PopCount() == 0 {
 			t.Fatal("word fault flipped nothing")
 		}
 	}
@@ -234,43 +236,6 @@ func TestOverlapAccesses(t *testing.T) {
 	cellB := Fault{Kind: PermanentCell, Chip: 0, Bank: 1, Row: 10, Col: 3}
 	if cellA.OverlapAccesses(cellB, org) != 1 {
 		t.Fatal("co-located cells must overlap")
-	}
-}
-
-func TestApplyToAccessPatterns(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	org := dram.DDR4x16()
-
-	cell := Sample(rng, PermanentCell, org)
-	m := newMask()
-	cell.ApplyToAccess(rng, m)
-	if m.PopCount() != 1 {
-		t.Fatalf("cell pattern weight %d", m.PopCount())
-	}
-	// Deterministic position: applying twice cancels.
-	cell.ApplyToAccess(rng, m)
-	if m.PopCount() != 0 {
-		t.Fatal("cell pattern not deterministic")
-	}
-
-	pin := Sample(rng, PermanentPin, org)
-	m = newMask()
-	pin.ApplyToAccess(rng, m)
-	touched := 0
-	for p := 0; p < 16; p++ {
-		if m.PinSymbol(p) != 0 {
-			touched++
-		}
-	}
-	if touched != 1 {
-		t.Fatalf("pin fault touched %d pins", touched)
-	}
-
-	row := Sample(rng, PermanentRow, org)
-	m = newMask()
-	row.ApplyToAccess(rng, m)
-	if m.PopCount() == 0 {
-		t.Fatal("row fault produced empty pattern")
 	}
 }
 

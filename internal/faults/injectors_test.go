@@ -9,37 +9,42 @@ import (
 
 // TestInjectorFlipCountsExact audits every access-level injector against
 // the shared contract: the return value equals the number of bits set in
-// a fresh mask, for every injector, shape and trial. This pins the
+// a fresh chip access, for every injector, shape and trial. This pins the
 // subtle retry-loop invariant of InjectWord/InjectLocalWordline (a
 // zero-flip pass leaves mask and count untouched) and the burst
-// injectors' clamped lengths.
+// injectors' clamped lengths. Chip-level injectors run on chips with all
+// three regions.
 func TestInjectorFlipCountsExact(t *testing.T) {
-	shapes := []struct{ pins, beats int }{{16, 8}, {16, 16}, {8, 8}, {4, 8}}
+	shapes := []dram.Shape{{Pins: 16, Beats: 8, OnDie: 32}, {Pins: 16, Beats: 16, Xfer: 1}, {Pins: 8, Beats: 8, OnDie: 7, Xfer: 1}, {Pins: 4, Beats: 8, OnDie: 6}}
+	data := func(f func(*rand.Rand, dram.Region) int) func(*rand.Rand, *dram.Chip) int {
+		return func(r *rand.Rand, c *dram.Chip) int { return f(r, c.Data) }
+	}
 	injectors := []struct {
 		name   string
-		inject func(*rand.Rand, *dram.Burst) int
+		inject func(*rand.Rand, *dram.Chip) int
 	}{
-		{"InjectInherent(0.1)", func(r *rand.Rand, m *dram.Burst) int { return InjectInherent(r, m, 0.1) }},
-		{"InjectNCells(3)", func(r *rand.Rand, m *dram.Burst) int { return InjectNCells(r, m, 3) }},
+		{"InjectInherent(0.1)", func(r *rand.Rand, c *dram.Chip) int { return InjectInherent(r, c, 0.1) }},
+		{"InjectNCells(3)", func(r *rand.Rand, c *dram.Chip) int { return InjectNCells(r, c, 3) }},
 		{"InjectPin", InjectPin},
-		{"InjectLane", InjectLane},
-		{"InjectBeat", InjectBeat},
+		{"InjectLane", data(InjectLane)},
+		{"InjectBeat", data(InjectBeat)},
 		{"InjectWord", InjectWord},
-		{"InjectLocalWordline", InjectLocalWordline},
-		{"InjectPinBurst(4)", func(r *rand.Rand, m *dram.Burst) int { return InjectPinBurst(r, m, 4) }},
-		{"InjectPinBurst(64)", func(r *rand.Rand, m *dram.Burst) int { return InjectPinBurst(r, m, 64) }},
-		{"InjectBeatBurst(2)", func(r *rand.Rand, m *dram.Burst) int { return InjectBeatBurst(r, m, 2) }},
-		{"InjectBeatBurst(64)", func(r *rand.Rand, m *dram.Burst) int { return InjectBeatBurst(r, m, 64) }},
+		{"InjectLocalWordline", data(InjectLocalWordline)},
+		{"InjectPinBurst(4)", data(func(r *rand.Rand, m dram.Region) int { return InjectPinBurst(r, m, 4) })},
+		{"InjectPinBurst(64)", data(func(r *rand.Rand, m dram.Region) int { return InjectPinBurst(r, m, 64) })},
+		{"InjectBeatBurst(2)", data(func(r *rand.Rand, m dram.Region) int { return InjectBeatBurst(r, m, 2) })},
+		{"InjectBeatBurst(64)", data(func(r *rand.Rand, m dram.Region) int { return InjectBeatBurst(r, m, 64) })},
 	}
 	for _, in := range injectors {
 		rng := rand.New(rand.NewSource(5))
 		for _, sh := range shapes {
 			for trial := 0; trial < 500; trial++ {
-				mask := dram.NewBurst(sh.pins, sh.beats)
-				n := in.inject(rng, mask)
-				if got := mask.PopCount(); got != n {
-					t.Fatalf("%s on %dx%d trial %d: returned %d, mask has %d bits",
-						in.name, sh.pins, sh.beats, trial, n, got)
+				chips, _ := dram.NewChips(1, sh)
+				c := &chips[0]
+				n := in.inject(rng, c)
+				if got := c.Data.PopCount() + c.OnDie.PopCount() + c.Xfer.PopCount(); got != n {
+					t.Fatalf("%s on %+v trial %d: returned %d, chip has %d bits",
+						in.name, sh, trial, n, got)
 				}
 			}
 		}
@@ -55,7 +60,7 @@ func TestBurstInjectorDegenerateLengths(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		before := rng.Int63()
 		rng.Seed(1)
-		mask := dram.NewBurst(16, 8)
+		mask := dram.NewRegion(16, 8)
 		if n := InjectPinBurst(rng, mask, b); n != 0 || mask.PopCount() != 0 {
 			t.Fatalf("InjectPinBurst(b=%d) = %d with %d bits set", b, n, mask.PopCount())
 		}
@@ -74,29 +79,29 @@ func TestBurstInjectorDegenerateLengths(t *testing.T) {
 func TestInjectorSpatialFootprints(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 300; trial++ {
-		pinMask := dram.NewBurst(16, 8)
-		InjectPin(rng, pinMask)
-		assertPinsSpanned(t, "InjectPin", pinMask, 1)
+		pinChip := dram.Chip{Data: dram.NewRegion(16, 8)}
+		InjectPin(rng, &pinChip)
+		assertPinsSpanned(t, "InjectPin", pinChip.Data, 1)
 
-		laneMask := dram.NewBurst(16, 8)
+		laneMask := dram.NewRegion(16, 8)
 		InjectLane(rng, laneMask)
 		if laneMask.PopCount() != 1 {
 			t.Fatal("InjectLane must flip exactly one bit")
 		}
 
-		beatMask := dram.NewBurst(16, 8)
+		beatMask := dram.NewRegion(16, 8)
 		InjectBeat(rng, beatMask)
 		assertBeatsSpanned(t, "InjectBeat", beatMask, 1)
 
-		lwlMask := dram.NewBurst(16, 8)
+		lwlMask := dram.NewRegion(16, 8)
 		InjectLocalWordline(rng, lwlMask)
 		assertPinsSpanned(t, "InjectLocalWordline", lwlMask, MatPins)
 
-		pbMask := dram.NewBurst(16, 8)
+		pbMask := dram.NewRegion(16, 8)
 		InjectPinBurst(rng, pbMask, 4)
 		assertPinsSpanned(t, "InjectPinBurst", pbMask, 1)
 
-		bbMask := dram.NewBurst(16, 8)
+		bbMask := dram.NewRegion(16, 8)
 		InjectBeatBurst(rng, bbMask, 4)
 		assertBeatsSpanned(t, "InjectBeatBurst", bbMask, 1)
 	}
@@ -104,7 +109,7 @@ func TestInjectorSpatialFootprints(t *testing.T) {
 
 // assertPinsSpanned fails when the mask's flips span more than width
 // adjacent pins.
-func assertPinsSpanned(t *testing.T, name string, m *dram.Burst, width int) {
+func assertPinsSpanned(t *testing.T, name string, m dram.Region, width int) {
 	t.Helper()
 	first, last := -1, -1
 	for pin := 0; pin < m.Pins; pin++ {
@@ -128,7 +133,7 @@ func assertPinsSpanned(t *testing.T, name string, m *dram.Burst, width int) {
 
 // assertBeatsSpanned fails when the mask's flips span more than width
 // beats.
-func assertBeatsSpanned(t *testing.T, name string, m *dram.Burst, width int) {
+func assertBeatsSpanned(t *testing.T, name string, m dram.Region, width int) {
 	t.Helper()
 	first, last := -1, -1
 	for beat := 0; beat < m.Beats; beat++ {

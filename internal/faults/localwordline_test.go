@@ -10,13 +10,13 @@ import (
 func TestInjectLocalWordlineConfinedToOneMat(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 300; trial++ {
-		m := dram.NewBurst(16, 8)
+		m := dram.NewRegion(16, 8)
 		if InjectLocalWordline(rng, m) == 0 {
 			t.Fatal("empty local wordline pattern")
 		}
 		mats := map[int]bool{}
 		for pin := 0; pin < m.Pins; pin++ {
-			if m.PinSymbol(pin) != 0 {
+			if m.PinSymbolPart(pin, 0) != 0 {
 				mats[pin/MatPins] = true
 			}
 		}
@@ -28,10 +28,10 @@ func TestInjectLocalWordlineConfinedToOneMat(t *testing.T) {
 
 func TestApplyLocalWordlineDeterministicMat(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m := dram.NewBurst(16, 8)
+	m := dram.NewRegion(16, 8)
 	ApplyLocalWordline(rng, m, 3)
 	for pin := 0; pin < m.Pins; pin++ {
-		if m.PinSymbol(pin) != 0 && pin/MatPins != 3 {
+		if m.PinSymbolPart(pin, 0) != 0 && pin/MatPins != 3 {
 			t.Fatalf("mat 3 fault corrupted pin %d", pin)
 		}
 	}

@@ -15,66 +15,14 @@ import (
 	"sort"
 	"strings"
 
-	"pair/internal/bitvec"
 	"pair/internal/dram"
 )
 
-// ChipAccess is a scenario's view of one chip's contribution to a
-// protected access, mirroring the three storage regions of ecc.ChipImage
-// (which this package cannot import without a cycle):
-//
-//   - Data: the bits that cross the DQ pins during the burst.
-//   - OnDie: redundancy that never leaves the die (in-DRAM check bits).
-//     Array faults reach it; interface faults never do.
-//   - Xfer: redundancy that crosses the pins on extension beats.
-//
-// Unused regions are nil; scenarios must tolerate any of the three being
-// absent (the faultmap CLI renders Data-only accesses).
-type ChipAccess struct {
-	Data  *dram.Burst
-	OnDie *bitvec.Vec
-	Xfer  *dram.Burst
-}
-
-// TotalBits returns the number of stored bits the access exposes.
-func (a *ChipAccess) TotalBits() int {
-	n := 0
-	if a.Data != nil {
-		n += a.Data.Pins * a.Data.Beats
-	}
-	if a.OnDie != nil {
-		n += a.OnDie.Len()
-	}
-	if a.Xfer != nil {
-		n += a.Xfer.Pins * a.Xfer.Beats
-	}
-	return n
-}
-
-// flipBit flips stored bit idx, indexing Data, then OnDie, then Xfer —
-// the same region order ecc uses for its global stored-bit indices.
-func (a *ChipAccess) flipBit(idx int) {
-	if a.Data != nil {
-		n := a.Data.Pins * a.Data.Beats
-		if idx < n {
-			a.Data.Flip(idx%a.Data.Pins, idx/a.Data.Pins)
-			return
-		}
-		idx -= n
-	}
-	if a.OnDie != nil {
-		if idx < a.OnDie.Len() {
-			a.OnDie.Flip(idx)
-			return
-		}
-		idx -= a.OnDie.Len()
-	}
-	a.Xfer.Flip(idx%a.Xfer.Pins, idx/a.Xfer.Pins)
-}
-
 // Scenario is one registered fault scenario instance. Inject corrupts a
-// rank access (one ChipAccess per chip, data chips first) using only the
-// given RNG, and returns the number of bit positions it XORed. An
+// rank access (one dram.Chip per stored chip image, data chips first) in
+// place using only the given RNG, and returns the number of bit positions
+// it XORed. Scenarios tolerate any absent region (the faultmap CLI
+// renders Data-only chips). An
 // instance holds no per-trial state, so one Scenario value is safe for
 // concurrent use from campaign shard workers, and equal (spec, RNG
 // stream) always produce the same corruption — the determinism contract
@@ -84,11 +32,11 @@ type Scenario interface {
 	// (parse∘canonical = identity); campaign labels embed it.
 	Spec() string
 	// Inject applies one trial's corruption and returns the flip count.
-	Inject(rng *rand.Rand, access []ChipAccess) int
+	Inject(rng *rand.Rand, chips []dram.Chip) int
 }
 
 // InjectFunc is the corruption hook a scenario constructor returns.
-type InjectFunc func(rng *rand.Rand, access []ChipAccess) int
+type InjectFunc func(rng *rand.Rand, chips []dram.Chip) int
 
 // ScenarioEntry is one registered scenario: identity, documentation and
 // the constructor hook that validates options and builds the injector.
@@ -212,8 +160,8 @@ type scenarioFunc struct {
 
 func (s *scenarioFunc) Spec() string { return s.spec }
 
-func (s *scenarioFunc) Inject(rng *rand.Rand, access []ChipAccess) int {
-	return s.inject(rng, access)
+func (s *scenarioFunc) Inject(rng *rand.Rand, chips []dram.Chip) int {
+	return s.inject(rng, chips)
 }
 
 // Compose combines scenarios into one that injects each in order per
@@ -235,10 +183,10 @@ func Compose(scs ...Scenario) Scenario {
 		spec += sc.Spec()
 	}
 	spec += ")"
-	return &scenarioFunc{spec: spec, inject: func(rng *rand.Rand, access []ChipAccess) int {
+	return &scenarioFunc{spec: spec, inject: func(rng *rand.Rand, chips []dram.Chip) int {
 		n := 0
 		for _, sc := range scs {
-			n += sc.Inject(rng, access)
+			n += sc.Inject(rng, chips)
 		}
 		return n
 	}}

@@ -1,10 +1,10 @@
 package faults
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
-	"pair/internal/bitvec"
 	"pair/internal/dram"
 )
 
@@ -12,36 +12,20 @@ import (
 // schemes' storage images: a 16x8 data burst per chip plus an 8-bit
 // on-die region and a 16x1 transferred-redundancy burst, so scenarios
 // exercise all three regions.
-func testRank() []ChipAccess {
-	access := make([]ChipAccess, 4)
-	for i := range access {
-		access[i] = ChipAccess{
-			Data:  dram.NewBurst(16, 8),
-			OnDie: bitvec.New(8),
-			Xfer:  dram.NewBurst(16, 1),
-		}
-	}
-	return access
+func testRank() []dram.Chip {
+	chips, _ := dram.NewChips(4, dram.Shape{Pins: 16, Beats: 8, OnDie: 8, Xfer: 1})
+	return chips
 }
 
-func rankPopCount(access []ChipAccess) int {
+func rankPopCount(access []dram.Chip) int {
 	n := 0
-	for i := range access {
-		a := &access[i]
-		if a.Data != nil {
-			n += a.Data.PopCount()
-		}
-		if a.OnDie != nil {
-			n += a.OnDie.PopCount()
-		}
-		if a.Xfer != nil {
-			n += a.Xfer.PopCount()
-		}
+	for _, a := range access {
+		n += a.Data.PopCount() + a.OnDie.PopCount() + a.Xfer.PopCount()
 	}
 	return n
 }
 
-func chipsTouched(access []ChipAccess) int {
+func chipsTouched(access []dram.Chip) int {
 	n := 0
 	for i := range access {
 		a := access[i]
@@ -68,7 +52,7 @@ func TestScenarioDeterminism(t *testing.T) {
 			}
 		}
 		for c := range a1 {
-			if !a1[c].Data.Equal(a2[c].Data) || !a1[c].OnDie.Equal(a2[c].OnDie) || !a1[c].Xfer.Equal(a2[c].Xfer) {
+			if !bytes.Equal(a1[c].Data.Bits, a2[c].Data.Bits) || !bytes.Equal(a1[c].OnDie.Bits, a2[c].OnDie.Bits) || !bytes.Equal(a1[c].Xfer.Bits, a2[c].Xfer.Bits) {
 				t.Fatalf("%s: corruption diverged on chip %d", id, c)
 			}
 		}
@@ -376,7 +360,7 @@ func TestScenarioDataOnlyAccess(t *testing.T) {
 	for _, id := range ScenarioIDs() {
 		sc := MustScenario(id)
 		rng := rand.New(rand.NewSource(3))
-		access := []ChipAccess{{Data: dram.NewBurst(16, 8)}}
+		access := []dram.Chip{{Data: dram.NewRegion(16, 8)}}
 		for trial := 0; trial < 20; trial++ {
 			sc.Inject(rng, access) // must not panic
 		}

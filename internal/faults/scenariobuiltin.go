@@ -28,10 +28,10 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return func(rng *rand.Rand, access []ChipAccess) int {
+			return func(rng *rand.Rand, chips []dram.Chip) int {
 				n := 0
-				for i := range access {
-					n += bernoulliChip(rng, &access[i], ber)
+				for i := range chips {
+					n += InjectInherent(rng, &chips[i], ber)
 				}
 				return n
 			}, nil
@@ -55,10 +55,10 @@ func init() {
 				return nil, err
 			}
 			seedRate := pop / cluster
-			return func(rng *rand.Rand, access []ChipAccess) int {
+			return func(rng *rand.Rand, chips []dram.Chip) int {
 				n := 0
-				for i := range access {
-					n += injectRetention(rng, &access[i], seedRate, cluster)
+				for i := range chips {
+					n += injectRetention(rng, &chips[i], seedRate, cluster)
 				}
 				return n
 			}, nil
@@ -76,13 +76,13 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return func(rng *rand.Rand, access []ChipAccess) int {
-				a := &access[rng.Intn(len(access))]
-				idx := rng.Intn(a.TotalBits())
+			return func(rng *rand.Rand, chips []dram.Chip) int {
+				c := &chips[rng.Intn(len(chips))]
+				idx := rng.Intn(c.TotalBits())
 				if rng.Float64() >= flicker {
 					return 0
 				}
-				a.flipBit(idx)
+				c.Flip(idx)
 				return 1
 			}, nil
 		},
@@ -107,9 +107,8 @@ func init() {
 			if rate == 0 {
 				return nil, fmt.Errorf("option rate must be > 0")
 			}
-			return func(rng *rand.Rand, access []ChipAccess) int {
-				a := &access[rng.Intn(len(access))]
-				return injectRowHammer(rng, a.Data, radius, rate)
+			return func(rng *rand.Rand, chips []dram.Chip) int {
+				return injectRowHammer(rng, chips[rng.Intn(len(chips))].Data, radius, rate)
 			}, nil
 		},
 	})
@@ -125,16 +124,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return func(rng *rand.Rand, access []ChipAccess) int {
-				a := &access[rng.Intn(len(access))]
-				k := count
-				if total := a.TotalBits(); k > total {
-					k = total
-				}
-				for _, idx := range rng.Perm(a.TotalBits())[:k] {
-					a.flipBit(idx)
-				}
-				return k
+			return func(rng *rand.Rand, chips []dram.Chip) int {
+				return InjectNCells(rng, &chips[rng.Intn(len(chips))], count)
 			}, nil
 		},
 	})
@@ -142,9 +133,8 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "pin",
 		Description: "DQ pin fault (TSV/bond-wire/IO driver): one pin's lane corrupted in everything crossing the pins",
-		New: noOptions(func(rng *rand.Rand, access []ChipAccess) int {
-			a := &access[rng.Intn(len(access))]
-			return injectPinAccess(rng, a, rng.Intn(a.Data.Pins))
+		New: noOptions(func(rng *rand.Rand, chips []dram.Chip) int {
+			return InjectPin(rng, &chips[rng.Intn(len(chips))])
 		}),
 	})
 
@@ -159,9 +149,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return func(rng *rand.Rand, access []ChipAccess) int {
-				a := &access[rng.Intn(len(access))]
-				return InjectPinBurst(rng, a.Data, b)
+			return func(rng *rand.Rand, chips []dram.Chip) int {
+				return InjectPinBurst(rng, chips[rng.Intn(len(chips))].Data, b)
 			}, nil
 		},
 	})
@@ -177,9 +166,8 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return func(rng *rand.Rand, access []ChipAccess) int {
-				a := &access[rng.Intn(len(access))]
-				return InjectBeatBurst(rng, a.Data, b)
+			return func(rng *rand.Rand, chips []dram.Chip) int {
+				return InjectBeatBurst(rng, chips[rng.Intn(len(chips))].Data, b)
 			}, nil
 		},
 	})
@@ -187,27 +175,24 @@ func init() {
 	RegisterScenario(ScenarioEntry{
 		ID:          "lane",
 		Description: "bitline (column) fault: one fixed (pin, beat) bit of one chip flips",
-		New: noOptions(func(rng *rand.Rand, access []ChipAccess) int {
-			a := &access[rng.Intn(len(access))]
-			return InjectLane(rng, a.Data)
+		New: noOptions(func(rng *rand.Rand, chips []dram.Chip) int {
+			return InjectLane(rng, chips[rng.Intn(len(chips))].Data)
 		}),
 	})
 
 	RegisterScenario(ScenarioEntry{
 		ID:          "beat",
 		Description: "IO-strobe glitch: one beat corrupted across all pins of one chip",
-		New: noOptions(func(rng *rand.Rand, access []ChipAccess) int {
-			a := &access[rng.Intn(len(access))]
-			return InjectBeat(rng, a.Data)
+		New: noOptions(func(rng *rand.Rand, chips []dram.Chip) int {
+			return InjectBeat(rng, chips[rng.Intn(len(chips))].Data)
 		}),
 	})
 
 	RegisterScenario(ScenarioEntry{
 		ID:          "localwordline",
 		Description: "mat-local wordline fault: the adjacent pins one mat feeds corrupted across all beats of one chip",
-		New: noOptions(func(rng *rand.Rand, access []ChipAccess) int {
-			a := &access[rng.Intn(len(access))]
-			return InjectLocalWordline(rng, a.Data)
+		New: noOptions(func(rng *rand.Rand, chips []dram.Chip) int {
+			return InjectLocalWordline(rng, chips[rng.Intn(len(chips))].Data)
 		}),
 	})
 
@@ -222,14 +207,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return func(rng *rand.Rand, access []ChipAccess) int {
-				k := chips
-				if k > len(access) {
-					k = len(access)
-				}
+			return func(rng *rand.Rand, image []dram.Chip) int {
+				k := min(chips, len(image))
 				n := 0
-				for _, c := range rng.Perm(len(access))[:k] {
-					n += corruptChipAccess(rng, &access[c])
+				for _, c := range rng.Perm(len(image))[:k] {
+					n += InjectWord(rng, &image[c])
 				}
 				return n
 			}, nil
@@ -276,67 +258,22 @@ func optInt(opts map[string]string, key string, def, lo, hi int) (int, error) {
 	return v, nil
 }
 
-// bernoulliChip flips every stored bit of the access independently with
-// probability p, all three regions alike, in Data/OnDie/Xfer order.
-func bernoulliChip(rng *rand.Rand, a *ChipAccess, p float64) int {
-	if p <= 0 {
-		return 0
-	}
-	n := 0
-	if a.Data != nil {
-		n += InjectInherent(rng, a.Data, p)
-	}
-	if a.OnDie != nil {
-		for i := 0; i < a.OnDie.Len(); i++ {
-			if rng.Float64() < p {
-				a.OnDie.Flip(i)
-				n++
-			}
-		}
-	}
-	if a.Xfer != nil {
-		n += InjectInherent(rng, a.Xfer, p)
-	}
-	return n
-}
-
 // injectRetention seeds weak cells at seedRate per stored bit and grows
-// each seed into a cluster with the given mean size: along adjacent pins
-// of the same beat in the burst regions, along adjacent indices in the
-// on-die region (clipped at the region edge, so boundary clusters
-// truncate instead of wrapping).
-func injectRetention(rng *rand.Rand, a *ChipAccess, seedRate, cluster float64) int {
+// each seed into a cluster with the given mean size along adjacent pins of
+// the same beat, clipped at the region edge so boundary clusters truncate
+// instead of wrapping. The on-die region is one beat, so its clusters run
+// along adjacent bit indices.
+func injectRetention(rng *rand.Rand, c *dram.Chip, seedRate, cluster float64) int {
 	n := 0
-	grow := func() int { return clusterSize(rng, cluster) }
-	if a.Data != nil {
-		n += retentionBurst(rng, a.Data, seedRate, grow)
-	}
-	if a.OnDie != nil {
-		for i := 0; i < a.OnDie.Len(); i++ {
-			if rng.Float64() < seedRate {
-				size := grow()
-				for j := 0; j < size && i+j < a.OnDie.Len(); j++ {
-					a.OnDie.Flip(i + j)
-					n++
-				}
-			}
-		}
-	}
-	if a.Xfer != nil {
-		n += retentionBurst(rng, a.Xfer, seedRate, grow)
-	}
-	return n
-}
-
-func retentionBurst(rng *rand.Rand, b *dram.Burst, seedRate float64, grow func() int) int {
-	n := 0
-	for beat := 0; beat < b.Beats; beat++ {
-		for pin := 0; pin < b.Pins; pin++ {
-			if rng.Float64() < seedRate {
-				size := grow()
-				for j := 0; j < size && pin+j < b.Pins; j++ {
-					b.Flip(pin+j, beat)
-					n++
+	for _, r := range c.Regions() {
+		for beat := 0; beat < r.Beats; beat++ {
+			for pin := 0; pin < r.Pins; pin++ {
+				if rng.Float64() < seedRate {
+					size := clusterSize(rng, cluster)
+					for j := 0; j < size && pin+j < r.Pins; j++ {
+						r.Flip(pin+j, beat)
+						n++
+					}
 				}
 			}
 		}
@@ -361,7 +298,7 @@ func clusterSize(rng *rand.Rand, mean float64) int {
 // injectRowHammer flips each cell within radius pins of an aggressor
 // position with the given rate, retrying until at least one bit flips —
 // an access known to sit next to a hammered row is disturbed.
-func injectRowHammer(rng *rand.Rand, b *dram.Burst, radius int, rate float64) int {
+func injectRowHammer(rng *rand.Rand, b dram.Region, radius int, rate float64) int {
 	center := rng.Intn(b.Pins)
 	lo, hi := center-radius, center+radius
 	if lo < 0 {
@@ -378,68 +315,6 @@ func injectRowHammer(rng *rand.Rand, b *dram.Burst, radius int, rate float64) in
 					b.Flip(pin, beat)
 					n++
 				}
-			}
-		}
-	}
-	return n
-}
-
-// injectPinAccess corrupts the given pin's lane in everything that
-// crosses the pins — the data burst and any transferred redundancy — and
-// never the on-die region, which stays inside the die. At least one bit
-// flips.
-func injectPinAccess(rng *rand.Rand, a *ChipAccess, pin int) int {
-	n := 0
-	for n == 0 {
-		for beat := 0; beat < a.Data.Beats; beat++ {
-			if rng.Intn(2) == 1 {
-				a.Data.Flip(pin, beat)
-				n++
-			}
-		}
-		if a.Xfer != nil && pin < a.Xfer.Pins {
-			for beat := 0; beat < a.Xfer.Beats; beat++ {
-				if rng.Intn(2) == 1 {
-					a.Xfer.Flip(pin, beat)
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
-// corruptChipAccess randomizes the whole chip access (each stored bit
-// flips with probability 1/2, at least one flip) — the chipkill
-// signature: data, on-die and transferred redundancy all garbled.
-func corruptChipAccess(rng *rand.Rand, a *ChipAccess) int {
-	n := 0
-	for n == 0 {
-		if a.Data != nil {
-			n += randomizeBurst(rng, a.Data)
-		}
-		if a.OnDie != nil {
-			for i := 0; i < a.OnDie.Len(); i++ {
-				if rng.Intn(2) == 1 {
-					a.OnDie.Flip(i)
-					n++
-				}
-			}
-		}
-		if a.Xfer != nil {
-			n += randomizeBurst(rng, a.Xfer)
-		}
-	}
-	return n
-}
-
-func randomizeBurst(rng *rand.Rand, b *dram.Burst) int {
-	n := 0
-	for pin := 0; pin < b.Pins; pin++ {
-		for beat := 0; beat < b.Beats; beat++ {
-			if rng.Intn(2) == 1 {
-				b.Flip(pin, beat)
-				n++
 			}
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+
+	"pair/internal/dram"
 )
 
 // Fault-scenario spec grammar, with the same canonical-form/ID-stability
@@ -152,10 +154,10 @@ func (s ScenarioSpec) Build() (Scenario, error) {
 			}
 			children[i] = c
 		}
-		inject := func(rng *rand.Rand, access []ChipAccess) int {
+		inject := func(rng *rand.Rand, chips []dram.Chip) int {
 			n := 0
 			for _, c := range children {
-				n += c.Inject(rng, access)
+				n += c.Inject(rng, chips)
 			}
 			return n
 		}

@@ -1,20 +1,48 @@
 package hamming
 
 import (
+	"bytes"
 	"math/bits"
 	"math/rand"
 	"testing"
-
-	"pair/internal/bitvec"
 )
 
-func randData(rng *rand.Rand, k int) *bitvec.Vec {
-	v := bitvec.New(k)
-	for i := 0; i < k; i++ {
-		v.Set(i, rng.Intn(2) == 1)
-	}
-	return v
+// word is a stored codeword the way the schemes keep one: data bytes plus
+// check bits.
+type word struct {
+	data  []byte
+	check uint16
 }
+
+// encode returns the codeword of random data.
+func encode(rng *rand.Rand, c *Code) word {
+	data := make([]byte, c.K/8)
+	rng.Read(data)
+	return word{data: data, check: c.CheckBits(data)}
+}
+
+// flip toggles codeword position pos (data bits first, then check bits).
+func (w word) flip(c *Code, pos int) word {
+	out := word{data: append([]byte(nil), w.data...), check: w.check}
+	if pos < c.K {
+		out.data[pos/8] ^= 1 << (pos % 8)
+	} else {
+		out.check ^= 1 << (pos - c.K)
+	}
+	return out
+}
+
+// decode corrects a received word the way IECC and SECDED do: syndrome
+// CheckBits(data) XOR check, then one flip.
+func (w word) decode(c *Code) (word, Outcome) {
+	pos, outcome := c.DecodeSyndrome(c.CheckBits(w.data) ^ w.check)
+	if outcome == Corrected {
+		return w.flip(c, pos), outcome
+	}
+	return w, outcome
+}
+
+func (w word) equal(o word) bool { return bytes.Equal(w.data, o.data) && w.check == o.check }
 
 func TestSECShapes(t *testing.T) {
 	// The canonical IECC code: (136,128).
@@ -64,30 +92,67 @@ func TestColumnsDistinct(t *testing.T) {
 }
 
 func TestEncodeZeroSyndrome(t *testing.T) {
+	// The check bits make the full N-bit word's syndrome — the XOR of the
+	// columns of every set position — zero.
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range []*Code{MustSEC(128), MustSECDED(64)} {
 		for trial := 0; trial < 100; trial++ {
-			cw := c.Encode(randData(rng, c.K))
-			if c.Syndrome(cw) != 0 {
+			w := encode(rng, c)
+			var syn uint16
+			for pos := 0; pos < c.K; pos++ {
+				if w.data[pos/8]&(1<<(pos%8)) != 0 {
+					syn ^= c.cols[pos]
+				}
+			}
+			for j := 0; j < c.M; j++ {
+				if w.check&(1<<j) != 0 {
+					syn ^= c.cols[c.K+j]
+				}
+			}
+			if syn != 0 {
 				t.Fatalf("(%d,%d): encoded word has nonzero syndrome", c.N, c.K)
 			}
 		}
 	}
 }
 
+func TestCheckBitsMatchesColumnXor(t *testing.T) {
+	// The per-byte tables must equal the bit-by-bit definition, including
+	// codes whose data bits end mid-byte (bits past K are ignored).
+	rng := rand.New(rand.NewSource(8))
+	for _, c := range []*Code{MustSEC(128), MustSEC(64), MustSEC(256), MustSECDED(64), MustSEC(11)} {
+		data := make([]byte, (c.K+7)/8)
+		for trial := 0; trial < 200; trial++ {
+			rng.Read(data)
+			var want uint16
+			for i := 0; i < c.K; i++ {
+				if data[i/8]&(1<<(i%8)) != 0 {
+					want ^= c.cols[i]
+				}
+			}
+			if got := c.CheckBits(data); got != want {
+				t.Fatalf("(%d,%d): CheckBits %#x, column XOR %#x", c.N, c.K, got, want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("short data did not panic")
+		}
+	}()
+	MustSEC(128).CheckBits(make([]byte, 15))
+}
+
 func TestSingleErrorAlwaysCorrected(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, c := range []*Code{MustSEC(128), MustSEC(64), MustSECDED(64)} {
 		for pos := 0; pos < c.N; pos++ {
-			data := randData(rng, c.K)
-			cw := c.Encode(data)
-			rx := cw.Clone()
-			rx.Flip(pos)
-			out, outcome := c.Decode(rx)
+			cw := encode(rng, c)
+			out, outcome := cw.flip(c, pos).decode(c)
 			if outcome != Corrected {
 				t.Fatalf("(%d,%d) pos=%d: outcome %v", c.N, c.K, pos, outcome)
 			}
-			if !out.Equal(cw) {
+			if !out.equal(cw) {
 				t.Fatalf("(%d,%d) pos=%d: wrong correction", c.N, c.K, pos)
 			}
 		}
@@ -97,9 +162,9 @@ func TestSingleErrorAlwaysCorrected(t *testing.T) {
 func TestCleanDecode(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	c := MustSEC(128)
-	cw := c.Encode(randData(rng, 128))
-	out, outcome := c.Decode(cw)
-	if outcome != Clean || !out.Equal(cw) {
+	cw := encode(rng, c)
+	out, outcome := cw.decode(c)
+	if outcome != Clean || !out.equal(cw) {
 		t.Fatal("clean word not accepted")
 	}
 }
@@ -111,22 +176,18 @@ func TestSECDoubleErrorNeverSilentlyClean(t *testing.T) {
 	c := MustSEC(128)
 	miscorrections, detections := 0, 0
 	for trial := 0; trial < 2000; trial++ {
-		data := randData(rng, c.K)
-		cw := c.Encode(data)
-		rx := cw.Clone()
+		cw := encode(rng, c)
 		i := rng.Intn(c.N)
 		j := rng.Intn(c.N)
 		for j == i {
 			j = rng.Intn(c.N)
 		}
-		rx.Flip(i)
-		rx.Flip(j)
-		out, outcome := c.Decode(rx)
+		out, outcome := cw.flip(c, i).flip(c, j).decode(c)
 		switch outcome {
 		case Clean:
 			t.Fatal("double error decoded as clean")
 		case Corrected:
-			if out.Equal(cw) {
+			if out.equal(cw) {
 				t.Fatal("double error 'corrected' to the true word — impossible")
 			}
 			miscorrections++
@@ -147,16 +208,13 @@ func TestSECDEDDetectsAllDoubleErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := MustSECDED(64)
 	for trial := 0; trial < 1500; trial++ {
-		cw := c.Encode(randData(rng, c.K))
-		rx := cw.Clone()
+		cw := encode(rng, c)
 		i := rng.Intn(c.N)
 		j := rng.Intn(c.N)
 		for j == i {
 			j = rng.Intn(c.N)
 		}
-		rx.Flip(i)
-		rx.Flip(j)
-		if _, outcome := c.Decode(rx); outcome != Detected {
+		if _, outcome := cw.flip(c, i).flip(c, j).decode(c); outcome != Detected {
 			t.Fatalf("SECDED double error at (%d,%d) not detected: %v", i, j, outcome)
 		}
 	}
@@ -167,25 +225,13 @@ func TestSECDEDExhaustiveDoubleDetection(t *testing.T) {
 	// data word: the Hsiao property is structural, not statistical.
 	c := MustSECDED(64)
 	rng := rand.New(rand.NewSource(6))
-	cw := c.Encode(randData(rng, 64))
+	cw := encode(rng, c)
 	for i := 0; i < c.N; i++ {
 		for j := i + 1; j < c.N; j++ {
-			rx := cw.Clone()
-			rx.Flip(i)
-			rx.Flip(j)
-			if _, outcome := c.Decode(rx); outcome != Detected {
+			if _, outcome := cw.flip(c, i).flip(c, j).decode(c); outcome != Detected {
 				t.Fatalf("double (%d,%d) not detected", i, j)
 			}
 		}
-	}
-}
-
-func TestDataExtraction(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	c := MustSEC(128)
-	data := randData(rng, 128)
-	if !c.Data(c.Encode(data)).Equal(data) {
-		t.Fatal("Data() does not invert Encode()")
 	}
 }
 
@@ -250,59 +296,16 @@ func TestSECDEDOddWeightColumns(t *testing.T) {
 	}
 }
 
-func TestDecodePreservesInput(t *testing.T) {
-	// Decode must work on a clone: the received word is evidence.
-	c := MustSEC(64)
-	data := bitvec.New(64)
-	data.Set(5, true)
-	cw := c.Encode(data)
-	rx := cw.Clone()
-	rx.Flip(10)
-	before := rx.String()
-	c.Decode(rx)
-	if rx.String() != before {
-		t.Fatal("Decode mutated its input")
-	}
-}
-
-func TestDecodeIntoMatchesDecode(t *testing.T) {
-	// DecodeInto is Decode without the clone: identical outcome and bits
-	// for clean, single-error and double-error words, for a separate
-	// destination and for in-place correction.
-	rng := rand.New(rand.NewSource(9))
-	for _, c := range []*Code{MustSEC(128), MustSECDED(64)} {
-		dst := bitvec.New(c.N)
-		for trial := 0; trial < 200; trial++ {
-			cw := c.Encode(randData(rng, c.K))
-			rx := cw.Clone()
-			for f := 0; f < trial%3; f++ {
-				rx.Flip(rng.Intn(c.N))
-			}
-			want, wantOutcome := c.Decode(rx)
-			if got := c.DecodeInto(dst, rx); got != wantOutcome || !dst.Equal(want) {
-				t.Fatalf("(%d,%d): DecodeInto outcome %v bits-match %v, Decode outcome %v",
-					c.N, c.K, got, dst.Equal(want), wantOutcome)
-			}
-			inPlace := rx.Clone()
-			if got := c.DecodeInto(inPlace, inPlace); got != wantOutcome || !inPlace.Equal(want) {
-				t.Fatalf("(%d,%d): in-place DecodeInto diverged", c.N, c.K)
-			}
-		}
-	}
-}
-
-func TestDecodeIntoAllocs(t *testing.T) {
-	// The per-access decode loops of the on-die schemes lean on DecodeInto
-	// being allocation-free (Decode clones: 2 allocs, 56 B for (136,128)).
+func TestDecodeSyndromeAllocs(t *testing.T) {
+	// The per-access decode loops of the on-die schemes lean on CheckBits
+	// and DecodeSyndrome being allocation-free.
 	c := MustSEC(128)
-	cw := c.Encode(randData(rand.New(rand.NewSource(10)), c.K))
-	cw.Flip(40)
-	dst := bitvec.New(c.N)
+	cw := encode(rand.New(rand.NewSource(10)), c).flip(c, 40)
 	if n := testing.AllocsPerRun(100, func() {
-		if c.DecodeInto(dst, cw) != Corrected {
+		if _, outcome := c.DecodeSyndrome(c.CheckBits(cw.data) ^ cw.check); outcome != Corrected {
 			t.Fatal("unexpected outcome")
 		}
 	}); n != 0 {
-		t.Fatalf("DecodeInto allocates %v objects per run, want 0", n)
+		t.Fatalf("CheckBits+DecodeSyndrome allocate %v objects per run, want 0", n)
 	}
 }

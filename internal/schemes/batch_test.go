@@ -99,24 +99,15 @@ func testBatchDifferential(t *testing.T, rng *rand.Rand, s ecc.Scheme, nimg int)
 // storedEqual reports whether two stored images are bit-identical across
 // every chip region.
 func storedEqual(a, b *ecc.Stored) bool {
-	if len(a.Chips) != len(b.Chips) {
+	if ecc.CheckShape(a, b) != nil {
 		return false
 	}
-	for i, ca := range a.Chips {
-		cb := b.Chips[i]
-		if (ca.Data == nil) != (cb.Data == nil) ||
-			(ca.OnDie == nil) != (cb.OnDie == nil) ||
-			(ca.Xfer == nil) != (cb.Xfer == nil) {
-			return false
-		}
-		if ca.Data != nil && !ca.Data.Bits().Equal(cb.Data.Bits()) {
-			return false
-		}
-		if ca.OnDie != nil && !ca.OnDie.Equal(cb.OnDie) {
-			return false
-		}
-		if ca.Xfer != nil && !ca.Xfer.Bits().Equal(cb.Xfer.Bits()) {
-			return false
+	for i := range a.Chips {
+		rb := b.Chips[i].Regions()
+		for j, r := range a.Chips[i].Regions() {
+			if !bytes.Equal(r.Bits, rb[j].Bits) {
+				return false
+			}
 		}
 	}
 	return true

@@ -16,8 +16,6 @@ import (
 	"pair/internal/memsim"
 	"pair/internal/rs"
 	"pair/internal/trace"
-
-	"pair/internal/bitvec"
 )
 
 func BenchmarkGF256Mul(b *testing.B) {
@@ -107,16 +105,15 @@ func BenchmarkExpandableDecodeTwoErrors(b *testing.B) {
 
 func BenchmarkHammingDecode136(b *testing.B) {
 	c := hamming.MustSEC(128)
-	data := bitvec.New(128)
+	data := make([]byte, 16)
 	for i := 0; i < 128; i += 3 {
-		data.Set(i, true)
+		data[i/8] |= 1 << (i % 8)
 	}
-	cw := c.Encode(data)
-	cw.Flip(40)
-	dst := bitvec.New(c.N)
+	check := c.CheckBits(data)
+	data[40/8] ^= 1 << (40 % 8)
 	b.SetBytes(16)
 	for i := 0; i < b.N; i++ {
-		if outcome := c.DecodeInto(dst, cw); outcome != hamming.Corrected {
+		if _, outcome := c.DecodeSyndrome(c.CheckBits(data) ^ check); outcome != hamming.Corrected {
 			b.Fatal("unexpected outcome")
 		}
 	}

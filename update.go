@@ -16,11 +16,14 @@ import (
 // masked write on top of latent corruption behaves like real hardware:
 // correctable errors are scrubbed in passing; an uncorrectable pattern
 // surfaces as an error here instead of being silently folded into fresh
-// parity.
+// parity. An image not shaped like the scheme's own is an error too.
 func Update(scheme Scheme, st *Stored, off int, data []byte) (*Stored, error) {
 	lineBytes := scheme.Org().LineBytes()
 	if off < 0 || off+len(data) > lineBytes {
 		return nil, fmt.Errorf("pair: update [%d,%d) outside %d-byte line", off, off+len(data), lineBytes)
+	}
+	if err := ecc.CheckShape(st, scheme.NewStored()); err != nil {
+		return nil, fmt.Errorf("pair: update of a non-%s image: %w", scheme.Name(), err)
 	}
 	current, claim := ecc.Decode(scheme, st)
 	if claim == ecc.ClaimDetected {

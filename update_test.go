@@ -3,6 +3,7 @@ package pair_test
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pair"
@@ -66,10 +67,20 @@ func TestUpdateRefusesUncorrectable(t *testing.T) {
 	st := pair.Encode(s, line)
 	// Garble a whole chip: uncorrectable.
 	for p := 0; p < 16; p++ {
-		st.Chips[0].Data.SetPinSymbol(p, byte(p)*37+1)
+		st.Chips[0].Data.SetPinSymbolPart(p, 0, byte(p)*37+1)
 	}
 	if _, err := pair.Update(s, st, 0, []byte{1}); err == nil {
 		t.Fatal("masked write over uncorrectable line accepted")
+	}
+}
+
+func TestUpdateRejectsForeignImage(t *testing.T) {
+	// An IECC image has no transferred redundancy for DUO to decode: the
+	// shape mismatch is an error, not a nil dereference.
+	st := pair.Encode(pair.NewIECC(), make([]byte, 64))
+	_, err := pair.Update(pair.NewDUO(), st, 0, []byte{1})
+	if err == nil || !strings.Contains(err.Error(), "chip 0 is shaped") {
+		t.Fatalf("DUO update of an IECC image: err = %v", err)
 	}
 }
 
