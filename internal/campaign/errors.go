@@ -113,10 +113,11 @@ type Report struct {
 	warnings       []string
 }
 
-// warnf records a warning line and forwards it to sink (if non-nil).
-// It is the single funnel for every degradation message the engine
-// emits, so callers see warnings live and in the final report alike.
-func (r *Report) warnf(sink func(string, ...any), format string, args ...any) {
+// Warningf records a warning line and forwards it to sink (if
+// non-nil). It is the single funnel for every degradation message the
+// engine and the fleet coordinator emit, so callers see warnings live
+// and in the final report alike.
+func (r *Report) Warningf(sink func(string, ...any), format string, args ...any) {
 	if r != nil {
 		r.mu.Lock()
 		r.warnings = append(r.warnings, fmt.Sprintf(format, args...))
@@ -127,23 +128,8 @@ func (r *Report) warnf(sink func(string, ...any), format string, args ...any) {
 	}
 }
 
-// AddShardError records one permanent shard failure. Exported for
-// remote executors (fleet coordinators) recording failures reported by
-// worker processes; local runs record through Run.
-func (r *Report) AddShardError(e *ShardError) { r.addShardError(e) }
-
-// AddShardRetry counts one re-attempt of a failed shard (exported for
-// remote executors; a re-issued lease is a retry).
-func (r *Report) AddShardRetry() { r.addShardRetry() }
-
-// Warningf records a warning line and forwards it to sink if non-nil
-// (exported for remote executors sharing a Report with the engine).
-func (r *Report) Warningf(sink func(string, ...any), format string, args ...any) {
-	r.warnf(sink, format, args...)
-}
-
-// addShardError records one permanent shard failure.
-func (r *Report) addShardError(e *ShardError) {
+// AddShardError records one permanent shard failure.
+func (r *Report) AddShardError(e *ShardError) {
 	if r == nil {
 		return
 	}
@@ -152,8 +138,9 @@ func (r *Report) addShardError(e *ShardError) {
 	r.shardErrors = append(r.shardErrors, e)
 }
 
-// addShardRetry counts one re-attempt of a failed shard.
-func (r *Report) addShardRetry() {
+// AddShardRetry counts one re-attempt of a failed shard (for a fleet, a
+// re-issued lease).
+func (r *Report) AddShardRetry() {
 	if r == nil {
 		return
 	}

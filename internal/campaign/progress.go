@@ -13,7 +13,9 @@ import (
 // campaign that shares it. It is safe for concurrent use; campaigns feed
 // it from their workers and reporters sample it with Snapshot. The
 // counters are deliberately plain monotonic totals so they can double as
-// an export surface for later metrics plumbing.
+// an export surface for later metrics plumbing. The counter methods are
+// nil-receiver safe; Run and ExecShard call them for local shards, the
+// fleet coordinator for shards other processes computed.
 type Progress struct {
 	start time.Time
 
@@ -33,8 +35,8 @@ func NewProgress() *Progress {
 	return &Progress{start: time.Now()}
 }
 
-// addCampaign registers a campaign's shard/trial totals.
-func (p *Progress) addCampaign(shards, trials int) {
+// AddCampaign registers a campaign's shard/trial totals.
+func (p *Progress) AddCampaign(shards, trials int) {
 	if p == nil {
 		return
 	}
@@ -42,8 +44,8 @@ func (p *Progress) addCampaign(shards, trials int) {
 	p.totalTrials.Add(int64(trials))
 }
 
-// shardDone records one freshly computed shard.
-func (p *Progress) shardDone(trials int) {
+// ShardDone records one freshly computed shard.
+func (p *Progress) ShardDone(trials int) {
 	if p == nil {
 		return
 	}
@@ -51,9 +53,9 @@ func (p *Progress) shardDone(trials int) {
 	p.doneTrials.Add(int64(trials))
 }
 
-// shardResumed records one shard skipped because its result was loaded
+// ShardResumed records one shard skipped because its result was loaded
 // from a checkpoint.
-func (p *Progress) shardResumed(trials int) {
+func (p *Progress) ShardResumed(trials int) {
 	if p == nil {
 		return
 	}
@@ -61,45 +63,25 @@ func (p *Progress) shardResumed(trials int) {
 	p.resumedTrials.Add(int64(trials))
 }
 
-// shardRetried records one re-attempt of a failed shard.
-func (p *Progress) shardRetried() {
+// ShardRetried records one re-attempt of a failed shard (for a fleet, a
+// re-issued lease).
+func (p *Progress) ShardRetried() {
 	if p == nil {
 		return
 	}
 	p.retriedShards.Add(1)
 }
 
-// shardFailed records one shard whose retry budget was exhausted. Its
+// ShardFailed records one shard whose retry budget was exhausted. Its
 // trials are accounted separately so the remaining-work estimate (and
 // therefore the ETA) converges even when shards are lost for good.
-func (p *Progress) shardFailed(trials int) {
+func (p *Progress) ShardFailed(trials int) {
 	if p == nil {
 		return
 	}
 	p.failedShards.Add(1)
 	p.failedTrials.Add(int64(trials))
 }
-
-// AddCampaign registers a campaign's shard/trial totals. Exported for
-// remote executors (fleet coordinators) that account work completed by
-// other processes; local runs feed these counters through Run.
-func (p *Progress) AddCampaign(shards, trials int) { p.addCampaign(shards, trials) }
-
-// ShardDone records one freshly computed shard (exported for remote
-// executors).
-func (p *Progress) ShardDone(trials int) { p.shardDone(trials) }
-
-// ShardResumed records one shard loaded from a checkpoint (exported for
-// remote executors).
-func (p *Progress) ShardResumed(trials int) { p.shardResumed(trials) }
-
-// ShardRetried records one re-attempt of a failed shard (exported for
-// remote executors; a re-issued lease is a retry).
-func (p *Progress) ShardRetried() { p.shardRetried() }
-
-// ShardFailed records one shard whose retry budget was exhausted
-// (exported for remote executors).
-func (p *Progress) ShardFailed(trials int) { p.shardFailed(trials) }
 
 // Snapshot is a point-in-time view of campaign progress.
 type Snapshot struct {

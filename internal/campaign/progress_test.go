@@ -30,8 +30,8 @@ func (w *syncWriter) String() string {
 
 func TestProgressReporterTicks(t *testing.T) {
 	p := NewProgress()
-	p.addCampaign(4, 400)
-	p.shardDone(100)
+	p.AddCampaign(4, 400)
+	p.ShardDone(100)
 	w := &syncWriter{}
 	stop := p.Report(context.Background(), w, 2*time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
@@ -68,9 +68,9 @@ func TestProgressReporterStopsOnContextCancel(t *testing.T) {
 func TestSnapshotRateAndETA(t *testing.T) {
 	p := NewProgress()
 	p.start = time.Now().Add(-2 * time.Second) // fake 2s of elapsed work
-	p.addCampaign(10, 1000)
-	p.shardDone(100)
-	p.shardDone(100)
+	p.AddCampaign(10, 1000)
+	p.ShardDone(100)
+	p.ShardDone(100)
 	s := p.Snapshot()
 	if s.TrialsPerSec <= 0 {
 		t.Fatalf("TrialsPerSec = %v, want > 0", s.TrialsPerSec)
@@ -86,11 +86,11 @@ func TestSnapshotRateAndETA(t *testing.T) {
 
 func TestNilProgressIsSafe(t *testing.T) {
 	var p *Progress
-	p.addCampaign(1, 1)
-	p.shardDone(1)
-	p.shardResumed(1)
-	p.shardRetried()
-	p.shardFailed(1)
+	p.AddCampaign(1, 1)
+	p.ShardDone(1)
+	p.ShardResumed(1)
+	p.ShardRetried()
+	p.ShardFailed(1)
 }
 
 // A shard whose retry budget was exhausted will never contribute its
@@ -101,11 +101,11 @@ func TestNilProgressIsSafe(t *testing.T) {
 func TestSnapshotConvergesWithFailedShards(t *testing.T) {
 	p := NewProgress()
 	p.start = time.Now().Add(-2 * time.Second)
-	p.addCampaign(4, 400)
-	p.shardDone(100)
-	p.shardDone(100)
-	p.shardDone(100)
-	p.shardFailed(100) // retry budget exhausted: these trials are gone
+	p.AddCampaign(4, 400)
+	p.ShardDone(100)
+	p.ShardDone(100)
+	p.ShardDone(100)
+	p.ShardFailed(100) // retry budget exhausted: these trials are gone
 	s := p.Snapshot()
 	if s.TrialsFailed != 100 {
 		t.Fatalf("TrialsFailed = %d, want 100", s.TrialsFailed)
@@ -127,9 +127,9 @@ func TestSnapshotConvergesWithFailedShards(t *testing.T) {
 func TestSnapshotClampsNegativeRemaining(t *testing.T) {
 	p := NewProgress()
 	p.start = time.Now().Add(-time.Second)
-	p.addCampaign(2, 200)
-	p.shardDone(150)
-	p.shardFailed(100) // done+failed > total
+	p.AddCampaign(2, 200)
+	p.ShardDone(150)
+	p.ShardFailed(100) // done+failed > total
 	if eta := p.Snapshot().ETA; eta != 0 {
 		t.Fatalf("ETA = %v, want 0 when accounted trials exceed the total", eta)
 	}
@@ -140,8 +140,8 @@ func TestSnapshotClampsNegativeRemaining(t *testing.T) {
 // writing anything, so an interrupted run ended with no final status.)
 func TestProgressReporterFinalLineOnContextCancel(t *testing.T) {
 	p := NewProgress()
-	p.addCampaign(2, 200)
-	p.shardDone(100)
+	p.AddCampaign(2, 200)
+	p.ShardDone(100)
 	w := &syncWriter{}
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := p.Report(ctx, w, time.Hour) // interval long enough that no tick fires
