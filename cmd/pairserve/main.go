@@ -4,7 +4,7 @@
 //
 // Coordinator:
 //
-//	pairserve -listen 127.0.0.1:8080 -checkpoint ckpt/
+//	pairserve -listen 127.0.0.1:8080 -checkpoint ckpt/ -journal journal/
 //
 // Workers (any number, started and stopped freely):
 //
@@ -14,8 +14,9 @@
 // curl; see README.md for the endpoint reference. Campaign checkpoints
 // the coordinator merges are byte-identical to a local `pairsim
 // -checkpoint` run's, so `pairsim -resume` over the same directory
-// picks a fleet run up, and a restarted coordinator with -resume
-// re-issues only the shards the previous run didn't finish.
+// picks a fleet run up. With -journal, a coordinator restarted after a
+// crash gets its jobs back and leases only the shards without a
+// checkpoint fragment.
 //
 // Shard seeds derive from (campaign label, seed, shard index) alone, so
 // work may move between workers — through lease expiry, worker death or
@@ -71,7 +72,7 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 		listen       = fs.String("listen", "127.0.0.1:8080", "coordinator: listen address (port 0 picks one)")
 		checkpoint   = fs.String("checkpoint", "", "coordinator: directory for merged campaign checkpoints (standard pairsim format)")
-		journal      = fs.String("journal", "", "coordinator: directory for the crash-recovery journal; on start the journal is replayed so jobs and leases survive a kill")
+		journal      = fs.String("journal", "", "coordinator: crash-recovery directory holding one file per submitted job (spec, cancellation) and an epoch file; on start every recorded job is restored and its shards without a checkpoint fragment are leased again")
 		resume       = fs.Bool("resume", false, "coordinator: load existing checkpoints at job submission; only missing shards are leased")
 		salvage      = fs.Bool("salvage", false, "coordinator: with -resume, recover intact shards from corrupted checkpoints instead of failing the submission")
 		leaseTTL     = fs.Duration("lease-ttl", fleet.DefaultLeaseTTL, "coordinator: lease deadline; unrenewed leases are re-issued after this")

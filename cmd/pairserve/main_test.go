@@ -50,7 +50,7 @@ func TestCoordinatorAndWorkerEndToEnd(t *testing.T) {
 		}()
 	}
 
-	client := fleet.NewClient(base, nil)
+	client := fleet.NewClientWith(base, fleet.ClientOptions{})
 	id, err := client.Submit(ctx, fleet.JobSpec{
 		Namespace: "f13",
 		Schemes:   []string{"none"},

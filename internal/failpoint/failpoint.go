@@ -62,7 +62,7 @@ type Action struct {
 
 	// Skip leaves the first Skip hits untriggered, so an action can
 	// fire on exactly the Nth hit (Skip: N-1, Times: 1) — e.g. "exit
-	// the process at the 7th journal append".
+	// the process at the 7th file commit".
 	Skip int
 }
 
@@ -193,11 +193,12 @@ var osExit = os.Exit
 // and optional modifiers times=N (trigger budget) and skip=N (inert
 // hits before the first trigger), e.g.
 //
-//	PAIR_FAILPOINTS='fleet/journal/append=exit:3,skip=6,times=1'
+//	PAIR_FAILPOINTS='campaign/checkpoint/rename=exit:3,skip=6,times=1'
 //
-// kills the process at exactly the 7th journal append. Binaries call
-// this once at startup; it exists so chaos harnesses can crash a real
-// process at a deterministic program point.
+// kills the process at exactly the 7th atomic file commit (a checkpoint
+// or a fleet job file). Binaries call this once at startup; it exists
+// so chaos harnesses can crash a real process at a deterministic
+// program point.
 func ArmFromEnv(env string) error {
 	return ArmFromSpec(os.Getenv(env))
 }

@@ -75,13 +75,11 @@ func (cc *chaosCoord) start() {
 	cc.coord, cc.srv, cc.served = coord, srv, served
 }
 
-// kill models SIGKILL: listener and live connections die, the journal
-// stops accepting appends from in-flight handlers (the dead
-// incarnation must not write into its successor's WAL), nothing is
-// flushed gracefully.
+// kill models SIGKILL: listener and live connections die and open
+// event streams are cut; nothing is shut down gracefully.
 func (cc *chaosCoord) kill() {
 	cc.srv.Close()
-	cc.coord.Abandon()
+	cc.coord.Close()
 	<-cc.served
 }
 
@@ -193,10 +191,11 @@ func TestChaosCoordinatorKillRestart(t *testing.T) {
 	}
 }
 
-// TestChaosJournalFault503Retried: a journal append failure on a strict
-// path answers 503 and the client retry layer absorbs it — the lease
-// and the completion both land on the second attempt, with no duplicate
-// merge.
+// TestChaosJournalFault503Retried: a job file that cannot be written
+// refuses the transition it records. Submit, which the client never
+// retries, fails and registers nothing. Cancel answers 503 while the
+// write keeps failing, and the job keeps running; a one-off fault is
+// absorbed by the client retry layer.
 func TestChaosJournalFault503Retried(t *testing.T) {
 	defer failpoint.Reset()
 	srv, requests := startCoordServer(t, CoordinatorOptions{
@@ -206,43 +205,48 @@ func TestChaosJournalFault503Retried(t *testing.T) {
 	client := NewClientWith(srv.URL, fastClientOptions())
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
+	diskHiccup := errors.New("disk hiccup")
+
+	failpoint.Arm(campaign.FailpointWrite, failpoint.Action{Err: diskHiccup, Times: 1})
+	if _, err := client.Submit(ctx, singleShardSpec()); err == nil {
+		t.Error("submit through a write fault succeeded, want error (submissions must not be retried)")
+	}
+	if fired := failpoint.Fired(campaign.FailpointWrite); fired != 1 {
+		t.Errorf("write failpoint fired %d times, want 1", fired)
+	}
+	if _, err := client.Status(ctx, "j1"); err == nil {
+		t.Error("a submission whose job file was not written was registered")
+	}
 
 	id, err := client.Submit(ctx, singleShardSpec())
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-
-	failpoint.Arm(FailpointJournalAppend, failpoint.Action{Err: errors.New("disk hiccup"), Times: 1})
+	failpoint.Arm(campaign.FailpointWrite, failpoint.Action{Err: diskHiccup})
 	requests.Store(0)
-	lease, err := client.Lease(ctx, "w")
-	if err != nil || lease == nil {
-		t.Fatalf("lease through a journal fault = %v (lease=%v), want granted on retry", err, lease)
+	if err := client.Cancel(ctx, id); err == nil {
+		t.Fatal("cancel through a persistent write fault succeeded, want 503")
+	}
+	if n := requests.Load(); n != int64(fastClientOptions().Retries) {
+		t.Errorf("cancel took %d requests, want %d (every attempt answered 503)", n, fastClientOptions().Retries)
+	}
+	if st, err := client.Status(ctx, id); err != nil || st.State != "running" {
+		t.Fatalf("status after a refused cancel = %+v, %v; want running", st, err)
+	}
+	if l, err := client.Lease(ctx, "w"); err != nil || l == nil {
+		t.Fatalf("lease after a refused cancel = %v, %v; want the job still leasing", l, err)
+	}
+
+	failpoint.Arm(campaign.FailpointWrite, failpoint.Action{Err: diskHiccup, Times: 1})
+	requests.Store(0)
+	if err := client.Cancel(ctx, id); err != nil {
+		t.Fatalf("cancel through a one-off write fault = %v, want cancelled on retry", err)
 	}
 	if n := requests.Load(); n != 2 {
-		t.Errorf("lease took %d requests, want 2 (one 503 + success)", n)
+		t.Errorf("cancel took %d requests, want 2 (one 503 + success)", n)
 	}
-	if fired := failpoint.Fired(FailpointJournalAppend); fired != 1 {
-		t.Errorf("journal failpoint fired %d times, want 1", fired)
-	}
-
-	failpoint.Arm(FailpointJournalAppend, failpoint.Action{Err: errors.New("disk hiccup"), Times: 1})
-	cres, err := client.Complete(ctx, lease.ID, CompleteRequest{Worker: "w", Fragment: []byte(`[30,0,0,0]`)})
-	if err != nil || cres.Duplicate {
-		t.Fatalf("complete through a journal fault = %+v, %v; want merged on retry", cres, err)
-	}
-	st, err := client.Status(ctx, id)
-	if err != nil {
-		t.Fatalf("status: %v", err)
-	}
-	if st.State != "done" || st.ShardsDone != 1 {
-		t.Errorf("status = %s done=%d, want done 1 (retry must not double-merge)", st.State, st.ShardsDone)
-	}
-
-	// Submit is not retried: a journal fault there is a hard error and
-	// the job is not registered.
-	failpoint.Arm(FailpointJournalAppend, failpoint.Action{Err: errors.New("disk hiccup"), Times: 1})
-	if _, err := client.Submit(ctx, singleShardSpec()); err == nil {
-		t.Error("submit through a journal fault succeeded, want error (submissions must not be retried)")
+	if st, err := client.Status(ctx, id); err != nil || st.State != "cancelled" {
+		t.Errorf("status after cancel = %+v, %v; want cancelled", st, err)
 	}
 }
 

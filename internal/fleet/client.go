@@ -83,13 +83,9 @@ type Client struct {
 	opts ClientOptions
 }
 
-// NewClient returns a client for the coordinator at base (e.g.
-// "http://127.0.0.1:8080") with default fault tolerance. hc may be nil.
-func NewClient(base string, hc *http.Client) *Client {
-	return NewClientWith(base, ClientOptions{HTTP: hc})
-}
-
-// NewClientWith returns a client with explicit fault-layer tuning.
+// NewClientWith returns a client for the coordinator at base (e.g.
+// "http://127.0.0.1:8080"); the zero ClientOptions gives the default
+// fault tolerance.
 func NewClientWith(base string, opts ClientOptions) *Client {
 	if opts.Timeout == 0 {
 		opts.Timeout = DefaultRequestTimeout
@@ -216,8 +212,8 @@ func (c *Client) Complete(ctx context.Context, leaseID string, req CompleteReque
 // events the previous connection already delivered are deduplicated by
 // their SSE ids (strictly increasing across coordinator restarts;
 // "done" is always delivered). Only a permanent coordinator answer
-// (4xx, e.g. a restarted coordinator without a journal that no longer
-// knows the job) makes Watch return an error.
+// (4xx, e.g. a restarted coordinator without a -journal directory that
+// no longer knows the job) makes Watch return an error.
 func (c *Client) Watch(ctx context.Context, id string, onEvent func(Event)) error {
 	var lastID uint64
 	delay := c.opts.RetryBase
@@ -379,8 +375,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 }
 
 // retryableStatus classifies coordinator answers: 5xx and 429 are
-// transient (a restarting coordinator, a journal hiccup answered 503, a
-// throttle); every other status is an answer, not a fault.
+// transient (a restarting coordinator, a job file it could not write
+// answered 503, a throttle); every other status is an answer, not a
+// fault.
 func retryableStatus(status int) bool {
 	return status == http.StatusTooManyRequests || status >= 500
 }

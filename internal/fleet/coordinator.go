@@ -4,7 +4,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,10 +21,13 @@ import (
 	"pair/internal/schemes"
 )
 
-// errJournalUnavailable marks a state transition refused because its
-// journal record could not be made durable; handlers answer 503 so the
-// client retry layer tries again instead of treating it as permanent.
+// errJournalUnavailable marks a submit or cancel refused because its
+// job file could not be written; handlers answer 503, a transient
+// fault rather than an answer.
 var errJournalUnavailable = errors.New("fleet: journal unavailable")
+
+// epochFile names the incarnation counter inside JournalDir.
+const epochFile = "epoch"
 
 // DefaultLeaseTTL is the lease deadline granted when CoordinatorOptions
 // leaves LeaseTTL zero. Workers renew at a third of the TTL, so the
@@ -40,19 +47,17 @@ type CoordinatorOptions struct {
 	// byte-identical to a local run's, so `pairsim -resume` picks a
 	// fleet run up. Empty merges in memory only.
 	CheckpointDir string
-	// JournalDir, when non-empty, makes the coordinator crash-safe: an
-	// append-only WAL under this directory records every job and lease
-	// state transition (fsynced before the transition is acknowledged),
-	// and NewCoordinator replays it — together with the CheckpointDir
-	// fragments — to rebuild the exact job/lease/generation state of
-	// the previous incarnation. Submitted jobs, granted leases and
-	// merged shards survive a coordinator kill; workers holding
-	// pre-crash leases keep renewing and completing against the
-	// restarted coordinator as if nothing happened. Pair it with
-	// CheckpointDir: the journal is the control state, the checkpoint
-	// holds the results (a journaled completion whose fragment never
-	// reached the checkpoint is re-issued on replay, which is safe
-	// because recomputation is byte-identical).
+	// JournalDir, when non-empty, makes the coordinator crash-safe. It
+	// holds what the checkpoint directory cannot: one <job id>.json per
+	// submitted job (its spec and whether it was cancelled, written
+	// before submit or cancel is acknowledged) and an epoch file
+	// counting incarnations. NewCoordinator rebuilds every recorded job
+	// with checkpoint resume forced on, so shards whose fragment reached
+	// CheckpointDir stay done and every other shard is leased again;
+	// recomputation is byte-identical. Leases, failure counts and
+	// re-issues belong to one incarnation: a lease granted before a
+	// restart is stale afterwards. Pair it with CheckpointDir, which
+	// holds the results.
 	JournalDir string
 	// Resume loads existing checkpoints at job submission and re-issues
 	// only the missing shards. Salvage additionally recovers what it can
@@ -86,7 +91,7 @@ const (
 // slot tracks the lease lifecycle of one shard.
 type slot struct {
 	state    int
-	gen      int // lease generation; each grant (and re-issue) bumps it
+	gen      uint64 // lease generation: epoch<<32 | grants of this shard
 	worker   string
 	deadline time.Time
 	failures int // permanent failures workers reported for this shard
@@ -116,6 +121,13 @@ type job struct {
 	subs      map[chan Event]struct{}
 }
 
+// jobRecord is the content of a <job id>.json file under JournalDir:
+// what the checkpoint directory cannot rebuild about a job.
+type jobRecord struct {
+	Spec      *JobSpec `json:"spec"`
+	Cancelled bool     `json:"cancelled,omitempty"`
+}
+
 // Coordinator is the fleet's control plane: it expands submitted jobs
 // into campaigns, brokers shard leases to polling workers, merges the
 // returned fragments through campaign.Merge, and serves status, results
@@ -126,23 +138,21 @@ type job struct {
 type Coordinator struct {
 	opts    CoordinatorOptions
 	handler http.Handler
-	journal *journal // nil without JournalDir
-	epoch   int      // journal incarnation; scopes SSE event ids
+	epoch   uint64 // incarnation; scopes SSE event ids and lease generations
 	done    chan struct{}
 	closing sync.Once
 
-	mu    sync.Mutex
-	seq   int
-	jobs  map[string]*job
-	order []*job // submission order: lease scanning and listing
+	mu         sync.Mutex
+	epochSaved bool // the epoch file holds this incarnation's epoch
+	seq        int
+	jobs       map[string]*job
+	order      []*job // submission order: lease scanning and listing
 }
 
 // NewCoordinator builds a coordinator with its routes registered. With
-// JournalDir set it first replays the journal of the previous
-// incarnation (plus the CheckpointDir fragments) so jobs, leases and
-// generation counters pick up exactly where the killed coordinator
-// left off; a journal it cannot fully understand is an error, never a
-// partial replay.
+// JournalDir set it first restores the jobs recorded there (see
+// restore); a job or epoch file it cannot read is an error naming the
+// file.
 func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = DefaultLeaseTTL
@@ -155,21 +165,8 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	}
 	c := &Coordinator{opts: opts, jobs: map[string]*job{}, epoch: 1, done: make(chan struct{})}
 	if opts.JournalDir != "" {
-		jl, recs, err := openJournal(opts.JournalDir)
-		if err != nil {
+		if err := c.restore(); err != nil {
 			return nil, err
-		}
-		if err := c.replay(recs); err != nil {
-			jl.close()
-			return nil, err
-		}
-		c.journal = jl
-		if err := jl.append(journalRecord{T: recEpoch, Epoch: c.epoch}); err != nil {
-			jl.close()
-			return nil, err
-		}
-		if n := len(c.order); n > 0 {
-			c.warnf("fleet: journal replayed %d job(s) (epoch %d)", n, c.epoch)
 		}
 	}
 	mux := http.NewServeMux()
@@ -194,24 +191,10 @@ func (c *Coordinator) Handler() http.Handler { return c.handler }
 
 // Close shuts the coordinator down gracefully: streaming subscribers
 // are released (their handlers return, so an http.Server.Shutdown does
-// not hang on open SSE connections) and the journal is flushed and
-// closed. Safe to call more than once; the coordinator must not serve
-// requests afterwards.
+// not hang on open SSE connections). Safe to call more than once; the
+// coordinator must not serve requests afterwards.
 func (c *Coordinator) Close() {
 	c.closing.Do(func() { close(c.done) })
-	c.journal.close()
-}
-
-// Abandon simulates the coordinator dying without any shutdown: the
-// journal stops accepting appends mid-flight (nothing is flushed or
-// finalized) and streaming subscribers are cut. Chaos tests call this
-// after killing the listener so a dead incarnation's in-flight
-// handlers cannot write into the journal its successor has reopened —
-// the in-process equivalent of the OS reclaiming a killed process's
-// file descriptors.
-func (c *Coordinator) Abandon() {
-	c.closing.Do(func() { close(c.done) })
-	c.journal.abandon()
 }
 
 // faultInjectingHandler evaluates the coordinator-side request
@@ -260,24 +243,21 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, st)
 }
 
-// addJob validates, expands and registers a job spec: buildJob, then
-// checkpoint reconciliation, then the durable submission record. A job
-// whose record cannot be journaled is not registered at all — the
-// caller sees 503 and may retry — so the journal never lags the
-// in-memory job table.
+// addJob validates, expands and registers a job spec. A job whose file
+// cannot be written is not registered at all, so every job a client
+// was told about survives a restart.
 func (c *Coordinator) addJob(spec JobSpec) (*job, error) {
 	j, err := c.buildJob(spec, c.opts.Resume, c.opts.Salvage)
 	if err != nil {
 		return nil, err
 	}
-	c.reconcile(j) // checkpoint-resumed shards are done on arrival
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.seq++
 	j.id = "j" + strconv.Itoa(c.seq)
-	if err := c.journal.append(journalRecord{T: recJob, Job: j.id, Spec: &spec}); err != nil {
-		c.warnf("fleet: journaling job submission: %v", err)
+	if err := c.saveJob(j, false); err != nil {
+		c.warnf("fleet: recording job %s: %v", j.id, err)
 		return nil, fmt.Errorf("%w: %v", errJournalUnavailable, err)
 	}
 	c.jobs[j.id] = j
@@ -286,11 +266,22 @@ func (c *Coordinator) addJob(spec JobSpec) (*job, error) {
 	return j, nil
 }
 
-// buildJob expands a job spec into campaigns with all-pending slots.
-// Campaigns are ordered scenario-outer, scheme-inner — the same order
-// pairsim's f13 runs them locally — so a fleet with one worker executes
-// the identical schedule. Shard states are settled afterwards by
-// reconcile (both the submit path and journal replay go through it).
+// newJob is a running job with no campaigns yet.
+func newJob(spec JobSpec) *job {
+	return &job{
+		spec:     spec,
+		state:    "running",
+		progress: campaign.NewProgress(),
+		report:   &campaign.Report{},
+		subs:     map[chan Event]struct{}{},
+	}
+}
+
+// buildJob expands a job spec into campaigns. Campaigns are ordered
+// scenario-outer, scheme-inner — the same order pairsim's f13 runs them
+// locally — so a fleet with one worker executes the identical schedule.
+// A shard whose fragment the checkpoint already holds is done on
+// arrival; every other shard is pending.
 func (c *Coordinator) buildJob(spec JobSpec, resume, salvage bool) (*job, error) {
 	if spec.Trials <= 0 {
 		return nil, fmt.Errorf("fleet: job needs a positive trial count, got %d", spec.Trials)
@@ -307,13 +298,7 @@ func (c *Coordinator) buildJob(spec JobSpec, resume, salvage bool) (*job, error)
 		return nil, err
 	}
 
-	j := &job{
-		spec:     spec,
-		state:    "running",
-		progress: campaign.NewProgress(),
-		report:   &campaign.Report{},
-		subs:     map[chan Event]struct{}{},
-	}
+	j := newJob(spec)
 	opts := campaign.Options{
 		Namespace: spec.Namespace,
 		Resume:    resume,
@@ -342,6 +327,13 @@ func (c *Coordinator) buildJob(spec JobSpec, resume, salvage bool) (*job, error)
 				slots:        make([]slot, m.NumShards()),
 			}
 			j.progress.AddCampaign(m.NumShards(), spec.Trials)
+			for i := range jc.slots {
+				if m.Done(i) {
+					jc.slots[i].state = slotDone
+					jc.done++
+					j.progress.ShardResumed(m.Spec().Shard(i).Trials)
+				}
+			}
 			j.campaigns = append(j.campaigns, jc)
 		}
 	}
@@ -380,14 +372,6 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 					j.reissued++
 					j.progress.ShardRetried()
 					j.report.AddShardRetry()
-					// Best-effort: a lost expiry record replays the slot as
-					// leased, and the restarted coordinator simply expires it
-					// again on the next lease scan.
-					if err := c.journal.append(journalRecord{
-						T: recExpire, Job: j.id, Campaign: ci, Shard: si, Gen: s.gen,
-					}); err != nil {
-						c.warnf("fleet: journaling lease expiry: %v", err)
-					}
 					j.report.Warningf(c.opts.Warnf,
 						"fleet: lease %s expired (worker %q); re-issuing %s shard %d",
 						leaseID(j.id, ci, si, s.gen), s.worker, jc.merge.Label(), si)
@@ -398,24 +382,12 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 				if s.state != slotPending {
 					continue
 				}
-				s.gen++
+				// Generations start above every earlier incarnation's, so a
+				// lease granted before a restart never matches a live one.
+				s.gen = max(s.gen, c.epoch<<32) + 1
 				s.state = slotLeased
 				s.worker = req.Worker
 				s.deadline = now.Add(c.opts.LeaseTTL)
-				// Strict: a grant the journal does not know about would let a
-				// restarted coordinator re-issue the shard under the same
-				// generation, so an unjournaled grant is not granted at all.
-				// The generation bump is kept — the next grant of this shard
-				// must not collide with the lease this worker thinks it holds.
-				if err := c.journal.append(journalRecord{
-					T: recGrant, Job: j.id, Campaign: ci, Shard: si, Gen: s.gen,
-					Worker: req.Worker, Deadline: s.deadline,
-				}); err != nil {
-					s.state = slotPending
-					c.warnf("fleet: journaling lease grant: %v", err)
-					httpError(w, http.StatusServiceUnavailable, "%v: %v", errJournalUnavailable, err)
-					return
-				}
 				writeJSON(w, http.StatusOK, Lease{
 					ID:        leaseID(j.id, ci, si, s.gen),
 					Job:       j.id,
@@ -438,7 +410,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 
 // handleRenew extends a live lease's deadline.
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	j, jc, ci, si, gen, ok := c.resolveLease(w, r)
+	j, jc, si, gen, ok := c.resolveLease(w, r)
 	if !ok {
 		return
 	}
@@ -450,22 +422,20 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.deadline = c.opts.now().Add(c.opts.LeaseTTL)
-	// Best-effort: a lost renewal replays the older deadline, which at
-	// worst expires the lease early — and re-issue is always safe.
-	if err := c.journal.append(journalRecord{
-		T: recRenew, Job: j.id, Campaign: ci, Shard: si, Gen: gen, Deadline: s.deadline,
-	}); err != nil {
-		c.warnf("fleet: journaling lease renewal: %v", err)
-	}
 	writeJSON(w, http.StatusOK, map[string]any{"deadline": s.deadline})
 }
 
-// handleComplete merges a finished shard (or records a permanent
-// worker-side failure). Duplicate completions — the normal outcome of a
-// re-issued lease whose original holder also finished — are dropped by
-// shard index.
+// handleComplete merges a finished shard or records a permanent
+// worker-side failure. Within one incarnation done and failed are
+// final, so a shard counts in exactly one of them: a fragment for a
+// done shard is a duplicate (the normal outcome of a re-issued lease
+// whose original holder also finished), one for a failed shard is
+// acknowledged and dropped. A fragment from any lease of a shard still
+// open merges (first fragment wins); a failure report counts only
+// against the shard's live lease, so a resent or stale report changes
+// nothing.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	j, jc, ci, si, gen, ok := c.resolveLease(w, r)
+	j, jc, si, gen, ok := c.resolveLease(w, r)
 	if !ok {
 		return
 	}
@@ -482,25 +452,15 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s := &jc.slots[si]
-	if s.state == slotDone {
-		writeJSON(w, http.StatusOK, CompleteResponse{Duplicate: true})
-		return
-	}
 	sh := jc.merge.Spec().Shard(si)
 
 	if req.Error != "" {
-		s.failures++
-		permanent := s.failures >= c.opts.ShardRetries
-		// Best-effort: a lost failure record replays a lower failure
-		// count, costing at worst one extra retry of a deterministic
-		// shard.
-		if err := c.journal.append(journalRecord{
-			T: recFail, Job: j.id, Campaign: ci, Shard: si, Gen: gen,
-			Worker: req.Worker, Failures: s.failures, Permanent: permanent, Error: req.Error,
-		}); err != nil {
-			c.warnf("fleet: journaling shard failure: %v", err)
+		if s.state != slotLeased || s.gen != gen {
+			writeJSON(w, http.StatusOK, CompleteResponse{})
+			return
 		}
-		if permanent {
+		s.failures++
+		if s.failures >= c.opts.ShardRetries {
 			s.state = slotFailed
 			jc.failed++
 			j.progress.ShardFailed(sh.Trials)
@@ -528,21 +488,8 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Validate before journaling so a malformed fragment cannot leave a
-	// "complete" record with nothing behind it; then journal strictly —
-	// the record must be durable before the fragment is merged, because
-	// the reverse order could acknowledge a merge the journal never saw.
-	// (The remaining crash window, record durable but fragment lost, is
-	// the one reconcile demotes back to pending on replay.)
-	if len(req.Fragment) == 0 || !json.Valid(req.Fragment) {
-		httpError(w, http.StatusBadRequest, "completion carries neither a valid fragment nor an error")
-		return
-	}
-	if err := c.journal.append(journalRecord{
-		T: recComplete, Job: j.id, Campaign: ci, Shard: si, Gen: gen, Worker: req.Worker,
-	}); err != nil {
-		c.warnf("fleet: journaling completion: %v", err)
-		httpError(w, http.StatusServiceUnavailable, "%v: %v", errJournalUnavailable, err)
+	if s.state == slotDone || s.state == slotFailed {
+		writeJSON(w, http.StatusOK, CompleteResponse{Duplicate: s.state == slotDone})
 		return
 	}
 	fresh, err := jc.merge.Record(si, req.Fragment)
@@ -585,12 +532,112 @@ func (c *Coordinator) finalizeLocked(j *job) {
 	} else {
 		j.state = "done"
 	}
-	// Best-effort: the terminal state is fully derivable from the slot
-	// states, so replay re-finalizes a job whose final record was lost.
-	if err := c.journal.append(journalRecord{T: recFinal, Job: j.id, State: j.state, Error: j.errMsg}); err != nil {
-		c.warnf("fleet: journaling job finalization: %v", err)
-	}
 	c.broadcastLocked(j, "done", c.statusLocked(j))
+}
+
+// restore rebuilds the jobs recorded under JournalDir in job-number
+// order, with checkpoint resume forced on: merged shards stay done and
+// every other shard is leased again. A cancelled job stays cancelled;
+// done and failed are derived from the slots. A job that no longer
+// builds (say, its checkpoint now belongs to a job of another shape)
+// is restored as failed rather than keeping the coordinator down.
+// Without an epoch file nothing was ever recorded, and nothing is
+// written until the first job is. Called from NewCoordinator before
+// anything is served, so no locking.
+func (c *Coordinator) restore() error {
+	dir := c.opts.JournalDir
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("fleet: journal: %w", err)
+	}
+	path := filepath.Join(dir, epochFile)
+	if raw, err := os.ReadFile(path); err == nil {
+		prev, err := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 32)
+		if err != nil {
+			return fmt.Errorf("fleet: journal: epoch file %s: %w", path, err)
+		}
+		c.epoch = prev + 1
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("fleet: journal: %w", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("fleet: journal: %w", err)
+	}
+	var seqs []int
+	for _, e := range entries {
+		if n, ok := jobSeq(e.Name()); ok {
+			seqs = append(seqs, n)
+		}
+	}
+	sort.Ints(seqs)
+	for _, n := range seqs {
+		id := "j" + strconv.Itoa(n)
+		path := filepath.Join(dir, id+".json")
+		var rec jobRecord
+		raw, err := os.ReadFile(path)
+		if err == nil {
+			err = json.Unmarshal(raw, &rec)
+		}
+		if err == nil && rec.Spec == nil {
+			err = errors.New("no job spec")
+		}
+		if err != nil {
+			return fmt.Errorf("fleet: journal: job file %s: %w", path, err)
+		}
+		j, err := c.buildJob(*rec.Spec, true, c.opts.Salvage)
+		if err != nil {
+			c.warnf("fleet: restoring job %s as failed: %v", id, err)
+			j = newJob(*rec.Spec)
+			j.state, j.errMsg = "failed", err.Error()
+		}
+		if rec.Cancelled {
+			j.state = "cancelled"
+		}
+		j.id = id
+		c.jobs[id] = j
+		c.order = append(c.order, j)
+		c.seq = n
+		c.finalizeLocked(j)
+	}
+	if len(c.order) == 0 {
+		return nil
+	}
+	if err := c.saveEpoch(); err != nil {
+		return err
+	}
+	c.warnf("fleet: journal replayed %d job(s) (epoch %d)", len(c.order), c.epoch)
+	return nil
+}
+
+// saveJob durably writes a job's file under JournalDir (a no-op without
+// one), writing this incarnation's epoch first if it is not on disk
+// yet: the epoch file precedes every job file.
+func (c *Coordinator) saveJob(j *job, cancelled bool) error {
+	if c.opts.JournalDir == "" {
+		return nil
+	}
+	if !c.epochSaved {
+		if err := c.saveEpoch(); err != nil {
+			return err
+		}
+	}
+	return campaign.WriteFileAtomic(filepath.Join(c.opts.JournalDir, j.id+".json"),
+		mustJSON(jobRecord{Spec: &j.spec, Cancelled: cancelled}))
+}
+
+func (c *Coordinator) saveEpoch() error {
+	err := campaign.WriteFileAtomic(filepath.Join(c.opts.JournalDir, epochFile),
+		[]byte(strconv.FormatUint(c.epoch, 10)+"\n"))
+	c.epochSaved = err == nil
+	return err
+}
+
+// jobSeq parses a job file name ("j17.json" -> 17); false for every
+// other file (the epoch file, a leftover temp file).
+func jobSeq(name string) (int, bool) {
+	stem, ok := strings.CutSuffix(name, ".json")
+	n, err := strconv.Atoi(strings.TrimPrefix(stem, "j"))
+	return n, ok && err == nil && n > 0 && stem == "j"+strconv.Itoa(n)
 }
 
 // handleList returns every job's status, newest last.
@@ -622,11 +669,11 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	if j.state == "running" {
-		// Strict: an unjournaled cancel would resurrect the job — and
-		// hand its shards back to workers — on the next restart.
-		if err := c.journal.append(journalRecord{T: recCancel, Job: j.id, State: "cancelled"}); err != nil {
+		// Recorded before acknowledged: an unrecorded cancel would hand
+		// the job's shards back to workers after a restart.
+		if err := c.saveJob(j, true); err != nil {
 			c.mu.Unlock()
-			c.warnf("fleet: journaling cancel: %v", err)
+			c.warnf("fleet: recording cancel of %s: %v", j.id, err)
 			httpError(w, http.StatusServiceUnavailable, "%v: %v", errJournalUnavailable, err)
 			return
 		}
@@ -773,12 +820,12 @@ func (c *Coordinator) broadcastLocked(j *job, name string, data any) {
 	}
 }
 
-// eventID is the SSE id of the job's latest event: the journal epoch in
-// the high 32 bits, the per-job sequence in the low. Epochs bump every
+// eventID is the SSE id of the job's latest event: the epoch in the
+// high 32 bits, the per-job sequence in the low. Epochs bump every
 // coordinator incarnation, so ids are strictly increasing across
 // restarts even though the sequence itself restarts at zero.
 func (c *Coordinator) eventID(j *job) uint64 {
-	return uint64(c.epoch)<<32 | uint64(j.eventSeq)
+	return c.epoch<<32 | uint64(j.eventSeq)
 }
 
 // statusLocked builds the wire status of a job.
@@ -821,31 +868,31 @@ func (c *Coordinator) lookupJob(w http.ResponseWriter, r *http.Request) (*job, b
 
 // leaseID encodes (job, campaign index, shard, generation); the
 // generation distinguishes re-issues of the same shard.
-func leaseID(job string, campaignIdx, shard, gen int) string {
+func leaseID(job string, campaignIdx, shard int, gen uint64) string {
 	return fmt.Sprintf("%s.%d.%d.%d", job, campaignIdx, shard, gen)
 }
 
-// resolveLease parses a lease ID back to its job, campaign index, shard
-// and generation, writing a 404 for IDs that never existed.
-func (c *Coordinator) resolveLease(w http.ResponseWriter, r *http.Request) (*job, *jobCampaign, int, int, int, bool) {
+// resolveLease parses a lease ID back to its job, campaign, shard and
+// generation, writing a 404 for IDs that never existed.
+func (c *Coordinator) resolveLease(w http.ResponseWriter, r *http.Request) (*job, *jobCampaign, int, uint64, bool) {
 	id := r.PathValue("id")
 	parts := strings.Split(id, ".")
 	if len(parts) != 4 {
 		httpError(w, http.StatusNotFound, "malformed lease id %q", id)
-		return nil, nil, 0, 0, 0, false
+		return nil, nil, 0, 0, false
 	}
 	ci, err1 := strconv.Atoi(parts[1])
 	si, err2 := strconv.Atoi(parts[2])
-	gen, err3 := strconv.Atoi(parts[3])
+	gen, err3 := strconv.ParseUint(parts[3], 10, 64)
 	c.mu.Lock()
 	j, ok := c.jobs[parts[0]]
 	c.mu.Unlock()
 	if err1 != nil || err2 != nil || err3 != nil || !ok ||
 		ci < 0 || ci >= len(j.campaigns) || si < 0 || si >= len(j.campaigns[ci].slots) {
 		httpError(w, http.StatusNotFound, "no lease %q", id)
-		return nil, nil, 0, 0, 0, false
+		return nil, nil, 0, 0, false
 	}
-	return j, j.campaigns[ci], ci, si, gen, true
+	return j, j.campaigns[ci], si, gen, true
 }
 
 // writeSSE emits one event in SSE framing; false when the client went

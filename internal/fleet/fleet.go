@@ -46,14 +46,6 @@ const (
 	// non-gracefully.
 	FailpointWorkerLease = "fleet/worker/lease"
 
-	// FailpointJournalAppend guards every coordinator journal append.
-	// An error action loses the record (the append fails before any
-	// bytes reach the WAL); an exit action kills the process at the
-	// append boundary, the chaos suite's stand-in for SIGKILL
-	// before/after a journaled state transition (combine with Skip to
-	// pick the exact record).
-	FailpointJournalAppend = "fleet/journal/append"
-
 	// FailpointCoordRequest is hit at the top of every coordinator
 	// HTTP handler: an error action answers 500 (a transient server
 	// fault the client retry layer must absorb), a delay action models
@@ -161,7 +153,7 @@ type JobStatus struct {
 	ShardsDone    int              `json:"shards_done"`
 	ShardsFailed  int              `json:"shards_failed"`
 	ShardsTotal   int              `json:"shards_total"`
-	Reissued      int              `json:"reissued"` // expired leases re-issued
+	Reissued      int              `json:"reissued"` // expired leases re-issued by this coordinator incarnation
 	Progress      string           `json:"progress"` // one-line snapshot, campaign.Snapshot format
 	Campaigns     []CampaignStatus `json:"campaigns"`
 	ReportSummary string           `json:"report_summary,omitempty"`
@@ -193,7 +185,7 @@ type JobResult struct {
 // Event is one SSE payload. Name is the SSE event field ("progress",
 // "shard", "warning", "done"); Data is the JSON data field. ID, when
 // nonzero, is the SSE id field: a per-job sequence scoped under the
-// coordinator's journal epoch (epoch<<32 | seq), strictly increasing
+// coordinator's epoch (epoch<<32 | seq), strictly increasing
 // across coordinator restarts, so a reconnecting watcher can drop
 // events it has already delivered (Client.Watch does exactly that;
 // "done" events are always delivered regardless).

@@ -104,7 +104,7 @@ func startFleet(t *testing.T, opts CoordinatorOptions, n int) *Client {
 		cancel()
 		wg.Wait()
 	})
-	return NewClient(srv.URL, nil)
+	return NewClientWith(srv.URL, ClientOptions{})
 }
 
 // readDir returns the file contents of a checkpoint directory, keyed by
@@ -498,4 +498,86 @@ func TestFleetLeaseProtocol(t *testing.T) {
 	if _, err := client.Complete(ctx, l1.ID, CompleteRequest{Worker: "worker", Fragment: []byte(`{truncated`)}); err == nil {
 		t.Errorf("invalid fragment accepted, want error")
 	}
+}
+
+// TestFleetFailureReportCountsOnce: a failure report counts only
+// against the shard's live lease, and a shard counts in exactly one of
+// done or failed. The client retry layer and Worker.complete both
+// resend a report whose answer was lost, so a resent report must
+// change nothing, and a fragment for a failed shard is acknowledged
+// but not merged.
+func TestFleetFailureReportCountsOnce(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	shards := func(n int) JobSpec {
+		spec := singleShardSpec()
+		spec.Trials = n * testShardSize
+		return spec
+	}
+	lease := func(t *testing.T, client *Client) *Lease {
+		t.Helper()
+		l, err := client.Lease(ctx, "w")
+		if err != nil || l == nil {
+			t.Fatalf("lease = %v, %v", l, err)
+		}
+		return l
+	}
+	complete := func(t *testing.T, client *Client, l *Lease, req CompleteRequest) {
+		t.Helper()
+		if _, err := client.Complete(ctx, l.ID, req); err != nil {
+			t.Fatalf("complete %s: %v", l.ID, err)
+		}
+	}
+	broken := CompleteRequest{Worker: "w", Error: "defective kernel"}
+	frag := CompleteRequest{Worker: "w", Fragment: []byte(`[30,0,0,0]`)}
+
+	t.Run("fragment after failure", func(t *testing.T) {
+		client := startFleet(t, CoordinatorOptions{LeaseTTL: time.Minute, ShardRetries: 1}, 0)
+		id, err := client.Submit(ctx, shards(2))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		l0, l1 := lease(t, client), lease(t, client)
+		complete(t, client, l0, broken)
+		complete(t, client, l0, frag)
+		st, err := client.Status(ctx, id)
+		if err != nil {
+			t.Fatalf("status: %v", err)
+		}
+		if st.State != "running" || st.ShardsDone != 0 || st.ShardsFailed != 1 {
+			t.Fatalf("status = %s done=%d failed=%d, want running 0/1 (shard 1 is still leased)",
+				st.State, st.ShardsDone, st.ShardsFailed)
+		}
+		complete(t, client, l1, frag)
+		res, err := client.Result(ctx, id)
+		if err != nil {
+			t.Fatalf("result: %v", err)
+		}
+		c := res.Campaigns[0]
+		if res.State != "failed" || len(c.FailedShards) != 1 || c.FailedShards[0] != 0 ||
+			c.Counts[0]+c.Counts[1]+c.Counts[2]+c.Counts[3] != testShardSize {
+			t.Errorf("result = %s, failed shards %v, counts %v; want failed, [0], one shard's trials",
+				res.State, c.FailedShards, c.Counts)
+		}
+	})
+
+	t.Run("resent failure report", func(t *testing.T) {
+		client := startFleet(t, CoordinatorOptions{LeaseTTL: time.Minute, ShardRetries: 1}, 0)
+		id, err := client.Submit(ctx, shards(3))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		l0 := lease(t, client)
+		for i := 0; i < 3; i++ {
+			complete(t, client, l0, broken)
+		}
+		st, err := client.Status(ctx, id)
+		if err != nil {
+			t.Fatalf("status: %v", err)
+		}
+		if st.State != "running" || st.ShardsFailed != 1 {
+			t.Errorf("status = %s failed=%d, want running 1 (shards 1 and 2 were never leased)",
+				st.State, st.ShardsFailed)
+		}
+	})
 }
