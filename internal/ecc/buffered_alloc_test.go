@@ -34,17 +34,23 @@ func TestBufferedSchemeAllocs(t *testing.T) {
 }
 
 // TestInjectorAllocs pins the per-trial injectors of the BER sweep and
-// the scenario campaigns at zero allocations on a reused image.
+// of every builtin scenario at its default options at zero allocations
+// on a reused image, together with the image clear that starts each
+// trial.
 func TestInjectorAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, s := range pooledSchemesUnderTest() {
-		st := s.NewStored()
-		if n := testing.AllocsPerRun(200, func() { FlipRandomStoredBits(rng, st, 12) }); n != 0 {
-			t.Fatalf("%s: FlipRandomStoredBits(k=12) allocated %.1f/op, want 0", s.Name(), n)
-		}
-		pin := ScenarioInjector(faults.MustScenario("pin"))
-		if n := testing.AllocsPerRun(200, func() { pin(rng, st) }); n != 0 {
-			t.Fatalf("%s: pin ScenarioInjector allocated %.1f/op, want 0", s.Name(), n)
-		}
+		t.Run(s.Name(), func(t *testing.T) {
+			st := s.NewStored()
+			if n := testing.AllocsPerRun(200, func() { st.Zero(); FlipRandomStoredBits(rng, st, 12) }); n != 0 {
+				t.Errorf("Zero+FlipRandomStoredBits(k=12) allocated %.1f/op, want 0", n)
+			}
+			for _, id := range faults.ScenarioIDs() {
+				inject := ScenarioInjector(faults.MustScenario(id))
+				if n := testing.AllocsPerRun(200, func() { inject(rng, st) }); n != 0 {
+					t.Errorf("%s ScenarioInjector allocated %.1f/op, want 0", id, n)
+				}
+			}
+		})
 	}
 }

@@ -77,18 +77,14 @@ func ApplyDeviceFault(rng *rand.Rand, st *Stored, f faults.Fault) {
 // FlipStored flips the stored bit with global index idx, where indices run
 // over chips in order and, within a chip, over Data, OnDie, Xfer. It is
 // the primitive the semi-analytic BER sweep uses to place exactly k
-// distinct weak cells.
+// distinct weak cells. Every chip of an image has one shape, so the index
+// maps to its chip by one division.
 func FlipStored(st *Stored, idx int) {
-	for i := range st.Chips {
-		c := &st.Chips[i]
-		if n := c.TotalBits(); idx >= n {
-			idx -= n
-			continue
-		}
-		c.Flip(idx)
-		return
+	per := st.Chips[0].TotalBits()
+	if total := per * len(st.Chips); uint(idx) >= uint(total) {
+		panic(fmt.Sprintf("ecc: stored bit index %d outside [0, %d)", idx, total))
 	}
-	panic(fmt.Sprintf("ecc: stored bit index %d out of range", idx))
+	st.Chips[idx/per].Flip(idx % per)
 }
 
 // FlipRandomStoredBits flips exactly k distinct uniformly random stored

@@ -40,12 +40,16 @@ func TestFlipStoredIndexesEveryBit(t *testing.T) {
 func TestFlipStoredOutOfRangePanics(t *testing.T) {
 	s := NewIECC(dram.DDR4x16())
 	st := Encode(s, make([]byte, 64))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range index did not panic")
-		}
-	}()
-	FlipStored(st, st.TotalBits())
+	for _, idx := range []int{st.TotalBits(), -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("index %d did not panic", idx)
+				}
+			}()
+			FlipStored(st, idx)
+		}()
+	}
 }
 
 func TestFlipStoredCoversXferRegion(t *testing.T) {

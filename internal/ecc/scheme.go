@@ -130,6 +130,11 @@ func (s *Stored) Clone() *Stored {
 	return out
 }
 
+// Zero clears every stored bit of the image with one clear of the buffer
+// behind its chips: the image of the all-zero line under every scheme,
+// since each is a linear code.
+func (s *Stored) Zero() { clear(s.buf) }
+
 // TotalBits sums stored bits over all chips.
 func (s *Stored) TotalBits() int {
 	n := 0

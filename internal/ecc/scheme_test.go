@@ -95,6 +95,24 @@ func TestAllSchemesStoredCloneIndependent(t *testing.T) {
 	}
 }
 
+// TestStoredZeroClearsEveryRegion checks that Zero leaves no bit of a
+// corrupted image set, in any region of any chip.
+func TestStoredZeroClearsEveryRegion(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, s := range pooledSchemesUnderTest() {
+		st := Encode(s, randLine(rng, s.Org().LineBytes()))
+		InjectAccessFault(rng, st, faults.PermanentWord, 0)
+		st.Zero()
+		for i := range st.Chips {
+			for r, reg := range st.Chips[i].Regions() {
+				if n := reg.PopCount(); n != 0 {
+					t.Fatalf("%s: chip %d region %d keeps %d set bits after Zero", s.Name(), i, r, n)
+				}
+			}
+		}
+	}
+}
+
 func TestSingleCellCorrectedByAllCorrectingSchemes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, s := range schemesUnderTest() {

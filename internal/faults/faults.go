@@ -112,10 +112,11 @@ func DefaultFITTable() []FITEntry {
 
 // --- Access-level injectors -------------------------------------------
 //
-// Each injector XORs an error pattern into a chip access and returns the
-// number of bits flipped. Array patterns take the whole dram.Chip and
-// reach every stored bit; interface patterns reach what crosses the pins;
-// the rest take the data burst alone.
+// Each injector XORs an error pattern drawn from the RNG alone into a
+// chip access, without reading it, and returns the number of bits
+// flipped. Array patterns take the whole dram.Chip and reach every stored
+// bit; interface patterns reach what crosses the pins; the rest take the
+// data burst alone.
 
 // InjectInherent flips every stored bit of the chip independently with
 // probability ber — data, on-die and transferred redundancy alike, since
@@ -145,10 +146,37 @@ func InjectNCells(rng *rand.Rand, c *dram.Chip, n int) int {
 	if n > total {
 		n = total
 	}
-	for _, idx := range rng.Perm(total)[:n] {
+	var small [16]int
+	for _, idx := range permPrefix(rng, total, n, small[:]) {
 		c.Flip(idx)
 	}
 	return n
+}
+
+// permPrefix returns rng.Perm(total)[:n], n <= total, after the same
+// Intn(i+1) draws for i = 0..total-1, so the RNG ends where rng.Perm
+// leaves it, but without building the whole permutation: Perm's shuffle
+// only ever fills a position below n from another position below n or
+// from the constant i, so the positions at or above n need not exist.
+// The result reuses buf when it has room for n entries.
+func permPrefix(rng *rand.Rand, total, n int, buf []int) []int {
+	var m []int
+	if n <= cap(buf) {
+		m = buf[:n]
+	} else {
+		m = make([]int, n)
+	}
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	for i := n; i < total; i++ {
+		if j := rng.Intn(i + 1); j < n {
+			m[j] = i
+		}
+	}
+	return m
 }
 
 // InjectPin corrupts one random pin of the chip (see InjectPinAt).

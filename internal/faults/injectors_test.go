@@ -2,6 +2,7 @@ package faults
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pair/internal/dram"
@@ -69,6 +70,32 @@ func TestBurstInjectorDegenerateLengths(t *testing.T) {
 		}
 		if got := rng.Int63(); got != before {
 			t.Fatalf("degenerate burst length b=%d consumed randomness", b)
+		}
+	}
+}
+
+// TestPermPrefixMatchesPerm pins the prefix shuffle behind the cell and
+// chipkill scenarios to the rng.Perm it replaced: the same first n
+// entries and the same RNG state afterwards, whether the result fits the
+// caller's buffer or not, so every later draw of a trial is unchanged.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	for _, total := range []int{1, 2, 3, 4, 9, 16, 17, 136, 160, 256} {
+		for _, n := range []int{0, 1, 2, 3, 8, 16, 17, total - 1, total} {
+			if n > total {
+				continue
+			}
+			for seed := int64(1); seed <= 5; seed++ {
+				want := rand.New(rand.NewSource(seed))
+				got := rand.New(rand.NewSource(seed))
+				var small [16]int
+				prefix := permPrefix(got, total, n, small[:])
+				if ref := want.Perm(total)[:n]; !slices.Equal(prefix, ref) {
+					t.Fatalf("total=%d n=%d seed=%d: prefix %v, rng.Perm %v", total, n, seed, prefix, ref)
+				}
+				if a, b := got.Int63(), want.Int63(); a != b {
+					t.Fatalf("total=%d n=%d seed=%d: RNG state diverged from rng.Perm's", total, n, seed)
+				}
+			}
 		}
 	}
 }

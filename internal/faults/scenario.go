@@ -20,13 +20,16 @@ import (
 
 // Scenario is one registered fault scenario instance. Inject corrupts a
 // rank access (one dram.Chip per stored chip image, data chips first) in
-// place using only the given RNG, and returns the number of bit positions
-// it XORed. Scenarios tolerate any absent region (the faultmap CLI
-// renders Data-only chips). An
-// instance holds no per-trial state, so one Scenario value is safe for
-// concurrent use from campaign shard workers, and equal (spec, RNG
-// stream) always produce the same corruption — the determinism contract
-// the campaign engine extends down to the fault layer.
+// place and returns the number of bit positions it XORed. It XORs in a
+// pattern drawn from the given RNG alone and never reads the image, so
+// the pattern and every draw are the same whatever data the access holds:
+// the premise that lets the reliability engine run every trial on the
+// all-zero codeword. Scenarios tolerate any absent region (the faultmap
+// CLI renders Data-only chips). An instance holds no per-trial state, so
+// one Scenario value is safe for concurrent use from campaign shard
+// workers, and equal (spec, RNG stream) always produce the same
+// corruption — the determinism contract the campaign engine extends down
+// to the fault layer.
 type Scenario interface {
 	// Spec returns the canonical spec string that rebuilds this scenario
 	// (parse∘canonical = identity); campaign labels embed it.
@@ -35,7 +38,12 @@ type Scenario interface {
 	Inject(rng *rand.Rand, chips []dram.Chip) int
 }
 
-// InjectFunc is the corruption hook a scenario constructor returns.
+// InjectFunc is the corruption hook a scenario constructor returns, under
+// Scenario.Inject's contract: it XORs in a pattern drawn from the RNG
+// alone and never reads the chips. A fault model whose pattern depends on
+// the stored data, such as retention errors that only discharge charged
+// cells, would break the all-zero-codeword trials; the reliability
+// engine's TestZeroCodewordEquivalence fails on one.
 type InjectFunc func(rng *rand.Rand, chips []dram.Chip) int
 
 // ScenarioEntry is one registered scenario: identity, documentation and

@@ -208,9 +208,9 @@ func init() {
 				return nil, err
 			}
 			return func(rng *rand.Rand, image []dram.Chip) int {
-				k := min(chips, len(image))
+				var small [16]int
 				n := 0
-				for _, c := range rng.Perm(len(image))[:k] {
+				for _, c := range permPrefix(rng, len(image), min(chips, len(image)), small[:]) {
 					n += InjectWord(rng, &image[c])
 				}
 				return n

@@ -66,21 +66,30 @@ func RatesFromCounts(counts [4]int64, trials int) OutcomeRates {
 }
 
 // runTrials executes n trials with the given RNG and returns the outcome
-// counts. Each trial draws a random line, encodes it, injects faults,
-// decodes and classifies, reusing one stored image and both line buffers
-// across trials (allocation-free steady state for the pooled schemes).
+// counts. Each trial clears one reused image to the all-zero codeword,
+// injects faults, decodes and classifies against the all-zero line.
+// Every scheme is a linear code whose decoder acts on the syndrome alone,
+// and every injector XORs in a pattern drawn from the RNG alone, so a
+// trial's outcome depends only on its error pattern and equals the
+// outcome on any encoded line (TestZeroCodewordEquivalence checks this
+// per trial for every scheme and injection path). Each trial still reads
+// a line's worth of random bytes into scratch, as when it encoded them:
+// Rand.Read carries a partial word between calls, so without the read
+// every later draw would shift, and with them every count and
+// checkpoint. The loop allocates nothing in steady state for the pooled
+// schemes.
 func runTrials(scheme ecc.Scheme, rng *rand.Rand, n int, inject func(*rand.Rand, *ecc.Stored)) (counts [4]int64) {
-	line := make([]byte, scheme.Org().LineBytes())
-	decoded := make([]byte, len(line))
+	lineBytes := scheme.Org().LineBytes()
+	scratch, zero, decoded := make([]byte, lineBytes), make([]byte, lineBytes), make([]byte, lineBytes)
 	st := scheme.NewStored()
-	lines, sts, dst := [][]byte{line}, []*ecc.Stored{st}, [][]byte{decoded}
+	sts, dst := []*ecc.Stored{st}, [][]byte{decoded}
 	claims := make([]ecc.Claim, 1)
 	for t := 0; t < n; t++ {
-		rng.Read(line)
-		scheme.EncodeBatchInto(sts, lines)
+		rng.Read(scratch)
+		st.Zero()
 		inject(rng, st)
 		scheme.DecodeBatchInto(dst, sts, claims)
-		counts[ecc.Classify(line, decoded, claims[0])]++
+		counts[ecc.Classify(zero, decoded, claims[0])]++
 	}
 	return counts
 }
@@ -306,11 +315,12 @@ func Coverage(scheme ecc.Scheme, label string, trials int, seed int64, inject fu
 
 // CoverageCtx measures outcome rates when the given injection function
 // is applied to every trial's image, as one sharded campaign. Injectors
-// receive the per-trial RNG and the cloned image. Shard RNG streams are
-// derived from the seed, the (scheme, label) campaign identity and the
-// shard index, so campaigns over several labels sharing one seed draw
-// independent randomness per label and results do not depend on worker
-// scheduling.
+// receive the per-trial RNG and the trial's image, which holds the
+// all-zero codeword, and must XOR in a pattern drawn from the RNG alone
+// (see runTrials). Shard RNG streams are derived from the seed, the
+// (scheme, label) campaign identity and the shard index, so campaigns
+// over several labels sharing one seed draw independent randomness per
+// label and results do not depend on worker scheduling.
 func CoverageCtx(ctx context.Context, scheme ecc.Scheme, label string, trials int, seed int64, inject func(*rand.Rand, *ecc.Stored), opts campaign.Options) (CoverageResult, error) {
 	spec := campaign.Spec{
 		Label:  campaign.JoinLabel("coverage", schemes.CampaignID(scheme), label),

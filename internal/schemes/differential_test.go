@@ -16,18 +16,27 @@ import (
 // TotalBits consistency between the two.
 func TestDifferentialAllSchemesAllOrgs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	for _, spec := range allOrgSpecs() {
+		s, err := New(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		t.Run(spec, func(t *testing.T) {
+			testRoundTrip(t, rng, s)
+		})
+	}
+}
+
+// allOrgSpecs returns the canonical spec of every registered scheme on
+// every organization it supports.
+func allOrgSpecs() []string {
+	var specs []string
 	for _, e := range All() {
 		for _, orgID := range e.Orgs {
-			spec := CanonicalSpec(e, orgID)
-			s, err := New(spec)
-			if err != nil {
-				t.Fatalf("%s: %v", spec, err)
-			}
-			t.Run(spec, func(t *testing.T) {
-				testRoundTrip(t, rng, s)
-			})
+			specs = append(specs, CanonicalSpec(e, orgID))
 		}
 	}
+	return specs
 }
 
 func testRoundTrip(t *testing.T, rng *rand.Rand, s ecc.Scheme) {
@@ -69,6 +78,39 @@ func testRoundTrip(t *testing.T, rng *rand.Rand, s ecc.Scheme) {
 		if claims[0] != ecc.ClaimClean || !bytes.Equal(dst[0], line) {
 			t.Fatalf("reused-buffer fault-free decode: claim %v, match %v", claims[0], bytes.Equal(dst[0], line))
 		}
+	}
+}
+
+// TestZeroLineEncodesToZeroImage checks the first premise of the
+// reliability engine's all-zero-codeword trials: every scheme, on every
+// organization it supports and in its spared PAIR variant, encodes the
+// all-zero line to an image with no bit set in any chip or region, both
+// fresh and over an image with every stored bit set.
+func TestZeroLineEncodesToZeroImage(t *testing.T) {
+	for _, spec := range append(allOrgSpecs(), "pair:spare=3.7") {
+		s, err := New(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		zero := make([]byte, s.Org().LineBytes())
+		st := ecc.Encode(s, zero)
+		check := func(what string) {
+			for i := range st.Chips {
+				for r, reg := range st.Chips[i].Regions() {
+					if n := reg.PopCount(); n != 0 {
+						t.Fatalf("%s: %s sets %d bits in chip %d region %d", spec, what, n, i, r)
+					}
+				}
+			}
+		}
+		check("Encode(zero line)")
+		for i := range st.Chips {
+			for b := 0; b < st.Chips[i].TotalBits(); b++ {
+				st.Chips[i].Flip(b)
+			}
+		}
+		s.EncodeBatchInto([]*ecc.Stored{st}, [][]byte{zero})
+		check("EncodeBatchInto(zero line) over a dirty image")
 	}
 }
 
