@@ -1,13 +1,16 @@
 package campaign
 
 import (
+	"context"
 	"math/rand"
 	"time"
 )
 
-// Backoff configures retry of transient checkpoint I/O (mkdir, write,
-// fsync, rename, read). The zero value means "use defaults"; set
-// Attempts to a negative value to disable retrying entirely.
+// Backoff is the retry schedule of transient failures: checkpoint I/O
+// (mkdir, write, fsync, rename, read) here, and the fleet client's
+// requests, event-stream reconnects and the worker's lease polls. The
+// zero value means "use defaults"; set Attempts to a negative value to
+// disable retrying entirely.
 type Backoff struct {
 	// Attempts is the total number of tries, including the first.
 	// 0 means DefaultBackoffAttempts; negative means exactly one try.
@@ -20,9 +23,10 @@ type Backoff struct {
 	// Max caps the per-retry delay. 0 means 250ms.
 	Max time.Duration
 
-	// Sleep, when non-nil, replaces time.Sleep — tests inject a
-	// recording sleeper so backoff schedules are asserted without
-	// wall-clock waits.
+	// Sleep, when non-nil, replaces the wait between tries — tests
+	// inject a recording sleeper so backoff schedules are asserted
+	// without wall-clock waits. The default wait ends early when the
+	// context of Retry is done.
 	Sleep func(time.Duration)
 }
 
@@ -44,19 +48,17 @@ func (b Backoff) withDefaults() Backoff {
 	if b.Max <= 0 {
 		b.Max = 250 * time.Millisecond
 	}
-	if b.Sleep == nil {
-		b.Sleep = time.Sleep
-	}
 	return b
 }
 
-// retry runs op up to the attempt budget, sleeping an exponentially
-// growing, jittered delay between tries. The jitter stream is seeded
-// from the salt (the checkpoint label), not from global randomness, so
-// a test run's backoff schedule is reproducible while concurrent
-// campaigns still spread their retries apart. Returns the number of
-// retries performed and op's final error (nil on success).
-func (b Backoff) retry(salt string, op func() error) (retries int, err error) {
+// Retry runs op up to the attempt budget, waiting an exponentially
+// growing, jittered delay between tries, and returns the number of
+// retries performed and op's final error (nil on success). A done ctx
+// ends the wait and Retry returns ctx.Err(). The jitter stream is
+// seeded from the salt (a checkpoint label, a request path), not from
+// global randomness, so a test run's schedule is reproducible while
+// concurrent callers still spread their retries apart.
+func (b Backoff) Retry(ctx context.Context, salt string, op func() error) (retries int, err error) {
 	b = b.withDefaults()
 	var jitter *rand.Rand
 	delay := b.Base
@@ -68,15 +70,22 @@ func (b Backoff) retry(salt string, op func() error) (retries int, err error) {
 		if jitter == nil {
 			jitter = rand.New(rand.NewSource(ShardSeed(int64(b.Attempts), salt, 0)))
 		}
-		// Full jitter on top of the exponential floor: sleep in
+		// Full jitter on top of the exponential floor: wait in
 		// [delay/2, delay), so synchronized failures decorrelate.
 		d := delay/2 + time.Duration(jitter.Int63n(int64(delay/2)+1))
-		b.Sleep(d)
-		if delay < b.Max {
-			delay *= 2
-			if delay > b.Max {
-				delay = b.Max
+		if b.Sleep != nil {
+			b.Sleep(d)
+		} else {
+			t := time.NewTimer(d)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+			case <-t.C:
 			}
 		}
+		if ctx.Err() != nil {
+			return attempt, ctx.Err()
+		}
+		delay = min(2*delay, max(delay, b.Max))
 	}
 }

@@ -156,11 +156,12 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 
-	ck, err := openCheckpoint(dir, spec, Options{Resume: true})
+	ck, err := OpenCheckpoint(dir, spec, Options{Resume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := ck.numDone()
+	done := 0
+	ck.Fold(func(int, json.RawMessage) error { done++; return nil })
 	if done < 3 || done >= spec.NumShards() {
 		t.Fatalf("checkpoint holds %d shards after cancel, want partial coverage of %d", done, spec.NumShards())
 	}
@@ -243,6 +244,40 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), spec, Options{CheckpointDir: dir, Resume: true}, sumFn, sumMerge); err == nil {
 		t.Fatal("corrupt shard payload did not error")
+	}
+	// So are a null payload, which would count as a zero result, and an
+	// index outside the campaign, both under a matching header.
+	spec = Spec{Label: "corrupt", Trials: 400, ShardSize: 100, Seed: 1}
+	if _, err := Run(context.Background(), spec, Options{CheckpointDir: dir}, sumFn, sumMerge); err != nil {
+		t.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, damage := range []struct {
+		what  string
+		shard int
+		raw   string
+	}{
+		{"null shard payload", 2, `null`},
+		{"out-of-range shard", 9, `{"n":1}`},
+	} {
+		var f checkpointFile
+		if err := json.Unmarshal(valid, &f); err != nil {
+			t.Fatal(err)
+		}
+		f.Shards[damage.shard] = json.RawMessage(damage.raw)
+		raw, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Run(context.Background(), spec, Options{CheckpointDir: dir, Resume: true}, sumFn, sumMerge); err == nil {
+			t.Errorf("%s resumed without error: %+v", damage.what, got)
+		}
 	}
 }
 

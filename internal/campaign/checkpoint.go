@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,18 +29,23 @@ type checkpointFile struct {
 	Shards    map[int]json.RawMessage `json:"shards"`
 }
 
-// Checkpoint tracks the completed shards of one campaign and mirrors
-// them to a JSON file. Every update rewrites the file via a temp file,
-// an fsync, and an atomic rename, so a kill or power loss at any
-// instant leaves either the previous or the new complete checkpoint —
-// never a torn, empty, or stale one.
+// Checkpoint is the one store of a campaign's shard fragments: the
+// results Run computes locally and the fragments fleet workers return
+// to a coordinator alike. With a directory it mirrors them to a JSON
+// file, and every fresh fragment rewrites the file via a temp file, an
+// fsync, and an atomic rename, so a kill or power loss at any instant
+// leaves either the previous or the new complete checkpoint — never a
+// torn, empty, or stale one. Without a directory it keeps them in
+// memory only.
 //
 // Transient I/O failures are retried with exponential backoff; when the
 // budget is exhausted the checkpoint degrades to memory-only mode: the
 // campaign keeps running to completion, a warning records that
-// resumability was lost, and no further disk I/O is attempted.
+// resumability was lost, and no further disk I/O is attempted. A
+// degraded checkpoint still keeps every fragment recorded into it.
 type Checkpoint struct {
-	path     string
+	path     string // "" keeps the fragments in memory only
+	n        int    // the campaign's shard count
 	backoff  Backoff
 	report   *Report
 	warnSink func(string, ...any)
@@ -86,21 +92,24 @@ func sanitizeLabel(label string) string {
 	return fmt.Sprintf("%s-%08x", string(out), h.Sum32())
 }
 
-// openCheckpoint binds a checkpoint to dir for the given spec. With
-// opts.Resume it loads any existing file and validates that it belongs
-// to the same campaign shape; without resume it starts empty (a stale
-// file is overwritten on the first save, and a stale temp file from a
-// killed run is removed so it cannot linger or be mistaken for a
-// checkpoint).
+// OpenCheckpoint opens the store of one campaign's fragments, mirrored
+// to CheckpointPath(dir, spec.Label) or, with an empty dir, kept in
+// memory. spec.Label is the full campaign label (namespace included);
+// opts supplies Resume, Salvage, CheckpointBackoff, Report and Warnf.
+// With opts.Resume it loads an existing file, which must belong to the
+// same campaign shape (see loadCheckpoint); without resume it starts
+// empty (a stale file is overwritten on the first record, and a stale
+// temp file from a killed run is removed so it cannot linger or be
+// mistaken for a checkpoint).
 //
 // With opts.Salvage, a corrupted or truncated checkpoint no longer
 // aborts the resume: every intact shard — from the main file and from a
 // leftover .tmp a crash stranded between write and rename — is
 // recovered, the rest are dropped with a warning, and the campaign
 // recomputes only what was lost.
-func openCheckpoint(dir string, spec Spec, opts Options) (*Checkpoint, error) {
+func OpenCheckpoint(dir string, spec Spec, opts Options) (*Checkpoint, error) {
 	c := &Checkpoint{
-		path:     CheckpointPath(dir, spec.Label),
+		n:        spec.NumShards(),
 		backoff:  opts.CheckpointBackoff,
 		report:   opts.Report,
 		warnSink: opts.Warnf,
@@ -113,13 +122,16 @@ func openCheckpoint(dir string, spec Spec, opts Options) (*Checkpoint, error) {
 			Shards:    map[int]json.RawMessage{},
 		},
 	}
-	retries, err := c.backoff.retry(spec.Label, func() error {
+	if dir == "" {
+		return c, nil
+	}
+	c.path = CheckpointPath(dir, spec.Label)
+	err := c.retry(func() error {
 		if err := failpoint.Hit(FailpointMkdir); err != nil {
 			return err
 		}
 		return os.MkdirAll(dir, 0o755)
 	})
-	c.report.addCheckpointRetries(retries)
 	if err != nil {
 		// An unusable checkpoint directory is not fatal: run in memory.
 		c.degrade("creating checkpoint dir %s: %v", dir, err)
@@ -132,31 +144,19 @@ func openCheckpoint(dir string, spec Spec, opts Options) (*Checkpoint, error) {
 	}
 
 	raw, readErr := c.readRetry(c.path)
-	if readErr != nil && !opts.Salvage {
-		return nil, fmt.Errorf("campaign: read checkpoint: %w", readErr)
-	}
-
 	if !opts.Salvage {
+		if readErr != nil {
+			return nil, fmt.Errorf("campaign: read checkpoint: %w", readErr)
+		}
 		os.Remove(tmpPath)
 		if raw == nil {
 			return c, nil // nothing to resume yet
 		}
-		var loaded checkpointFile
-		if err := json.Unmarshal(raw, &loaded); err != nil {
-			return nil, fmt.Errorf("campaign: parse checkpoint %s: %w (rerun with salvage to recover intact shards)", c.path, err)
+		shards, err := loadCheckpoint(raw, spec)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: checkpoint %s %v (rerun with salvage to recover intact shards)", c.path, err)
 		}
-		if loaded.Version != checkpointVersion {
-			return nil, fmt.Errorf("campaign: checkpoint %s has version %d, want %d", c.path, loaded.Version, checkpointVersion)
-		}
-		if loaded.Label != spec.Label || loaded.Seed != spec.Seed ||
-			loaded.Trials != spec.Trials || loaded.ShardSize != spec.shardSize() {
-			return nil, fmt.Errorf("campaign: checkpoint %s was written by a different campaign (label %q seed %d trials %d shard %d; want %q %d %d %d)",
-				c.path, loaded.Label, loaded.Seed, loaded.Trials, loaded.ShardSize,
-				spec.Label, spec.Seed, spec.Trials, spec.shardSize())
-		}
-		if loaded.Shards != nil {
-			c.file.Shards = loaded.Shards
-		}
+		c.file.Shards = shards
 		return c, nil
 	}
 
@@ -170,26 +170,13 @@ func openCheckpoint(dir string, spec Spec, opts Options) (*Checkpoint, error) {
 	if raw == nil && tmpRaw == nil {
 		return c, nil
 	}
-	n := spec.NumShards()
-	// A checkpoint that is fully intact (parses strictly, header
-	// matches, every shard in range) resumes silently: salvage only
-	// announces itself when it actually recovered something.
-	if raw != nil && tmpRaw == nil {
-		var loaded checkpointFile
-		if json.Unmarshal(raw, &loaded) == nil && headerMatches(loaded, spec) {
-			intact := true
-			for i, p := range loaded.Shards {
-				if i < 0 || i >= n || isNullJSON(p) {
-					intact = false
-					break
-				}
-			}
-			if intact {
-				if loaded.Shards != nil {
-					c.file.Shards = loaded.Shards
-				}
-				return c, nil
-			}
+	// A checkpoint that passes the strict check resumes silently:
+	// salvage only announces itself when it actually recovered
+	// something.
+	if tmpRaw == nil {
+		if shards, err := loadCheckpoint(raw, spec); err == nil {
+			c.file.Shards = shards
+			return c, nil
 		}
 	}
 	rep := SalvageReport{Label: spec.Label, Path: c.path}
@@ -204,7 +191,7 @@ func openCheckpoint(dir string, spec Spec, opts Options) (*Checkpoint, error) {
 		}
 		rep.HeaderOK = true
 		for i, payload := range f.Shards {
-			if i < 0 || i >= n || isNullJSON(payload) {
+			if i < 0 || i >= c.n || isNullJSON(payload) {
 				rep.Dropped++
 				continue
 			}
@@ -225,11 +212,41 @@ func openCheckpoint(dir string, spec Spec, opts Options) (*Checkpoint, error) {
 	return c, nil
 }
 
+// loadCheckpoint is the one check both resume modes apply to a
+// checkpoint file: it parses, its header matches spec, and every shard
+// is in range and not null (a null payload would silently unmarshal
+// into a zero result). Strict resume rejects a file that fails it;
+// salvage resume recovers what it can from one.
+func loadCheckpoint(raw []byte, spec Spec) (map[int]json.RawMessage, error) {
+	var f checkpointFile
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return nil, fmt.Errorf("does not parse: %w", err)
+	}
+	if !headerMatches(f, spec) {
+		return nil, fmt.Errorf("was written by a different campaign (version %d label %q seed %d trials %d shard %d; want %d %q %d %d %d)",
+			f.Version, f.Label, f.Seed, f.Trials, f.ShardSize,
+			checkpointVersion, spec.Label, spec.Seed, spec.Trials, spec.shardSize())
+	}
+	n := spec.NumShards()
+	for i, payload := range f.Shards {
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("holds shard %d of a %d-shard campaign", i, n)
+		}
+		if isNullJSON(payload) {
+			return nil, fmt.Errorf("holds a null shard %d", i)
+		}
+	}
+	if f.Shards == nil {
+		f.Shards = map[int]json.RawMessage{}
+	}
+	return f.Shards, nil
+}
+
 // readRetry reads path with the transient-I/O retry policy. A missing
 // file is not an error: it returns (nil, nil).
 func (c *Checkpoint) readRetry(path string) ([]byte, error) {
 	var raw []byte
-	retries, err := c.backoff.retry(c.file.Label, func() error {
+	err := c.retry(func() error {
 		if err := failpoint.Hit(FailpointRead); err != nil {
 			return err
 		}
@@ -241,19 +258,83 @@ func (c *Checkpoint) readRetry(path string) ([]byte, error) {
 		}
 		return rerr
 	})
-	c.report.addCheckpointRetries(retries)
 	if err != nil {
 		return nil, err
 	}
 	return raw, nil
 }
 
-// shard returns the stored raw result of shard i, if present.
-func (c *Checkpoint) shard(i int) (json.RawMessage, bool) {
+// retry runs one checkpoint I/O operation on the backoff schedule and
+// counts its retries. No context cuts it short: a shard that finishes
+// after its run was cancelled is still recorded.
+func (c *Checkpoint) retry(op func() error) error {
+	retries, err := c.backoff.Retry(context.Background(), c.file.Label, op)
+	c.report.addCheckpointRetries(retries)
+	return err
+}
+
+// Record stores shard i's fragment unless the checkpoint already holds
+// one, and reports whether it did (fresh). A duplicate is discarded:
+// a fragment derives from (label, seed, shard index) alone, so it is
+// byte-identical to the stored one and first-wins equals last-wins. An
+// out-of-range index or a fragment that is not a JSON value is an
+// error. A fresh fragment is persisted before Record returns — one
+// atomic rewrite of the file, retried with backoff — and an exhausted
+// budget degrades the checkpoint to memory-only instead of failing.
+// Writes are serialized, so the file on disk always holds a prefix of
+// the recorded shards.
+func (c *Checkpoint) Record(i int, frag json.RawMessage) (fresh bool, err error) {
+	if i < 0 || i >= c.n {
+		return false, fmt.Errorf("campaign %q: shard %d out of range [0,%d)", c.file.Label, i, c.n)
+	}
+	if !json.Valid(frag) || isNullJSON(frag) {
+		return false, fmt.Errorf("campaign %q: shard %d fragment is not a JSON value", c.file.Label, i)
+	}
+	c.mu.Lock()
+	if _, dup := c.file.Shards[i]; dup {
+		c.mu.Unlock()
+		return false, nil
+	}
+	c.file.Shards[i] = append(json.RawMessage(nil), frag...)
+	if c.path == "" || c.degraded {
+		c.mu.Unlock()
+		return true, nil
+	}
+	buf, err := json.MarshalIndent(&c.file, "", " ")
+	if err == nil {
+		err = c.retry(func() error { return WriteFileAtomic(c.path, append(buf, '\n')) })
+	}
+	c.mu.Unlock()
+	if err != nil {
+		c.degrade("%v", err)
+	}
+	return true, nil
+}
+
+// Has reports whether shard i's fragment is stored.
+func (c *Checkpoint) Has(i int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	raw, ok := c.file.Shards[i]
-	return raw, ok
+	_, ok := c.file.Shards[i]
+	return ok
+}
+
+// Fold visits every stored fragment in ascending shard order — the
+// order Run merges in, so an aggregate folded here is byte-identical
+// to a local run's — and stops at the first error visit returns.
+func (c *Checkpoint) Fold(visit func(i int, frag json.RawMessage) error) error {
+	for i := 0; i < c.n; i++ {
+		c.mu.Lock()
+		raw, ok := c.file.Shards[i]
+		c.mu.Unlock()
+		if !ok {
+			continue
+		}
+		if err := visit(i, raw); err != nil {
+			return fmt.Errorf("campaign %q: shard %d: %w", c.file.Label, i, err)
+		}
+	}
+	return nil
 }
 
 // drop removes shard i from the in-memory set, so a payload rejected at
@@ -262,40 +343,6 @@ func (c *Checkpoint) drop(i int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.file.Shards, i)
-}
-
-// numDone returns how many shard results the checkpoint holds.
-func (c *Checkpoint) numDone() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.file.Shards)
-}
-
-// record stores shard i's result and rewrites the checkpoint file with
-// retry/backoff; an exhausted budget degrades to memory-only mode
-// instead of failing the campaign. Callers (the runner) serialize
-// record calls, so the file on disk always reflects a prefix of the
-// recorded shards.
-func (c *Checkpoint) record(i int, raw json.RawMessage) {
-	c.mu.Lock()
-	if c.degraded {
-		c.mu.Unlock()
-		return
-	}
-	c.file.Shards[i] = raw
-	buf, err := json.MarshalIndent(&c.file, "", " ")
-	c.mu.Unlock()
-	if err != nil {
-		c.degrade("marshal checkpoint: %v", err)
-		return
-	}
-	retries, err := c.backoff.retry(c.file.Label, func() error {
-		return WriteFileAtomic(c.path, append(buf, '\n'))
-	})
-	c.report.addCheckpointRetries(retries)
-	if err != nil {
-		c.degrade("%v", err)
-	}
 }
 
 // WriteFileAtomic durably replaces the file at path with data: temp
@@ -356,11 +403,4 @@ func (c *Checkpoint) degrade(format string, args ...any) {
 	reason := fmt.Sprintf(format, args...)
 	c.report.setDegraded(reason)
 	c.report.Warningf(c.warnSink, "campaign %q: checkpointing degraded to memory-only (%s); this run will finish but cannot be resumed", c.file.Label, reason)
-}
-
-// isDegraded reports whether the checkpoint fell back to memory-only.
-func (c *Checkpoint) isDegraded() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.degraded
 }

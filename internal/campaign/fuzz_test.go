@@ -43,6 +43,9 @@ func FuzzCheckpointLoad(f *testing.F) {
 		corrupt[180] ^= 0xff // bit-flip inside the shards section
 	}
 	f.Add(corrupt)
+	// Matching header, unusable shards: a null payload and an index
+	// outside the campaign.
+	f.Add([]byte(`{"version":1,"label":"fuzz","seed":21,"trials":2000,"shard_size":500,"shards":{"0":{"n":500,"sum":1},"1":null,"9":{"n":1}}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -50,28 +53,33 @@ func FuzzCheckpointLoad(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		// Strict mode: error or success, never a panic.
-		if c, err := openCheckpoint(dir, fuzzSpec, Options{Resume: true}); err == nil && c == nil {
-			t.Fatal("strict open returned nil, nil")
+		// Either mode keeps only loadable shards of this campaign: in
+		// range and valid, non-null JSON.
+		usable := func(mode string, c *Checkpoint) {
+			t.Helper()
+			for i, raw := range c.file.Shards {
+				if i < 0 || i >= fuzzSpec.NumShards() || !json.Valid(raw) || isNullJSON(raw) {
+					t.Fatalf("%s open kept unusable shard %d payload %q", mode, i, raw)
+				}
+			}
 		}
-		// Salvage mode never hard-fails on checkpoint content, and
-		// whatever it keeps must be a loadable shard of this campaign.
+		// Strict mode: error or success, never a panic.
+		c, err := OpenCheckpoint(dir, fuzzSpec, Options{Resume: true})
+		if err == nil {
+			if c == nil {
+				t.Fatal("strict open returned nil, nil")
+			}
+			usable("strict", c)
+		}
+		// Salvage mode never hard-fails on checkpoint content.
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		c, err := openCheckpoint(dir, fuzzSpec, Options{Resume: true, Salvage: true})
+		c, err = OpenCheckpoint(dir, fuzzSpec, Options{Resume: true, Salvage: true})
 		if err != nil {
 			t.Fatalf("salvage open errored on %q: %v", data, err)
 		}
-		n := fuzzSpec.NumShards()
-		for i := 0; i < n; i++ {
-			if raw, ok := c.shard(i); ok && (!json.Valid(raw) || isNullJSON(raw)) {
-				t.Fatalf("salvage kept unusable shard %d payload %q", i, raw)
-			}
-		}
-		if c.numDone() > n {
-			t.Fatalf("salvage kept %d shards for a %d-shard campaign", c.numDone(), n)
-		}
+		usable("salvage", c)
 	})
 }
 

@@ -47,19 +47,38 @@ func TestProgressReporterTicks(t *testing.T) {
 	}
 }
 
+// A ticking reporter goes quiet on context cancellation alone, without
+// stop. The output must hold still for a whole quiet window within the
+// deadline; a reporter that ignores ctx writes every millisecond and
+// never does.
 func TestProgressReporterStopsOnContextCancel(t *testing.T) {
 	p := NewProgress()
 	w := &syncWriter{}
 	ctx, cancel := context.WithCancel(context.Background())
 	stop := p.Report(ctx, w, time.Millisecond)
-	cancel()
-	time.Sleep(10 * time.Millisecond)
-	before := w.String()
-	time.Sleep(20 * time.Millisecond)
-	if after := w.String(); after != before {
-		t.Fatalf("reporter kept ticking after cancel: %q -> %q", before, after)
+	deadline := time.Now().Add(2 * time.Second)
+	for !strings.Contains(w.String(), "progress:") {
+		if time.Now().After(deadline) {
+			t.Fatalf("reporter never ticked; output %q", w.String())
+		}
+		time.Sleep(time.Millisecond)
 	}
-	stop() // still emits the final line, idempotently
+	cancel()
+	const quiet = 20 * time.Millisecond
+	for before := w.String(); ; {
+		time.Sleep(quiet)
+		after := w.String()
+		if after == before {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reporter kept ticking after cancel: %d -> %d lines",
+				strings.Count(before, "\n"), strings.Count(after, "\n"))
+		}
+		before = after
+	}
+	stop() // still safe after cancel, and idempotent
+	stop()
 	if !strings.Contains(w.String(), "progress:") {
 		t.Fatalf("no final line after stop: %q", w.String())
 	}
@@ -135,7 +154,8 @@ func TestSnapshotClampsNegativeRemaining(t *testing.T) {
 	}
 }
 
-// Context cancellation must still emit the final snapshot line.
+// Context cancellation stops the reporter and still emits the final
+// snapshot line, exactly once: a later stop returns without writing.
 // (Regression: the reporter goroutine used to exit on ctx-done without
 // writing anything, so an interrupted run ended with no final status.)
 func TestProgressReporterFinalLineOnContextCancel(t *testing.T) {

@@ -64,41 +64,44 @@ func Run[T any](ctx context.Context, spec Spec, opts Options, fn func(rng *rand.
 	n := spec.NumShards()
 	results := make([]T, n)
 	done := make([]bool, n)
-	pending := make([]int, 0, n)
 
 	var ckpt *Checkpoint
 	if opts.CheckpointDir != "" {
 		var err error
-		ckpt, err = openCheckpoint(opts.CheckpointDir, spec, opts)
-		if err != nil {
+		if ckpt, err = OpenCheckpoint(opts.CheckpointDir, spec, opts); err != nil {
 			return zero, err
 		}
 	}
 	opts.Progress.AddCampaign(n, spec.Trials)
 	completed := 0
-	for i := 0; i < n; i++ {
-		if ckpt != nil {
-			if raw, ok := ckpt.shard(i); ok {
-				if err := json.Unmarshal(raw, &results[i]); err != nil {
-					if !opts.Salvage {
-						return zero, fmt.Errorf("campaign %q: corrupt shard %d in checkpoint: %w (rerun with salvage to recompute it)", spec.Label, i, err)
-					}
-					// Salvage: the payload is syntactically valid JSON
-					// but not a result of this campaign's type — drop
-					// it and recompute the shard.
-					ckpt.drop(i)
-					results[i] = zero
-					opts.Report.Warningf(opts.Warnf, "campaign %q: dropping corrupt shard %d payload (%v); recomputing", spec.Label, i, err)
-					pending = append(pending, i)
-					continue
+	if ckpt != nil {
+		err := ckpt.Fold(func(i int, raw json.RawMessage) error {
+			if err := json.Unmarshal(raw, &results[i]); err != nil {
+				if !opts.Salvage {
+					return fmt.Errorf("corrupt payload in checkpoint: %w (rerun with salvage to recompute it)", err)
 				}
-				done[i] = true
-				opts.Progress.ShardResumed(spec.Shard(i).Trials)
-				completed++
-				continue
+				// Salvage: the payload is syntactically valid JSON
+				// but not a result of this campaign's type — drop
+				// it and recompute the shard.
+				ckpt.drop(i)
+				results[i] = zero
+				opts.Report.Warningf(opts.Warnf, "campaign %q: dropping corrupt shard %d payload (%v); recomputing", spec.Label, i, err)
+				return nil
 			}
+			done[i] = true
+			opts.Progress.ShardResumed(spec.Shard(i).Trials)
+			completed++
+			return nil
+		})
+		if err != nil {
+			return zero, err
 		}
-		pending = append(pending, i)
+	}
+	pending := make([]int, 0, n-completed)
+	for i := range done {
+		if !done[i] {
+			pending = append(pending, i)
+		}
 	}
 
 	var failures []*ShardError
@@ -146,10 +149,12 @@ func Run[T any](ctx context.Context, spec Spec, opts Options, fn func(rng *rand.
 					mu.Lock()
 					completed++
 					if ckpt != nil {
-						if raw, err := json.Marshal(res); err != nil {
-							ckpt.degrade("marshal shard result: %v", err)
-						} else {
-							ckpt.record(i, raw)
+						raw, err := json.Marshal(res)
+						if err == nil {
+							_, err = ckpt.Record(i, raw)
+						}
+						if err != nil {
+							ckpt.degrade("recording shard %d: %v", i, err)
 						}
 					}
 					if opts.OnShardDone != nil {

@@ -105,7 +105,7 @@ func TestChaosCoordinatorKillRestart(t *testing.T) {
 	cc := startChaosCoord(t, CoordinatorOptions{
 		CheckpointDir: filepath.Join(dir, "ckpt"),
 		JournalDir:    filepath.Join(dir, "journal"),
-		LeaseTTL:      500 * time.Millisecond,
+		LeaseTTL:      time.Minute,
 	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

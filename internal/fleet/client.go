@@ -8,7 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -117,7 +117,11 @@ func NewClientWith(base string, opts ClientOptions) *Client {
 // client never retries: registration is not idempotent, and the caller
 // cannot tell a lost request from a lost response.
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (string, error) {
-	body, status, err := c.roundTrip(ctx, http.MethodPost, "/api/jobs", spec)
+	req, err := json.Marshal(spec)
+	if err != nil {
+		return "", err
+	}
+	body, status, err := c.roundTrip(ctx, http.MethodPost, "/api/jobs", req)
 	if err != nil {
 		return "", err
 	}
@@ -216,29 +220,24 @@ func (c *Client) Complete(ctx context.Context, leaseID string, req CompleteReque
 // no longer knows the job) makes Watch return an error.
 func (c *Client) Watch(ctx context.Context, id string, onEvent func(Event)) error {
 	var lastID uint64
-	delay := c.opts.RetryBase
-	var jitter *rand.Rand
-	for {
+	var answer error
+	_, err := c.backoff(math.MaxInt).Retry(ctx, "watch/"+id, func() error {
 		err := c.watchOnce(ctx, id, &lastID, onEvent)
-		if err == nil {
+		var pe *permanentError
+		switch {
+		case err == nil, ctx.Err() != nil:
+			return err
+		case errors.As(err, &pe):
+			answer = pe.err
 			return nil
 		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		var pe *permanentError
-		if errors.As(err, &pe) {
-			return pe.err
-		}
 		c.warnf("fleet: event stream for job %s dropped (%v); reconnecting", id, err)
-		if jitter == nil {
-			jitter = rand.New(rand.NewSource(campaign.ShardSeed(int64(c.opts.Retries), "watch/"+id, 0)))
-		}
-		if !sleepCtx(ctx, jitterDelay(jitter, delay)) {
-			return ctx.Err()
-		}
-		delay = nextDelay(delay, c.opts.RetryMax)
+		return err
+	})
+	if answer != nil {
+		return answer
 	}
+	return err
 }
 
 // permanentError wraps a coordinator answer that retrying cannot
@@ -314,43 +313,20 @@ func (c *Client) watchOnce(ctx context.Context, id string, lastID *uint64, onEve
 // Wait blocks until the job reaches a terminal state and returns its
 // result. Progress lines (the campaign.Snapshot one-liner prefixed with
 // "progress: ", exactly like a local run's reporter) are written to
-// progress when non-nil. SSE is the primary transport (reconnecting
-// across drops and coordinator restarts); if the stream fails
-// permanently, Wait falls back to polling Status once a second.
+// progress when non-nil. The job is followed over its event stream,
+// which Watch reconnects across drops and coordinator restarts.
 func (c *Client) Wait(ctx context.Context, id string, progress io.Writer) (*JobResult, error) {
-	emit := func(line string) {
-		if progress != nil {
-			fmt.Fprintf(progress, "progress: %s\n", line)
-		}
-	}
 	err := c.Watch(ctx, id, func(ev Event) {
-		if ev.Name == "progress" || ev.Name == "done" {
-			var st JobStatus
-			if json.Unmarshal(ev.Data, &st) == nil && st.Progress != "" {
-				emit(st.Progress)
-			}
+		if progress == nil || (ev.Name != "progress" && ev.Name != "done") {
+			return
+		}
+		var st JobStatus
+		if json.Unmarshal(ev.Data, &st) == nil && st.Progress != "" {
+			fmt.Fprintf(progress, "progress: %s\n", st.Progress)
 		}
 	})
-	if err != nil && ctx.Err() == nil {
-		// Stream failed permanently: poll until terminal.
-		for {
-			st, serr := c.Status(ctx, id)
-			if serr != nil {
-				return nil, serr
-			}
-			emit(st.Progress)
-			if st.State != "running" {
-				break
-			}
-			select {
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			case <-time.After(time.Second):
-			}
-		}
-	}
-	if ctx.Err() != nil {
-		return nil, ctx.Err()
+	if err != nil {
+		return nil, err
 	}
 	return c.Result(ctx, id)
 }
@@ -382,82 +358,72 @@ func retryableStatus(status int) bool {
 	return status == http.StatusTooManyRequests || status >= 500
 }
 
-// retryRoundTrip retries transport errors and retryable statuses with
-// jittered exponential backoff (campaign.Backoff's schedule: full
-// jitter over a doubling floor, seeded from the request path so tests
-// are reproducible). On budget exhaustion the last HTTP answer is
-// returned for the caller to classify; a final transport error is
-// returned as such.
+// retryRoundTrip retries transport errors and retryable statuses on
+// the campaign.Backoff schedule (full jitter over a doubling floor,
+// seeded from the request path so tests are reproducible). On budget
+// exhaustion the last HTTP answer is returned for the caller to
+// classify; a final transport error is returned as such.
 func (c *Client) retryRoundTrip(ctx context.Context, method, path string, in any) ([]byte, int, error) {
-	delay := c.opts.RetryBase
-	var jitter *rand.Rand
-	for attempt := 1; ; attempt++ {
-		body, status, err := c.roundTrip(ctx, method, path, in)
-		if err == nil && !retryableStatus(status) {
-			return body, status, nil
-		}
-		last := attempt >= c.opts.Retries || ctx.Err() != nil
-		if last {
-			if err != nil {
-				return nil, 0, err
-			}
-			return body, status, nil
-		}
-		if err != nil {
-			c.warnf("fleet: %s %s failed (attempt %d/%d): %v", method, path, attempt, c.opts.Retries, err)
-		} else {
-			c.warnf("fleet: %s %s answered %d (attempt %d/%d); retrying", method, path, status, attempt, c.opts.Retries)
-		}
-		if jitter == nil {
-			jitter = rand.New(rand.NewSource(campaign.ShardSeed(int64(c.opts.Retries), method+" "+path, 0)))
-		}
-		if !sleepCtx(ctx, jitterDelay(jitter, delay)) {
-			if err == nil {
-				err = ctx.Err()
-			}
+	var req []byte
+	if in != nil {
+		var err error
+		if req, err = json.Marshal(in); err != nil {
 			return nil, 0, err
 		}
-		delay = nextDelay(delay, c.opts.RetryMax)
 	}
-}
-
-// jitterDelay draws from [delay/2, delay): full jitter over the
-// exponential floor, so synchronized clients decorrelate.
-func jitterDelay(jitter *rand.Rand, delay time.Duration) time.Duration {
-	return delay/2 + time.Duration(jitter.Int63n(int64(delay/2)+1))
-}
-
-func nextDelay(delay, max time.Duration) time.Duration {
-	if delay < max {
-		delay *= 2
-		if delay > max {
-			delay = max
+	var body []byte
+	var status, attempt int
+	_, err := c.backoff(c.opts.Retries).Retry(ctx, method+" "+path, func() error {
+		attempt++
+		var err error
+		body, status, err = c.roundTrip(ctx, method, path, req)
+		if err == nil && !retryableStatus(status) {
+			return nil
 		}
+		if attempt < c.opts.Retries && ctx.Err() == nil {
+			if err != nil {
+				c.warnf("fleet: %s %s failed (attempt %d/%d): %v", method, path, attempt, c.opts.Retries, err)
+			} else {
+				c.warnf("fleet: %s %s answered %d (attempt %d/%d); retrying", method, path, status, attempt, c.opts.Retries)
+			}
+		}
+		if err == nil {
+			err = errRetryableStatus
+		}
+		return err
+	})
+	if err != nil && !errors.Is(err, errRetryableStatus) {
+		return nil, 0, err
 	}
-	return delay
+	return body, status, nil
 }
 
-// roundTrip performs one request/response exchange, bounded by the
-// client's per-request timeout (the Watch stream bypasses this path).
-func (c *Client) roundTrip(ctx context.Context, method, path string, in any) ([]byte, int, error) {
+// errRetryableStatus marks an attempt answered with a retryable status.
+var errRetryableStatus = errors.New("fleet: retryable status")
+
+// backoff is the client's retry schedule with the given attempt budget.
+func (c *Client) backoff(attempts int) campaign.Backoff {
+	return campaign.Backoff{Attempts: attempts, Base: c.opts.RetryBase, Max: c.opts.RetryMax}
+}
+
+// roundTrip performs one request/response exchange with a JSON body
+// (none when nil), bounded by the client's per-request timeout (the
+// Watch stream bypasses this path).
+func (c *Client) roundTrip(ctx context.Context, method, path string, body []byte) ([]byte, int, error) {
 	if c.opts.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.opts.Timeout)
 		defer cancel()
 	}
 	var rd io.Reader
-	if in != nil {
-		b, err := json.Marshal(in)
-		if err != nil {
-			return nil, 0, err
-		}
-		rd = bytes.NewReader(b)
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return nil, 0, err
 	}
-	if in != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if err := failpoint.Hit(FailpointClientRequest); err != nil {
@@ -468,11 +434,11 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in any) ([]
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	answer, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
 		return nil, 0, err
 	}
-	return body, resp.StatusCode, nil
+	return answer, resp.StatusCode, nil
 }
 
 func (c *Client) warnf(format string, args ...any) {

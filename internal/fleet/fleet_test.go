@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -76,7 +78,7 @@ func runLocalGolden(t *testing.T, dir string) map[string][4]int64 {
 }
 
 // startFleet boots a coordinator over httptest and n in-process workers
-// polling it, returning a client and the coordinator's base URL.
+// polling it, returning a client.
 func startFleet(t *testing.T, opts CoordinatorOptions, n int) *Client {
 	t.Helper()
 	coord, err := NewCoordinator(opts)
@@ -84,7 +86,14 @@ func startFleet(t *testing.T, opts CoordinatorOptions, n int) *Client {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	t.Cleanup(coord.Close)
-	srv := httptest.NewServer(coord.Handler())
+	return serveFleet(t, coord.Handler(), n)
+}
+
+// serveFleet serves h over httptest with n in-process workers polling
+// it, and returns a client of it.
+func serveFleet(t *testing.T, h http.Handler, n int) *Client {
+	t.Helper()
+	srv := httptest.NewServer(h)
 	t.Cleanup(srv.Close)
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
@@ -105,6 +114,29 @@ func startFleet(t *testing.T, opts CoordinatorOptions, n int) *Client {
 		wg.Wait()
 	})
 	return NewClientWith(srv.URL, ClientOptions{})
+}
+
+// fakeClock is a coordinator clock that moves only when a test
+// advances it, so a lease expires exactly when the test says so.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func newFakeClock() *fakeClock {
+	return &fakeClock{t: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
+}
+
+func (c *fakeClock) now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
+}
+
+func (c *fakeClock) advance(d time.Duration) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.t = c.t.Add(d)
 }
 
 // readDir returns the file contents of a checkpoint directory, keyed by
@@ -141,6 +173,7 @@ func TestFleetByteIdentity(t *testing.T) {
 	if len(goldenFiles) != 4 {
 		t.Fatalf("golden run wrote %d checkpoint files, want 4", len(goldenFiles))
 	}
+	shards := len(testSchemeSpecs) * len(testScenarioSpecs) * testTrials / testShardSize
 
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
@@ -155,9 +188,11 @@ func TestFleetByteIdentity(t *testing.T) {
 			defer failpoint.Reset()
 
 			fleetDir := t.TempDir()
+			clock := newFakeClock()
 			client := startFleet(t, CoordinatorOptions{
 				CheckpointDir: fleetDir,
-				LeaseTTL:      150 * time.Millisecond,
+				LeaseTTL:      time.Minute,
+				now:           clock.now,
 			}, workers)
 
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -165,6 +200,21 @@ func TestFleetByteIdentity(t *testing.T) {
 			id, err := client.Submit(ctx, testJobSpec())
 			if err != nil {
 				t.Fatalf("submit: %v", err)
+			}
+			// The abandoned leases stay live while the clock stands still,
+			// so every other shard merges first. Only then does the clock
+			// pass the TTL, and the next polls find exactly the three
+			// abandoned leases expired.
+			advanced := false
+			err = client.Watch(ctx, id, func(ev Event) {
+				var st JobStatus
+				if !advanced && ev.Name == "progress" && json.Unmarshal(ev.Data, &st) == nil && st.ShardsDone == shards-deaths {
+					advanced = true
+					clock.advance(2 * time.Minute)
+				}
+			})
+			if err != nil {
+				t.Fatalf("watch: %v", err)
 			}
 			var progress bytes.Buffer
 			res, err := client.Wait(ctx, id, &progress)
@@ -307,33 +357,61 @@ func TestFleetPermanentFailure(t *testing.T) {
 	}
 }
 
-// TestFleetRenewalKeepsSlowShard: a shard running far past the lease
-// TTL survives because the worker renews; the lease is never re-issued
-// and the job completes cleanly.
+// TestFleetRenewalKeepsSlowShard: a worker renews its lease at a third
+// of the TTL of real time while its shard is in flight, and every
+// renewal moves the deadline. The coordinator's clock advances two
+// thirds of a TTL with each renewal it serves, so after three renewals
+// the lease has outlived its first deadline by a full TTL, yet a
+// probing poll finds nothing to take and the job completes without a
+// re-issue. The worker's completion is held back until the test has
+// seen the renewals, so the shard stays in flight exactly as long as
+// the test needs.
 func TestFleetRenewalKeepsSlowShard(t *testing.T) {
-	failpoint.Arm(campaign.FailpointShard, failpoint.Action{
-		Delay: 500 * time.Millisecond,
-		Times: 1,
-	})
-	defer failpoint.Reset()
-
-	client := startFleet(t, CoordinatorOptions{
-		LeaseTTL: 150 * time.Millisecond,
-	}, 1)
+	const ttl = 150 * time.Millisecond
+	clock := newFakeClock()
+	coord, err := NewCoordinator(CoordinatorOptions{LeaseTTL: ttl, now: clock.now})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	t.Cleanup(coord.Close)
+	renewed := make(chan struct{}, 3) // the test waits for three; later renewals are dropped
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	defer releaseOnce.Do(func() { close(release) })
+	client := serveFleet(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case strings.HasSuffix(r.URL.Path, "/renew"):
+			clock.advance(2 * ttl / 3)
+			coord.Handler().ServeHTTP(w, r)
+			select {
+			case renewed <- struct{}{}:
+			default:
+			}
+		case strings.HasSuffix(r.URL.Path, "/complete"):
+			<-release
+			coord.Handler().ServeHTTP(w, r)
+		default:
+			coord.Handler().ServeHTTP(w, r)
+		}
+	}), 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	id, err := client.Submit(ctx, JobSpec{
-		Namespace: testNamespace,
-		Schemes:   []string{"none"},
-		Scenarios: []string{"cell"},
-		Trials:    testShardSize,
-		ShardSize: testShardSize,
-		Seed:      testSeed,
-	})
+	id, err := client.Submit(ctx, singleShardSpec())
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-renewed:
+		case <-ctx.Done():
+			t.Fatalf("observed %d renewals of the in-flight lease, want 3", i)
+		}
+	}
+	if l, err := client.Lease(ctx, "probe"); err != nil || l != nil {
+		t.Fatalf("probe after 3 renewals leased %+v, %v; want nothing (the renewed lease is live)", l, err)
+	}
+	releaseOnce.Do(func() { close(release) })
 	res, err := client.Wait(ctx, id, nil)
 	if err != nil {
 		t.Fatalf("wait: %v", err)
@@ -431,13 +509,86 @@ func TestFleetCancelAndValidation(t *testing.T) {
 	if !cres.Cancelled {
 		t.Errorf("completion after cancel not flagged cancelled: %+v", cres)
 	}
+
+	// GET /api/jobs lists every job, oldest first; the rejected specs
+	// registered nothing.
+	var list struct {
+		Jobs []JobStatus `json:"jobs"`
+	}
+	if err := client.do(ctx, http.MethodGet, "/api/jobs", nil, &list); err != nil {
+		t.Fatalf("list: %v", err)
+	}
+	if len(list.Jobs) != 2 || list.Jobs[0].ID != id || list.Jobs[1].ID != id2 ||
+		list.Jobs[0].State != "cancelled" || list.Jobs[1].State != "cancelled" || list.Jobs[1].ShardsTotal != 16 {
+		t.Errorf("job list = %+v, want %s and %s, both cancelled, 16 shards each", list.Jobs, id, id2)
+	}
+}
+
+// TestFleetOverlappingLabelsConflict: with a checkpoint directory one
+// campaign file serves one running job, so a submission sharing a
+// campaign label with a running job answers 409, naming the job and
+// the label, and leaves the file to that job. Other labels, and the
+// same spec once the job is done, are accepted.
+func TestFleetOverlappingLabelsConflict(t *testing.T) {
+	dir := t.TempDir()
+	client := startFleet(t, CoordinatorOptions{CheckpointDir: dir, LeaseTTL: time.Minute}, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	spec := singleShardSpec()
+	spec.Trials = 2 * testShardSize
+	id, err := client.Submit(ctx, spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	l0, err := client.Lease(ctx, "w")
+	if err != nil || l0 == nil {
+		t.Fatalf("lease = %v, %v", l0, err)
+	}
+	frag := CompleteRequest{Worker: "w", Fragment: []byte(`[30,0,0,0]`)}
+	if _, err := client.Complete(ctx, l0.ID, frag); err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+
+	_, err = client.Submit(ctx, spec)
+	if err == nil || !strings.Contains(err.Error(), "HTTP 409") ||
+		!strings.Contains(err.Error(), id) || !strings.Contains(err.Error(), l0.Label) {
+		t.Fatalf("overlapping submit = %v, want a 409 naming %s and %q", err, id, l0.Label)
+	}
+	other := spec
+	other.Namespace = "other"
+	if _, err := client.Submit(ctx, other); err != nil {
+		t.Fatalf("submit under another namespace: %v", err)
+	}
+
+	l1, err := client.Lease(ctx, "w")
+	if err != nil || l1 == nil || l1.Job != id {
+		t.Fatalf("lease = %+v, %v; want %s's second shard", l1, err, id)
+	}
+	if _, err := client.Complete(ctx, l1.ID, frag); err != nil {
+		t.Fatalf("complete: %v", err)
+	}
+	if st, err := client.Status(ctx, id); err != nil || st.State != "done" {
+		t.Fatalf("status = %+v, %v; want done", st, err)
+	}
+	cs := campaign.Spec{Label: l1.Label, Trials: l1.Trials, ShardSize: l1.ShardSize, Seed: l1.Seed}
+	store, err := campaign.OpenCheckpoint(dir, cs, campaign.Options{Resume: true})
+	if err != nil {
+		t.Fatalf("reopening the checkpoint: %v", err)
+	}
+	if !store.Has(0) || !store.Has(1) {
+		t.Errorf("checkpoint of %q lost a shard of the job that owns it", l1.Label)
+	}
+	if _, err := client.Submit(ctx, spec); err != nil {
+		t.Errorf("submit after %s finished: %v", id, err)
+	}
 }
 
 // TestFleetLeaseProtocol drives the lease endpoints directly: expiry
 // reclaims, duplicate completions dedup by shard index, and stale
 // renewals are refused.
 func TestFleetLeaseProtocol(t *testing.T) {
-	client := startFleet(t, CoordinatorOptions{LeaseTTL: 100 * time.Millisecond}, 0)
+	clock := newFakeClock()
+	client := startFleet(t, CoordinatorOptions{LeaseTTL: time.Minute, now: clock.now}, 0)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -458,7 +609,7 @@ func TestFleetLeaseProtocol(t *testing.T) {
 	if err != nil || l0 == nil || l0.Shard != 0 {
 		t.Fatalf("first lease = %+v, %v; want shard 0", l0, err)
 	}
-	time.Sleep(150 * time.Millisecond)
+	clock.advance(time.Minute + time.Second)
 	l0b, err := client.Lease(ctx, "healer")
 	if err != nil || l0b == nil || l0b.Shard != 0 {
 		t.Fatalf("post-expiry lease = %+v, %v; want shard 0 re-issued", l0b, err)
@@ -490,7 +641,9 @@ func TestFleetLeaseProtocol(t *testing.T) {
 		t.Errorf("status = done %d, reissued %d; want 1 and 1", st.ShardsDone, st.Reissued)
 	}
 
-	// An invalid fragment is rejected and leaves the slot leased.
+	// An invalid fragment is rejected and leaves the slot leased: one
+	// that is not JSON fails in the client, a null one at the
+	// coordinator.
 	l1, err := client.Lease(ctx, "worker")
 	if err != nil || l1 == nil || l1.Shard != 1 {
 		t.Fatalf("second lease = %+v, %v; want shard 1", l1, err)
@@ -498,14 +651,19 @@ func TestFleetLeaseProtocol(t *testing.T) {
 	if _, err := client.Complete(ctx, l1.ID, CompleteRequest{Worker: "worker", Fragment: []byte(`{truncated`)}); err == nil {
 		t.Errorf("invalid fragment accepted, want error")
 	}
+	if _, err := client.Complete(ctx, l1.ID, CompleteRequest{Worker: "worker", Fragment: []byte(`null`)}); err == nil || !strings.Contains(err.Error(), "HTTP 400") {
+		t.Errorf("null fragment = %v, want a 400", err)
+	}
+	if err := client.Renew(ctx, l1.ID); err != nil {
+		t.Errorf("renewing the lease after rejected fragments = %v, want it still held", err)
+	}
 }
 
 // TestFleetFailureReportCountsOnce: a failure report counts only
 // against the shard's live lease, and a shard counts in exactly one of
-// done or failed. The client retry layer and Worker.complete both
-// resend a report whose answer was lost, so a resent report must
-// change nothing, and a fragment for a failed shard is acknowledged
-// but not merged.
+// done or failed. The client retry layer resends a report whose
+// answer was lost, so a resent report must change nothing, and a
+// fragment for a failed shard is acknowledged but not merged.
 func TestFleetFailureReportCountsOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

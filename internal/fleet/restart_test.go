@@ -12,6 +12,11 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pair/internal/campaign"
+	"pair/internal/faults"
+	"pair/internal/reliability"
+	"pair/internal/schemes"
 )
 
 // incarnation is one coordinator lifetime in a crash-recovery test:
@@ -360,11 +365,11 @@ func TestJournalLazyEpoch(t *testing.T) {
 }
 
 // TestJournalRestoresUnbuildableJobAsFailed: a job that no longer
-// builds does not keep the coordinator down. Here a second job of a
-// different size shares the first job's checkpoint file (a quick fleet
-// run, then a full-size one against the same coordinator), so its
-// forced resume rejects that file: the job comes back failed with the
-// error as its message, and every other job comes back as it was.
+// builds does not keep the coordinator down. Here a local run of
+// another trial count takes over a second job's checkpoint file between
+// incarnations, so that job's forced resume rejects the file: the job
+// comes back failed with the error as its message, and every other job
+// comes back as it was.
 func TestJournalRestoresUnbuildableJobAsFailed(t *testing.T) {
 	opts := restartOpts(t.TempDir())
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -383,13 +388,28 @@ func TestJournalRestoresUnbuildableJobAsFailed(t *testing.T) {
 	if _, err := inc1.client.Complete(ctx, l.ID, CompleteRequest{Worker: "w", Fragment: frag}); err != nil {
 		t.Fatalf("complete: %v", err)
 	}
-	small := testJobSpec()
-	small.Trials = testShardSize
+	small := singleShardSpec()
+	small.Namespace = "quick"
 	quick, err := inc1.client.Submit(ctx, small)
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
 	inc1.kill()
+
+	scheme, err := schemes.New(small.Schemes[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenario, err := faults.NewScenario(small.Scenarios[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := reliability.ScenarioCampaignSpec(scheme, scenario, 2*small.Trials, small.Seed)
+	other.ShardSize = small.ShardSize
+	if _, err := campaign.Run(ctx, other, campaign.Options{Namespace: small.Namespace, CheckpointDir: opts.CheckpointDir},
+		reliability.ScenarioShardFn(scheme, scenario), reliability.MergeCounts); err != nil {
+		t.Fatalf("local run over the job's checkpoint: %v", err)
+	}
 
 	inc2 := bootIncarnation(t, opts)
 	defer inc2.shutdown()

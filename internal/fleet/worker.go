@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -78,43 +79,40 @@ func NewWorker(base string, opts WorkerOptions) *Worker {
 // not a death.
 const parkedAfter = 3
 
+// maxPollBackoff caps the wait between failed lease polls.
+const maxPollBackoff = 5 * time.Second
+
 // Run polls for leases and executes them until ctx is cancelled, which
-// is the normal shutdown path (Run then returns nil). Transient
-// coordinator errors back the poll off rather than killing the worker;
-// sustained unreachability parks the worker (see parkedAfter).
+// is the normal shutdown path (Run then returns nil). A failed poll is
+// retried on the campaign.Backoff schedule, from Poll doubling to
+// maxPollBackoff, rather than killing the worker; sustained
+// unreachability parks the worker (see parkedAfter).
 func (w *Worker) Run(ctx context.Context) error {
-	backoff := w.opts.Poll
-	failures := 0
+	poll := campaign.Backoff{Attempts: math.MaxInt, Base: w.opts.Poll, Max: maxPollBackoff}
 	for {
-		if ctx.Err() != nil {
-			return nil
-		}
-		lease, err := w.client.Lease(ctx, w.opts.ID)
+		var lease *Lease
+		failures := 0
+		_, err := poll.Retry(ctx, "poll/"+w.opts.ID, func() error {
+			var err error
+			lease, err = w.client.Lease(ctx, w.opts.ID)
+			if err != nil && ctx.Err() == nil {
+				failures++
+				switch {
+				case failures < parkedAfter:
+					w.warnf("fleet worker %s: lease poll: %v", w.opts.ID, err)
+				case failures == parkedAfter:
+					w.warnf("fleet worker %s: coordinator unreachable after %d polls (%v); parking until it answers",
+						w.opts.ID, failures, err)
+				}
+			}
+			return err
+		})
 		if err != nil {
-			if ctx.Err() != nil {
-				return nil
-			}
-			failures++
-			switch {
-			case failures < parkedAfter:
-				w.warnf("fleet worker %s: lease poll: %v", w.opts.ID, err)
-			case failures == parkedAfter:
-				w.warnf("fleet worker %s: coordinator unreachable after %d polls (%v); parking until it answers",
-					w.opts.ID, failures, err)
-			}
-			if !sleepCtx(ctx, backoff) {
-				return nil
-			}
-			if backoff < 5*time.Second {
-				backoff *= 2
-			}
-			continue
+			return nil // ctx is done: only a cancellation ends the retries
 		}
 		if failures >= parkedAfter {
 			w.warnf("fleet worker %s: coordinator reachable again after %d failed polls", w.opts.ID, failures)
 		}
-		failures = 0
-		backoff = w.opts.Poll
 		if lease == nil {
 			if !sleepCtx(ctx, w.opts.Poll) {
 				return nil
@@ -145,7 +143,16 @@ func (w *Worker) runLease(ctx context.Context, l Lease) {
 	} else {
 		req.Fragment = frag
 	}
-	w.complete(ctx, l, req)
+	// One request: the client already retries transport errors, 429 and
+	// 5xx, and a completion lost for good is leased again after expiry
+	// or a restart and recomputed byte-identically.
+	res, err := w.client.Complete(ctx, l.ID, req)
+	switch {
+	case err != nil && ctx.Err() == nil:
+		w.warnf("fleet worker %s: completing lease %s: %v", w.opts.ID, l.ID, err)
+	case err == nil && res.Duplicate:
+		w.warnf("fleet worker %s: shard %d of %q already merged (lease was re-issued)", w.opts.ID, l.Shard, l.Label)
+	}
 }
 
 // execute rebuilds the shard kernel from the lease's spec strings and
@@ -209,28 +216,6 @@ func (w *Worker) startRenew(ctx context.Context, l Lease) (stop func()) {
 		}
 	}()
 	return func() { close(done); <-finished }
-}
-
-// complete delivers the shard outcome, retrying transient transport
-// errors; the coordinator dedups if a retry crosses a re-issued lease's
-// completion.
-func (w *Worker) complete(ctx context.Context, l Lease, req CompleteRequest) {
-	for attempt := 0; attempt < 3; attempt++ {
-		res, err := w.client.Complete(ctx, l.ID, req)
-		if err == nil {
-			if res.Duplicate {
-				w.warnf("fleet worker %s: shard %d of %q already merged (lease was re-issued)", w.opts.ID, l.Shard, l.Label)
-			}
-			return
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		w.warnf("fleet worker %s: completing lease %s (attempt %d): %v", w.opts.ID, l.ID, attempt+1, err)
-		if !sleepCtx(ctx, time.Duration(attempt+1)*100*time.Millisecond) {
-			return
-		}
-	}
 }
 
 func (w *Worker) warnf(format string, args ...any) {
