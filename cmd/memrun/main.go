@@ -12,6 +12,7 @@
 //	memrun -scheme pair -check mix.trace           # JEDEC protocol audit
 //	memrun -scheme pair -cmdtrace - mix.trace      # DRAM command stream
 //	memrun -scheme pair -profile ddr5-4800 mix.trace  # DDR5 memory system
+//	memrun -scheme pair -cpuprofile cpu.out mix.trace # then: go tool pprof cpu.out
 //
 // -scheme and -compare take registry specs, name[@org][:key=val,...];
 // -list-schemes prints the registered schemes, organizations and sets.
@@ -22,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 
 	"pair"
 	"pair/internal/memsim"
@@ -35,7 +37,7 @@ func main() {
 
 // run is the testable entry point: it parses args, replays the trace and
 // prints the summary table to stdout, returning the exit code.
-func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("memrun", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -49,6 +51,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		listFaults = fs.Bool("list-faults", false, "list registered fault scenarios (the reliability campaigns' -faults specs), then exit")
 		profSpec   = fs.String("profile", "", "memory profile spec, name[:key=val,...] (default: the scheme org on DDR4-2400 timing; see -list-profiles)")
 		listProfs  = fs.Bool("list-profiles", false, "list registered memory profiles, the spec grammar and options, then exit")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the replay to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -76,6 +79,27 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: memrun [flags] <trace-file>  (use - for stdin)")
 		return 2
+	}
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(stderr, "memrun:", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintln(stderr, "memrun:", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(stderr, "memrun:", err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
 	}
 
 	wl, err := loadTrace(fs.Arg(0), stdin)

@@ -50,6 +50,26 @@ func TestReplaySingleScheme(t *testing.T) {
 	}
 }
 
+func TestCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	code, _, stderr := runCLI(t, "", "-scheme", "pair", "-compare", "xed", "-cpuprofile", path, writeTraceFile(t))
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pprof writes a gzip-compressed profile.
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is not gzip data: % x", data[:min(len(data), 8)])
+	}
+	code, _, stderr = runCLI(t, "", "-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir"), writeTraceFile(t))
+	if code != 1 || !strings.Contains(stderr, "memrun:") {
+		t.Fatalf("unwritable profile path: exit %d, stderr %q", code, stderr)
+	}
+}
+
 func TestCheckCleanRun(t *testing.T) {
 	code, out, stderr := runCLI(t, "", "-scheme", "pair", "-check", writeTraceFile(t))
 	if code != 0 {

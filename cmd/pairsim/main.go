@@ -15,6 +15,7 @@
 //	pairsim -exp f3 -checkpoint ckpt/            # killable
 //	pairsim -exp f3 -checkpoint ckpt/ -resume    # pick up where it stopped
 //	pairsim -exp all -progress                   # shard counters + ETA on stderr
+//	pairsim -exp f4 -cpuprofile cpu.out          # then: go tool pprof cpu.out
 //
 // Campaigns are failure-hardened: a shard that panics, errors, or hangs
 // past -shard-timeout is retried up to -retries times (each attempt
@@ -38,6 +39,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -81,7 +83,7 @@ F14 tail read latency vs offered load (open-loop traffic, -profile)
 // run is the testable entry point: it parses args, executes the selected
 // experiments and writes results to stdout and diagnostics to stderr,
 // returning the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("pairsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -106,6 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		shardTO    = fs.Duration("shard-timeout", 0, "watchdog: abandon and retry a shard running longer than this (0 disables)")
 		salvage    = fs.Bool("salvage", false, "with -resume: recover every intact shard from a corrupted or truncated checkpoint instead of aborting")
 		fleetURL   = fs.String("fleet", "", "submit campaigns to a pairserve coordinator at this URL instead of running locally (f13 only; checkpoints live on the coordinator)")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -180,6 +183,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *fleetURL != "" && (*checkpoint != "" || *resume) {
 		fmt.Fprintln(stderr, "pairsim: -fleet is incompatible with -checkpoint/-resume (the coordinator owns the checkpoint directory; resume with pairserve -resume)")
 		return 2
+	}
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(stderr, "pairsim:", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintln(stderr, "pairsim:", err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(stderr, "pairsim:", err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -97,6 +97,26 @@ func TestCmdTraceFlagWritesFile(t *testing.T) {
 	}
 }
 
+func TestCPUProfileFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.out")
+	code, _, stderr := runCLI(t, "-exp", "f11", "-requests", "200", "-cpuprofile", path)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pprof writes a gzip-compressed profile.
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Fatalf("profile is not gzip data: % x", data[:min(len(data), 8)])
+	}
+	code, _, stderr = runCLI(t, "-exp", "f11", "-cpuprofile", filepath.Join(t.TempDir(), "no", "such", "dir"))
+	if code != 1 || !strings.Contains(stderr, "pairsim:") {
+		t.Fatalf("unwritable profile path: exit %d, stderr %q", code, stderr)
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	code, _, stderr := runCLI(t, "-exp", "zz")
 	if code != 1 {

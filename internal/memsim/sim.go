@@ -126,10 +126,13 @@ const (
 	opWrite
 )
 
-// op is one bus-level access derived from a trace request.
+// op is one bus-level access derived from a trace request. Its bus,
+// flat bank and address are mapped once, when newOp creates it.
 type op struct {
 	kind      opKind
 	line      uint64
+	bus, fb   int
+	addr      dram.Address
 	readyAt   uint64 // earliest schedulable cycle
 	enq       uint64 // admission time (FCFS order, latency base)
 	reqIdx    int    // owning trace request, -1 for posted extras
@@ -227,6 +230,7 @@ type simulator struct {
 
 	evbuf []Command // per-schedule event batch, sorted before delivery
 	held  []Command // future-time events (closed-page auto-PRE)
+	free  []*op     // completed ops, reused by newOp
 
 	res Result
 }
@@ -302,14 +306,24 @@ func MustRun(cfg Config, wl trace.Workload) Result {
 	return res
 }
 
-// locate maps a line index to its data bus and per-bus address: lines
-// interleave across buses (bus = line mod buses), so consecutive lines
-// spread over channels/subchannels.
-func (s *simulator) locate(line uint64) (int, dram.Address) {
-	if s.nBuses == 1 {
-		return 0, s.mapper.Map(line)
+// newOp returns an op admitted now, reusing a completed one when it
+// can. Lines interleave across buses (bus = line mod buses), so
+// consecutive lines spread over channels/subchannels.
+func (s *simulator) newOp(kind opKind, line uint64, reqIdx int) *op {
+	var o *op
+	if n := len(s.free); n > 0 {
+		o, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		o = new(op)
 	}
-	return int(line % s.nBuses), s.mapper.Map(line / s.nBuses)
+	*o = op{kind: kind, line: line, readyAt: s.now, enq: s.now, reqIdx: reqIdx}
+	if s.nBuses == 1 {
+		o.addr = s.mapper.Map(line)
+	} else {
+		o.bus, o.addr = int(line%s.nBuses), s.mapper.Map(line/s.nBuses)
+	}
+	o.fb = s.mapper.FlatBank(o.addr)
+	return o
 }
 
 func (s *simulator) run(wl trace.Workload) {
@@ -335,9 +349,7 @@ func (s *simulator) run(wl trace.Workload) {
 	admit := func() {
 		for traceIdx < len(wl.Reqs) && arrive <= s.now && outstanding < window {
 			r := wl.Reqs[traceIdx]
-			line := r.Line % cap64
-			ops := s.expand(r, line, traceIdx)
-			pending = append(pending, ops...)
+			pending = s.expand(pending, r, r.Line%cap64, traceIdx)
 			outstanding++
 			traceIdx++
 			if traceIdx < len(wl.Reqs) {
@@ -356,18 +368,20 @@ func (s *simulator) run(wl trace.Workload) {
 			if ev.reqIdx >= 0 {
 				outstanding--
 			}
-			if ev.o != nil && ev.o.dependent != nil {
-				dep := ev.o.dependent
+			if dep := ev.o.dependent; dep != nil {
 				dep.readyAt = ev.at
 				pending = append(pending, dep)
 			}
+			s.free = append(s.free, ev.o)
 		}
 		admit()
 		// Patrol scrub: one read per elapsed period, each stamped at its
 		// scheduled time so a multi-period jump of the clock catches up
 		// without compressing the ScrubReads accounting.
 		for s.cfg.ScrubPeriod > 0 && s.now >= nextScrub {
-			pending = append(pending, &op{kind: opRead, line: scrubLine % cap64, readyAt: nextScrub, enq: nextScrub, reqIdx: -1})
+			o := s.newOp(opRead, scrubLine%cap64, -1)
+			o.readyAt, o.enq = nextScrub, nextScrub
+			pending = append(pending, o)
 			s.res.ScrubReads++
 			scrubLine += 64 // stride across rows over time
 			nextScrub += s.cfg.ScrubPeriod
@@ -421,88 +435,78 @@ func (s *simulator) run(wl trace.Workload) {
 	s.res.Cycles = lastFinish
 }
 
-// expand turns a trace request into bus operations, applying the ECC cost
-// model.
-func (s *simulator) expand(r trace.Request, line uint64, idx int) []*op {
+// expand appends a trace request's bus operations to pending, applying
+// the ECC cost model.
+func (s *simulator) expand(pending []*op, r trace.Request, line uint64, idx int) []*op {
 	cost := s.cfg.Cost
-	var ops []*op
 	switch r.Op {
 	case trace.Read:
 		s.res.Reads++
-		ops = append(ops, &op{kind: opRead, line: line, readyAt: s.now, enq: s.now, reqIdx: idx, last: true, isRead: true})
+		rd := s.newOp(opRead, line, idx)
+		rd.last, rd.isRead = true, true
+		pending = append(pending, rd)
 		if cost.DetectionRereadRate > 0 && s.rng.Float64() < cost.DetectionRereadRate {
 			s.res.ExtraReads++
-			ops = append(ops, &op{kind: opRead, line: line, readyAt: s.now, enq: s.now, reqIdx: -1})
+			pending = append(pending, s.newOp(opRead, line, -1))
 		}
 	case trace.Write, trace.MaskedWrite:
 		s.res.Writes++
-		w := &op{kind: opWrite, line: line, readyAt: s.now, enq: s.now, reqIdx: idx, last: true}
+		w := s.newOp(opWrite, line, idx)
+		w.last = true
 		if r.Op == trace.MaskedWrite {
 			s.res.MaskedWrites++
 			if cost.ExtraReadsPerMaskedWrite > 0 && s.rng.Float64() < cost.ExtraReadsPerMaskedWrite {
 				// Read-modify-write: the write leg waits for the read.
 				s.res.ExtraReads++
-				rd := &op{kind: opRead, line: line, readyAt: s.now, enq: s.now, reqIdx: idx, dependent: w}
-				ops = append(ops, rd)
+				rd := s.newOp(opRead, line, idx)
+				rd.dependent = w
+				pending = append(pending, rd)
 				w = nil // released on read completion
 			}
 		}
 		if w != nil {
-			ops = append(ops, w)
+			pending = append(pending, w)
 		}
 		if cost.ExtraWritesPerWrite > 0 && s.rng.Float64() < cost.ExtraWritesPerWrite {
 			// Companion parity-image write (posted; separate region).
 			s.res.ExtraWrites++
 			pline := (line + s.totalCap/2) % s.totalCap
-			ops = append(ops, &op{kind: opWrite, line: pline, readyAt: s.now, enq: s.now, reqIdx: -1})
+			pending = append(pending, s.newOp(opWrite, pline, -1))
 		}
 		if cost.ExtraReadsPerWrite > 0 && s.rng.Float64() < cost.ExtraReadsPerWrite {
 			s.res.ExtraReads++
-			ops = append(ops, &op{kind: opRead, line: line, readyAt: s.now, enq: s.now, reqIdx: -1})
+			pending = append(pending, s.newOp(opRead, line, -1))
 		}
 	}
-	return ops
+	return pending
 }
 
 // pick chooses the next operation index, or -1 if none is ready. Policy:
-// FR-FCFS — row hits first, then oldest — with reads prioritized over
-// writes unless the write backlog exceeds the drain threshold.
+// FR-FCFS — row hits first, then oldest, then first in pending — with
+// reads prioritized over writes unless the write backlog exceeds the
+// drain threshold. One pass counts the ready ops of each kind and keeps
+// the best of each.
 func (s *simulator) pick(pending []*op) int {
 	const drainThreshold = 12
-	nwReady, nrReady := 0, 0
-	for _, o := range pending {
-		if o.readyAt <= s.now {
-			if o.kind == opWrite {
-				nwReady++
-			} else {
-				nrReady++
-			}
-		}
-	}
-	if nwReady+nrReady == 0 {
-		return -1
-	}
-	preferWrites := nwReady > drainThreshold || nrReady == 0
-
-	best := -1
-	bestHit := false
-	var bestEnq uint64
+	var ready [2]int // indexed by opKind
+	best := [2]int{-1, -1}
+	var bestHit [2]bool
+	var bestEnq [2]uint64
 	for i, o := range pending {
 		if o.readyAt > s.now {
 			continue
 		}
-		if (o.kind == opWrite) != preferWrites {
-			continue
-		}
-		busIdx, a := s.locate(o.line)
-		hit := s.buses[busIdx].banks[s.mapper.FlatBank(a)].openRow == a.Row
-		if best < 0 || (hit && !bestHit) || (hit == bestHit && o.enq < bestEnq) {
-			best = i
-			bestHit = hit
-			bestEnq = o.enq
+		k := o.kind
+		ready[k]++
+		hit := s.buses[o.bus].banks[o.fb].openRow == o.addr.Row
+		if best[k] < 0 || (hit && !bestHit[k]) || (hit == bestHit[k] && o.enq < bestEnq[k]) {
+			best[k], bestHit[k], bestEnq[k] = i, hit, o.enq
 		}
 	}
-	return best
+	if ready[opWrite] > drainThreshold || ready[opRead] == 0 {
+		return best[opWrite]
+	}
+	return best[opRead]
 }
 
 // refreshDefer pushes a command time out of the refresh blackout window.
@@ -603,9 +607,8 @@ func (s *simulator) drainHeld() {
 // committed and emitted to the observer in time order.
 func (s *simulator) schedule(o *op) uint64 {
 	t := s.cfg.Timing
-	busIdx, a := s.locate(o.line)
+	busIdx, a, fb := o.bus, o.addr, o.fb
 	bus := &s.buses[busIdx]
-	fb := s.mapper.FlatBank(a)
 	b := &bus.banks[fb]
 	bankIdx := a.Group*s.cfg.Org.BanksPerGrp + a.Bank
 	isWrite := o.kind == opWrite
