@@ -25,6 +25,7 @@ func TestPairBufferedAllocs(t *testing.T) {
 	s.DecodeBatchInto(dst, sts, claims)
 	if n := testing.AllocsPerRun(200, func() {
 		s.EncodeBatchInto(sts, lines)
+		sts[0].Chips[0].Flip(5) // one weak cell: a dirty chip to correct
 		s.DecodeBatchInto(dst, sts, claims)
 	}); n != 0 {
 		t.Fatalf("EncodeBatchInto+DecodeBatchInto allocated %.1f/op, want 0", n)

@@ -33,12 +33,14 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
 	"pair/internal/dram"
 	"pair/internal/ecc"
 	"pair/internal/rs"
+	"pair/internal/syndrome"
 )
 
 // Config selects a PAIR operating point.
@@ -69,7 +71,8 @@ func BaseConfig() Config {
 type Scheme struct {
 	org  dram.Organization
 	cfg  Config
-	full *rs.Code // (pins+BaseParity+Expansion, pins), evaluation view
+	full *rs.Code        // (pins+BaseParity+Expansion, pins), evaluation view
+	tab  *syndrome.Table // a chip's stored bytes (Data, OnDie) -> syndromes
 	name string
 	pool sync.Pool // *pairScratch per-goroutine codec workspace
 }
@@ -105,11 +108,25 @@ func New(org dram.Organization, cfg Config) (*Scheme, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: expansion: %w", err)
 	}
+	if full.NumParity() > syndrome.WordBytes {
+		return nil, fmt.Errorf("core: %d parity symbols exceed the %d-byte syndrome word", full.NumParity(), syndrome.WordBytes)
+	}
 	name := "pair"
 	if cfg.Expansion == 0 {
 		name = "pair-base"
 	}
 	s := &Scheme{org: org, cfg: cfg, full: full, name: name}
+	// Data bit (pin, beat) is bit beat%8 of symbol pin*spp + beat/8, and
+	// on-die byte j is parity symbol k+j.
+	data := org.AccessBits()
+	s.tab = syndrome.New(data/8+full.NumParity(), func(bit int) uint64 {
+		if bit < data {
+			pin, beat := bit%org.Pins, bit/org.Pins
+			return full.Column(pin*s.symbolsPerPin()+beat/8, 1<<(beat%8))
+		}
+		bit -= data
+		return full.Column(s.k()+bit/8, 1<<(bit%8))
+	})
 	s.pool.New = func() any {
 		return &pairScratch{
 			dec:  full.NewDecoder(),
@@ -185,7 +202,7 @@ func (s *Scheme) encode(st *ecc.Stored, line []byte) {
 	k := s.k()
 	for i := range st.Chips {
 		c := &st.Chips[i]
-		dram.SplitChip(s.org, line, i, c.Data)
+		dram.SplitChip(&s.org, line, i, c.Data)
 		dram.Transpose(s.symbols(word[:k]), c.Data)
 		s.full.EncodeTo(word[:k], word)
 		copy(c.OnDie.Bits, word[k:])
@@ -205,34 +222,44 @@ func (s *Scheme) decode(dst []byte, st *ecc.Stored) ecc.Claim {
 }
 
 // decodeErased recovers one line with optional per-chip erasure symbol
-// lists (see WithSparedPins).
+// lists (see WithSparedPins). A chip whose stored bytes have a zero
+// syndrome joins the line as stored, with no transpose and no decoder
+// call; a dirty chip's pin symbols are corrected from its syndromes.
 func (s *Scheme) decodeErased(dst []byte, st *ecc.Stored, erasures map[int][]int) ecc.Claim {
 	claim := ecc.ClaimClean
 	k := s.k()
-	scr := s.pool.Get().(*pairScratch)
-	word := scr.word
+	var scr *pairScratch
 	for i := range st.Chips {
 		c := &st.Chips[i]
+		syn := s.tab.Syndrome(st.ChipBytes(i))
+		if syn == 0 {
+			dram.JoinChip(&s.org, dst, i, c.Data)
+			continue
+		}
+		if scr == nil {
+			scr = s.pool.Get().(*pairScratch)
+		}
+		var sb [syndrome.WordBytes]byte
+		binary.LittleEndian.PutUint64(sb[:], syn)
+		word := scr.word
 		dram.Transpose(s.symbols(word[:k]), c.Data)
 		copy(word[k:], c.OnDie.Bits)
-		nerr, err := scr.dec.DecodeInto(word, word, erasures[i])
-		switch {
-		case err != nil:
+		if _, err := scr.dec.Correct(word, sb[:s.full.NumParity()], erasures[i]); err != nil {
 			claim = ecc.ClaimDetected
 			// Pass the raw data along with the flag (word is unspecified
 			// after a decode failure).
-			dram.JoinChip(s.org, dst, i, c.Data)
-		case nerr == 0:
-			dram.JoinChip(s.org, dst, i, c.Data)
-		default:
-			if claim != ecc.ClaimDetected {
-				claim = ecc.ClaimCorrected
-			}
-			dram.Transpose(scr.b, s.symbols(word[:k]))
-			dram.JoinChip(s.org, dst, i, scr.b)
+			dram.JoinChip(&s.org, dst, i, c.Data)
+			continue
 		}
+		if claim != ecc.ClaimDetected {
+			claim = ecc.ClaimCorrected
+		}
+		dram.Transpose(scr.b, s.symbols(word[:k]))
+		dram.JoinChip(&s.org, dst, i, scr.b)
 	}
-	s.pool.Put(scr)
+	if scr != nil {
+		s.pool.Put(scr)
+	}
 	return claim
 }
 

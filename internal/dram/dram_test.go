@@ -259,8 +259,8 @@ func TestSplitJoinLineRoundTrip(t *testing.T) {
 		b := NewRegion(org.Pins, org.BurstLen)
 		for c := 0; c < org.ChipsPerRank; c++ {
 			rng.Read(b.Bits) // stale contents must be overwritten
-			SplitChip(org, line, c, b)
-			JoinChip(org, back, c, b)
+			SplitChip(&org, line, c, b)
+			JoinChip(&org, back, c, b)
 		}
 		if !bytes.Equal(back, line) {
 			t.Fatalf("split/join round trip failed for x%d", org.Pins)
@@ -277,7 +277,7 @@ func TestSplitLineChipLocality(t *testing.T) {
 		line[0] = 0xFF
 		b := NewRegion(org.Pins, org.BurstLen)
 		for c := 0; c < org.ChipsPerRank; c++ {
-			SplitChip(org, line, c, b)
+			SplitChip(&org, line, c, b)
 			for p := 0; p < org.Pins; p++ {
 				want := c*org.Pins+p < 8
 				for beat := 0; beat < org.BurstLen; beat++ {

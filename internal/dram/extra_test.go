@@ -41,8 +41,8 @@ func TestSplitJoinDDR5(t *testing.T) {
 	back := make([]byte, 64)
 	b := NewRegion(o.Pins, o.BurstLen)
 	for c := 0; c < o.ChipsPerRank; c++ {
-		SplitChip(o, line, c, b)
-		JoinChip(o, back, c, b)
+		SplitChip(&o, line, c, b)
+		JoinChip(&o, back, c, b)
 	}
 	for i := range line {
 		if back[i] != line[i] {
@@ -52,14 +52,15 @@ func TestSplitJoinDDR5(t *testing.T) {
 }
 
 func TestBurstShapePanics(t *testing.T) {
+	x16 := DDR4x16()
 	cases := []func(){
 		func() { NewRegion(0, 8) },
 		func() { NewRegion(16, 8).PinSymbolPart(0, 1) }, // part beyond BL8
 		func() { NewRegion(16, 8).SetPinSymbolPart(0, 1, 0) },
 		func() { Transpose(NewRegion(16, 8), NewRegion(16, 8)) }, // not transposed shapes
-		func() { SplitChip(DDR4x16(), make([]byte, 63), 0, NewRegion(16, 8)) },
-		func() { SplitChip(DDR4x16(), make([]byte, 64), 0, NewRegion(8, 8)) },
-		func() { JoinChip(DDR4x16(), nil, 0, NewRegion(16, 8)) },
+		func() { SplitChip(&x16, make([]byte, 63), 0, NewRegion(16, 8)) },
+		func() { SplitChip(&x16, make([]byte, 64), 0, NewRegion(8, 8)) },
+		func() { JoinChip(&x16, nil, 0, NewRegion(16, 8)) },
 	}
 	for i, f := range cases {
 		func() {
@@ -82,7 +83,7 @@ func TestJoinLineShapeMismatchPanics(t *testing.T) {
 			t.Fatal("shape mismatch did not panic")
 		}
 	}()
-	JoinChip(o, make([]byte, 64), 1, NewRegion(8, 8))
+	JoinChip(&o, make([]byte, 64), 1, NewRegion(8, 8))
 }
 
 func TestAddressString(t *testing.T) {

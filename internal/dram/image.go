@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -155,14 +156,17 @@ func (c *Chip) TotalBits() int { return c.Data.Len() + c.OnDie.Len() + c.Xfer.Le
 
 // Flip toggles stored bit i of the chip.
 func (c *Chip) Flip(i int) {
-	for _, r := range c.Regions() {
-		if i < r.Len() {
-			r.Bits[i>>3] ^= 1 << (i & 7)
-			return
+	r, j := &c.Data, i
+	if j >= r.Len() {
+		j, r = j-r.Len(), &c.OnDie
+		if j >= r.Len() {
+			j, r = j-r.Len(), &c.Xfer
+			if j >= r.Len() {
+				panic(fmt.Sprintf("dram: stored bit %d beyond the chip's %d", i, c.TotalBits()))
+			}
 		}
-		i -= r.Len()
 	}
-	panic(fmt.Sprintf("dram: stored bit %d beyond the chip's %d", i+c.TotalBits(), c.TotalBits()))
+	r.Bits[j>>3] ^= 1 << (j & 7)
 }
 
 // Shape returns the chip's region sizes.
@@ -202,37 +206,39 @@ func NewChips(n int, s Shape) ([]Chip, []byte) {
 // r, overwriting every bit. Beat b of the access is bits [b*w, (b+1)*w) of
 // the line, w = ChipsPerRank*Pins, and chip c carries bits [c*Pins,
 // (c+1)*Pins) of each beat.
-func SplitChip(o Organization, line []byte, chip int, r Region) {
+func SplitChip(o *Organization, line []byte, chip int, r Region) {
 	o.checkChip(line, r)
-	if o.Pins == 4 {
-		for b := 0; b < o.BurstLen; b++ {
-			setNibble(r.Bits, b, nibble(line, b*o.ChipsPerRank+chip))
-		}
-		return
-	}
-	w := o.Pins / 8
 	for b := 0; b < o.BurstLen; b++ {
-		copy(r.Bits[b*w:(b+1)*w], line[(b*o.ChipsPerRank+chip)*w:])
+		i := b*o.ChipsPerRank + chip
+		switch o.Pins {
+		case 4:
+			setNibble(r.Bits, b, nibble(line, i))
+		case 8:
+			r.Bits[b] = line[i]
+		default:
+			binary.LittleEndian.PutUint16(r.Bits[2*b:], binary.LittleEndian.Uint16(line[2*i:]))
+		}
 	}
 }
 
 // JoinChip copies r into chip's share of line (inverse of SplitChip),
 // leaving the other chips' bits alone.
-func JoinChip(o Organization, line []byte, chip int, r Region) {
+func JoinChip(o *Organization, line []byte, chip int, r Region) {
 	o.checkChip(line, r)
-	if o.Pins == 4 {
-		for b := 0; b < o.BurstLen; b++ {
-			setNibble(line, b*o.ChipsPerRank+chip, nibble(r.Bits, b))
-		}
-		return
-	}
-	w := o.Pins / 8
 	for b := 0; b < o.BurstLen; b++ {
-		copy(line[(b*o.ChipsPerRank+chip)*w:], r.Bits[b*w:(b+1)*w])
+		i := b*o.ChipsPerRank + chip
+		switch o.Pins {
+		case 4:
+			setNibble(line, i, nibble(r.Bits, b))
+		case 8:
+			line[i] = r.Bits[b]
+		default:
+			binary.LittleEndian.PutUint16(line[2*i:], binary.LittleEndian.Uint16(r.Bits[2*b:]))
+		}
 	}
 }
 
-func (o Organization) checkChip(line []byte, r Region) {
+func (o *Organization) checkChip(line []byte, r Region) {
 	if len(line) != o.LineBytes() {
 		panic(fmt.Sprintf("dram: line length %d, want %d", len(line), o.LineBytes()))
 	}

@@ -1,10 +1,12 @@
 package ecc
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"pair/internal/dram"
 	"pair/internal/rs"
+	"pair/internal/syndrome"
 )
 
 // DUO models the "Dual Use of On-chip redundancy" idea (Gong et al.,
@@ -31,7 +33,8 @@ import (
 type DUO struct {
 	org  dram.Organization
 	code *rs.Code
-	pool sync.Pool // *duoScratch per-goroutine codec workspace
+	tab  *syndrome.Table // a chip's stored bytes (its codeword) -> syndromes
+	pool sync.Pool       // *duoScratch per-goroutine codec workspace
 }
 
 // duoScratch is the per-goroutine codec workspace: an RS decoder and a
@@ -52,6 +55,9 @@ func NewDUO(org dram.Organization) *DUO {
 	}
 	k := org.AccessBits() / 8
 	s := &DUO{org: org, code: rs.MustNew(k+2, k)}
+	// A chip's stored bytes, its data burst then the extension beat, are
+	// its codeword symbols in order.
+	s.tab = syndrome.New(s.code.N, func(bit int) uint64 { return s.code.Column(bit/8, 1<<(bit%8)) })
 	s.pool.New = func() any {
 		return &duoScratch{dec: s.code.NewDecoder(), word: make([]byte, s.code.N)}
 	}
@@ -79,7 +85,7 @@ func (s *DUO) encode(st *Stored, line []byte) {
 	scr := s.pool.Get().(*duoScratch)
 	for i := range st.Chips {
 		c := &st.Chips[i]
-		dram.SplitChip(s.org, line, i, c.Data)
+		dram.SplitChip(&s.org, line, i, c.Data)
 		s.code.EncodeTo(c.Data.Bits, scr.word)
 		// The two parity symbols travel on the extension beat.
 		copy(c.Xfer.Bits, scr.word[s.code.K:])
@@ -93,32 +99,43 @@ func (s *DUO) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
 	DecodeEach(dst, sts, claims, s.decode)
 }
 
-// decode recovers one line: the corrected data symbols are a burst in
-// storage order, so each chip's result joins the line as it is.
+// decode recovers one line: a chip whose stored bytes have a zero
+// syndrome joins the line as stored; a dirty chip is corrected from its
+// syndromes, and its corrected data symbols are a burst in storage order.
 func (s *DUO) decode(dst []byte, st *Stored) Claim {
 	claim := ClaimClean
-	scr := s.pool.Get().(*duoScratch)
-	word := scr.word
+	var scr *duoScratch
 	for i := range st.Chips {
 		c := &st.Chips[i]
-		copy(word, c.Data.Bits)
-		copy(word[s.code.K:], c.Xfer.Bits)
-		nerr, err := scr.dec.DecodeInto(word, word, nil)
-		if err != nil {
+		b := st.ChipBytes(i)
+		syn := s.tab.Syndrome(b)
+		if syn == 0 {
+			dram.JoinChip(&s.org, dst, i, c.Data)
+			continue
+		}
+		if scr == nil {
+			scr = s.pool.Get().(*duoScratch)
+		}
+		var sb [syndrome.WordBytes]byte
+		binary.LittleEndian.PutUint64(sb[:], syn)
+		copy(scr.word, b)
+		if _, err := scr.dec.Correct(scr.word, sb[:s.code.NumParity()], nil); err != nil {
 			claim = ClaimDetected
 			// Pass the raw data along with the flag (word is unspecified
 			// after a decode failure).
-			dram.JoinChip(s.org, dst, i, c.Data)
+			dram.JoinChip(&s.org, dst, i, c.Data)
 			continue
 		}
-		if nerr > 0 && claim != ClaimDetected {
+		if claim != ClaimDetected {
 			claim = ClaimCorrected
 		}
 		corrected := c.Data
-		corrected.Bits = word[:s.code.K]
-		dram.JoinChip(s.org, dst, i, corrected)
+		corrected.Bits = scr.word[:s.code.K]
+		dram.JoinChip(&s.org, dst, i, corrected)
 	}
-	s.pool.Put(scr)
+	if scr != nil {
+		s.pool.Put(scr)
+	}
 	return claim
 }
 

@@ -95,7 +95,7 @@ func (s *DUORank) encode(st *Stored, line []byte) {
 	scr := s.scratch.Get().(*duoRankScratch)
 	defer s.scratch.Put(scr)
 	for c := 0; c < s.org.ChipsPerRank; c++ {
-		dram.SplitChip(s.org, line, c, st.Chips[c].Data)
+		dram.SplitChip(&s.org, line, c, st.Chips[c].Data)
 	}
 	s.assembleInto(scr.word, st)
 	s.code.EncodeTo(scr.word[:s.code.K], scr.word)

@@ -43,7 +43,7 @@ func (s *IECC) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, 
 func (s *IECC) encode(st *Stored, line []byte) {
 	for i := range st.Chips {
 		c := &st.Chips[i]
-		dram.SplitChip(s.org, line, i, c.Data)
+		dram.SplitChip(&s.org, line, i, c.Data)
 		putCheck(c.OnDie, s.code.CheckBits(c.Data.Bits))
 	}
 }
@@ -80,7 +80,7 @@ func (s *IECC) decode(dst []byte, st *Stored) Claim {
 	busWidth := s.org.ChipsPerRank * s.org.Pins
 	for i := range st.Chips {
 		c := &st.Chips[i]
-		dram.JoinChip(s.org, dst, i, c.Data)
+		dram.JoinChip(&s.org, dst, i, c.Data)
 		pos, outcome := s.code.DecodeSyndrome(s.code.CheckBits(c.Data.Bits) ^ storedCheck(c.OnDie))
 		switch outcome {
 		case hamming.Detected:

@@ -32,7 +32,7 @@ func (n *None) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts, 
 // encode stores the line as-is.
 func (n *None) encode(st *Stored, line []byte) {
 	for i := range st.Chips {
-		dram.SplitChip(n.org, line, i, st.Chips[i].Data)
+		dram.SplitChip(&n.org, line, i, st.Chips[i].Data)
 	}
 }
 
@@ -44,7 +44,7 @@ func (n *None) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
 // decode reads the line back and believes it clean.
 func (n *None) decode(dst []byte, st *Stored) Claim {
 	for i := range st.Chips {
-		dram.JoinChip(n.org, dst, i, st.Chips[i].Data)
+		dram.JoinChip(&n.org, dst, i, st.Chips[i].Data)
 	}
 	return ClaimClean
 }

@@ -111,6 +111,7 @@ type Stored struct {
 	Org   dram.Organization
 	Chips []dram.Chip
 	buf   []byte // backs every chip's regions
+	per   int    // stored bytes per chip
 }
 
 // NewImage returns a zeroed image of n chips, each a Pins x BurstLen data
@@ -118,7 +119,14 @@ type Stored struct {
 // absent region), all sliced from one buffer.
 func NewImage(org dram.Organization, n, onDie, xfer int) *Stored {
 	chips, buf := dram.NewChips(n, dram.Shape{Pins: org.Pins, Beats: org.BurstLen, OnDie: onDie, Xfer: xfer})
-	return &Stored{Org: org, Chips: chips, buf: buf}
+	return &Stored{Org: org, Chips: chips, buf: buf, per: len(buf) / n}
+}
+
+// ChipBytes returns chip i's stored bytes as one view of the buffer:
+// its Data, then OnDie, then Xfer bytes, in the order NewChips slices
+// them. A scheme's stored-byte syndrome table reads a chip through it.
+func (s *Stored) ChipBytes(i int) []byte {
+	return s.buf[i*s.per : (i+1)*s.per : (i+1)*s.per]
 }
 
 // Clone deep-copies the stored image (the unit of fault injection: inject

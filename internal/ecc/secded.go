@@ -51,7 +51,7 @@ func (s *SECDED) EncodeBatchInto(sts []*Stored, lines [][]byte) { EncodeEach(sts
 func (s *SECDED) encode(st *Stored, line []byte) {
 	nData := s.org.ChipsPerRank
 	for c := 0; c < nData; c++ {
-		dram.SplitChip(s.org, line, c, st.Chips[c].Data)
+		dram.SplitChip(&s.org, line, c, st.Chips[c].Data)
 	}
 	eccBytes := st.Chips[nData].Data.Bits // byte b is beat b's check byte
 	beatBytes := s.code.K / 8
@@ -71,7 +71,7 @@ func (s *SECDED) DecodeBatchInto(dst [][]byte, sts []*Stored, claims []Claim) {
 func (s *SECDED) decode(dst []byte, st *Stored) Claim {
 	nData := s.org.ChipsPerRank
 	for c := 0; c < nData; c++ {
-		dram.JoinChip(s.org, dst, c, st.Chips[c].Data)
+		dram.JoinChip(&s.org, dst, c, st.Chips[c].Data)
 	}
 	claim := ClaimClean
 	beatBytes := s.code.K / 8

@@ -61,7 +61,7 @@ func (s *XED) encode(st *Stored, line []byte) {
 	for i := range st.Chips {
 		c := &st.Chips[i]
 		if i < nData {
-			dram.SplitChip(s.org, line, i, c.Data)
+			dram.SplitChip(&s.org, line, i, c.Data)
 			xorInto(parity, c.Data.Bits)
 		}
 		putCheck(c.OnDie, s.code.CheckBits(c.Data.Bits))
@@ -92,7 +92,7 @@ func (s *XED) decode(dst []byte, st *Stored) Claim {
 	flaggedChip := -1
 	nFlagged := 0
 	for i := 0; i < nData; i++ {
-		dram.JoinChip(s.org, dst, i, st.Chips[i].Data)
+		dram.JoinChip(&s.org, dst, i, st.Chips[i].Data)
 		if s.flagged(&st.Chips[i]) {
 			flaggedChip = i
 			nFlagged++
@@ -117,7 +117,7 @@ func (s *XED) decode(dst []byte, st *Stored) Claim {
 				xorInto(rec.Bits, st.Chips[i].Data.Bits)
 			}
 		}
-		dram.JoinChip(s.org, dst, flaggedChip, rec)
+		dram.JoinChip(&s.org, dst, flaggedChip, rec)
 		return ClaimCorrected
 	default:
 		// Two or more chips flagged, or one flagged with a suspect

@@ -2,9 +2,7 @@ package gf256
 
 // This file holds the allocation-free, bounds-check-friendly kernels the
 // hot codec paths (internal/rs) are built on: a full 64 KiB multiplication
-// table with per-constant row access, fused Horner evaluation steps, and
-// 4-bit nibble-split tables for long-slice multiplication where a full row
-// would thrash the cache.
+// table with per-constant row access and fused Horner evaluation steps.
 
 // mulTab[a][b] = a*b over GF(2^8). 64 KiB; a row (fixed first operand) is
 // four cache lines, which makes constant-times-variable inner loops a
@@ -69,49 +67,4 @@ func EvalDesc(word []byte, x byte) byte {
 		acc = row[acc] ^ w
 	}
 	return acc
-}
-
-// NibbleTable is the 4-bit split multiplication table of a constant c:
-// 32 bytes covering both nibbles, so c*b = lo[b&15] ^ hi[b>>4]. For long
-// slices with a changing constant it beats a full 256-byte row because the
-// whole table stays in registers/L1 regardless of the data distribution.
-type NibbleTable struct {
-	lo, hi [16]byte
-}
-
-// MakeNibbleTable builds the nibble-split table of c.
-func MakeNibbleTable(c byte) NibbleTable {
-	var t NibbleTable
-	if c == 0 {
-		return t
-	}
-	row := &mulTab[c]
-	for i := 0; i < 16; i++ {
-		t.lo[i] = row[i]
-		t.hi[i] = row[i<<4]
-	}
-	return t
-}
-
-// Mul returns c*b using the table.
-func (t *NibbleTable) Mul(b byte) byte { return t.lo[b&0x0f] ^ t.hi[b>>4] }
-
-// MulSliceXor computes dst[i] ^= c*src[i] branch-free.
-func (t *NibbleTable) MulSliceXor(dst, src []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: NibbleTable.MulSliceXor length mismatch")
-	}
-	for i, s := range src {
-		dst[i] ^= t.lo[s&0x0f] ^ t.hi[s>>4]
-	}
-}
-
-// MulSliceTo computes dst[i] = c*src[i] branch-free.
-func (t *NibbleTable) MulSliceTo(dst, src []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: NibbleTable.MulSliceTo length mismatch")
-	}
-	for i, s := range src {
-		dst[i] = t.lo[s&0x0f] ^ t.hi[s>>4]
-	}
 }

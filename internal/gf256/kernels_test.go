@@ -105,45 +105,6 @@ func TestEvalOrientations(t *testing.T) {
 	}
 }
 
-func TestNibbleTable(t *testing.T) {
-	for _, c := range []byte{0, 1, 2, 0x1d, 0x80, 255} {
-		nt := MakeNibbleTable(c)
-		for b := 0; b < 256; b++ {
-			if nt.Mul(byte(b)) != Mul(c, byte(b)) {
-				t.Fatalf("NibbleTable(%d).Mul(%d) = %d, want %d", c, b, nt.Mul(byte(b)), Mul(c, byte(b)))
-			}
-		}
-	}
-}
-
-func TestNibbleTableSliceKernels(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	src := make([]byte, 61)
-	rng.Read(src)
-	nt := MakeNibbleTable(0x53)
-
-	dst := make([]byte, len(src))
-	nt.MulSliceTo(dst, src)
-	for i := range src {
-		if dst[i] != Mul(0x53, src[i]) {
-			t.Fatal("NibbleTable.MulSliceTo wrong")
-		}
-	}
-
-	acc := make([]byte, len(src))
-	rng.Read(acc)
-	want := append([]byte(nil), acc...)
-	nt.MulSliceXor(acc, src)
-	for i := range src {
-		if acc[i] != want[i]^Mul(0x53, src[i]) {
-			t.Fatal("NibbleTable.MulSliceXor wrong")
-		}
-	}
-
-	mustPanicGF(t, "MulSliceXor mismatch", func() { nt.MulSliceXor(dst[:2], src) })
-	mustPanicGF(t, "MulSliceTo mismatch", func() { nt.MulSliceTo(dst[:2], src) })
-}
-
 func TestLogPowEdges(t *testing.T) {
 	mustPanicGF(t, "Log(0)", func() { Log(0) })
 	if Log(1) != 0 {

@@ -23,6 +23,8 @@ package hamming
 import (
 	"fmt"
 	"math/bits"
+
+	"pair/internal/syndrome"
 )
 
 // Outcome classifies a decode attempt. The decoder cannot see the golden
@@ -56,11 +58,11 @@ func (o Outcome) String() string {
 // Code is a systematic binary code defined by per-position parity-check
 // columns.
 type Code struct {
-	N, K, M    int      // codeword, data, check bit counts (N = K + M)
-	secded     bool     // Hsiao odd-weight-column construction
-	cols       []uint16 // parity-check column for each codeword position
-	colIdx     map[uint16]int
-	nibbleCols [][16]uint16 // [i][v]: XOR of the columns of data nibble i = v
+	N, K, M int      // codeword, data, check bit counts (N = K + M)
+	secded  bool     // Hsiao odd-weight-column construction
+	cols    []uint16 // parity-check column for each codeword position
+	colIdx  map[uint16]int
+	data    *syndrome.Table // the data bytes' check bits
 }
 
 // NewSEC constructs a shortened Hamming SEC code with k data bits and the
@@ -154,41 +156,26 @@ func MustSECDED(k int) *Code {
 // IsSECDED reports whether the code uses the Hsiao odd-weight construction.
 func (c *Code) IsSECDED() bool { return c.secded }
 
-// index builds the syndrome lookup and the per-nibble column tables.
+// index builds the syndrome lookup and the data bytes' syndrome table;
+// data bits past K have no column.
 func (c *Code) index() {
 	for i, col := range c.cols {
 		c.colIdx[col] = i
 	}
-	// Each entry extends the entry without its lowest set bit by that
-	// bit's column; bits past K have none.
-	c.nibbleCols = make([][16]uint16, 2*((c.K+7)/8))
-	for i := range c.nibbleCols {
-		tab := &c.nibbleCols[i]
-		for v := 1; v < len(tab); v++ {
-			col := uint16(0)
-			if pos := 4*i + bits.TrailingZeros8(uint8(v)); pos < c.K {
-				col = c.cols[pos]
-			}
-			tab[v] = tab[v&(v-1)] ^ col
+	c.data = syndrome.New((c.K+7)/8, func(i int) uint64 {
+		if i < c.K {
+			return uint64(c.cols[i])
 		}
-	}
+		return 0
+	})
 }
 
 // CheckBits returns the M check bits of the K data bits held LSB-first in
 // data ((K+7)/8 bytes; bits past K are ignored): the XOR of the
-// parity-check columns of the set data bits, one table lookup per 4 bits.
+// parity-check columns of the set data bits, one table lookup per byte.
 // A stored word's syndrome is CheckBits(data) XOR its stored check bits.
 // Allocates nothing.
-func (c *Code) CheckBits(data []byte) uint16 {
-	if 2*len(data) != len(c.nibbleCols) {
-		panic(fmt.Sprintf("hamming: %d data bytes, want %d", len(data), len(c.nibbleCols)/2))
-	}
-	var syn uint16
-	for i, v := range data {
-		syn ^= c.nibbleCols[2*i][v&0xF] ^ c.nibbleCols[2*i+1][v>>4]
-	}
-	return syn
-}
+func (c *Code) CheckBits(data []byte) uint16 { return uint16(c.data.Syndrome(data)) }
 
 // DecodeSyndrome classifies a precomputed syndrome without touching the
 // word: it returns the codeword position to flip and Corrected, or -1 with

@@ -120,7 +120,7 @@ func TestCheckBitsMatchesColumnXor(t *testing.T) {
 	// The per-byte tables must equal the bit-by-bit definition, including
 	// codes whose data bits end mid-byte (bits past K are ignored).
 	rng := rand.New(rand.NewSource(8))
-	for _, c := range []*Code{MustSEC(128), MustSEC(64), MustSEC(256), MustSECDED(64), MustSEC(11)} {
+	for _, c := range []*Code{MustSEC(128), MustSEC(64), MustSEC(256), MustSECDED(64), MustSEC(11), MustSEC(32)} {
 		data := make([]byte, (c.K+7)/8)
 		for trial := 0; trial < 200; trial++ {
 			rng.Read(data)

@@ -99,8 +99,9 @@ func (d *Decoder) erasureList(erasures []int) ([]int, error) {
 // lists symbol positions known to be unreliable (each in [0,N)); the
 // pattern is guaranteed correctable when 2*errors + erasures <= N-K, and
 // beyond that the decoder either returns ErrUncorrectable or — for some
-// patterns, as with any bounded-distance decoder — miscorrects. The
-// steady-state path allocates nothing.
+// patterns, as with any bounded-distance decoder — miscorrects. It
+// computes the syndromes and corrects through Correct. The steady-state
+// path allocates nothing.
 func (d *Decoder) DecodeInto(dst, received []byte, erasures []int) (int, error) {
 	c := d.c
 	if len(received) != c.N {
@@ -109,14 +110,33 @@ func (d *Decoder) DecodeInto(dst, received []byte, erasures []int) (int, error) 
 	if len(dst) != c.N {
 		return 0, fmt.Errorf("rs: Decode destination length %d, want %d", len(dst), c.N)
 	}
+	copy(dst, received)
+	c.SyndromesInto(d.syn, dst)
+	return d.Correct(dst, d.syn, erasures)
+}
+
+// Correct corrects word (length N) in place from its syndromes syn
+// (length N-K, as SyndromesInto computes them), with DecodeInto's
+// erasures, guarantee and result. It is the one correction path: a
+// caller that already holds the syndromes, such as a scheme that checks
+// each chip through a stored-byte table, calls it without recomputing
+// them. A zero syndrome returns at once. On error word's contents are
+// unspecified. The steady-state path allocates nothing.
+func (d *Decoder) Correct(word, syn []byte, erasures []int) (int, error) {
+	c := d.c
+	if len(word) != c.N {
+		return 0, fmt.Errorf("rs: Correct word length %d, want %d", len(word), c.N)
+	}
+	if len(syn) != c.N-c.K {
+		return 0, fmt.Errorf("rs: Correct syndrome length %d, want %d", len(syn), c.N-c.K)
+	}
 	erasures, err := d.erasureList(erasures)
 	if err != nil {
 		return 0, err
 	}
 	np := c.N - c.K
-	copy(dst, received)
-
-	if c.SyndromesInto(d.syn, dst) {
+	copy(d.syn, syn)
+	if polyDeg(d.syn) < 0 {
 		// Clean word (erasure flags, if any, are consistent): done.
 		return 0, nil
 	}
@@ -199,7 +219,7 @@ func (d *Decoder) DecodeInto(dst, received []byte, erasures []int) (int, error) 
 		num := gf256.EvalAsc(omega, xInv)
 		mag := gf256.Div(gf256.Mul(c.loc[pos], gf256.Div(num, denom)), c.mult[pos])
 		if mag != 0 {
-			dst[pos] ^= mag
+			word[pos] ^= mag
 			nchanged++
 			if !d.erased[pos] {
 				errs++

@@ -241,27 +241,38 @@ func (c *Code) EncodeTo(data, cw []byte) {
 }
 
 // SyndromesInto fills syn (length N-K) with the syndromes of word
-// (length N) and reports whether they are all zero — i.e. whether word is
-// a codeword. It allocates nothing.
-func (c *Code) SyndromesInto(syn, word []byte) bool {
+// (length N), all zero exactly when word is a codeword. It allocates
+// nothing.
+func (c *Code) SyndromesInto(syn, word []byte) {
 	if len(word) != c.N {
 		panic(fmt.Sprintf("rs: Syndromes word length %d, want %d", len(word), c.N))
 	}
 	if len(syn) != c.N-c.K {
 		panic(fmt.Sprintf("rs: syndrome buffer length %d, want %d", len(syn), c.N-c.K))
 	}
-	allZero := true
 	for i, row := range c.check {
 		var acc byte
 		for pos, v := range word {
 			acc ^= gf256.Row(row[pos])[v]
 		}
 		syn[i] = acc
-		if acc != 0 {
-			allZero = false
-		}
 	}
-	return allZero
+}
+
+// Column returns the syndromes of the word that is v at position pos and
+// zero elsewhere, packed with syndrome i in byte i: the parity-check
+// columns of the bits set in v, from which a scheme builds its
+// stored-byte syndrome table (internal/syndrome). The code must have at
+// most 8 parity symbols.
+func (c *Code) Column(pos int, v byte) uint64 {
+	if len(c.check) > 8 {
+		panic(fmt.Sprintf("rs: %d syndromes do not pack into 64 bits", len(c.check)))
+	}
+	var s uint64
+	for i, row := range c.check {
+		s |= uint64(gf256.Row(row[pos])[v]) << (8 * i)
+	}
+	return s
 }
 
 // addSyndromes adds symbol v at position pos to the syndromes:

@@ -105,21 +105,88 @@ func TestSyndromesIntoMatchesSyndromes(t *testing.T) {
 	syn := make([]byte, c.NumParity())
 	for trial := 0; trial < 200; trial++ {
 		word := randMsg(rng, c.N)
-		allZero := c.SyndromesInto(syn, word)
-		want := c.Syndromes(word)
-		if !bytes.Equal(syn, want) {
+		c.SyndromesInto(syn, word)
+		if want := c.Syndromes(word); !bytes.Equal(syn, want) {
 			t.Fatalf("syndromes differ: %x vs %x", syn, want)
 		}
-		wantZero := true
-		for _, s := range want {
-			if s != 0 {
-				wantZero = false
+	}
+}
+
+// TestCorrectMatchesDecodeInto drives Correct with the syndromes
+// SyndromesInto computes over random within- and beyond-budget patterns,
+// with and without erasures, in both views: its result, word and error
+// must be DecodeInto's, since DecodeInto is SyndromesInto plus Correct.
+func TestCorrectMatchesDecodeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	codes := []*Code{MustNew(18, 16), MustNew(20, 16), MustNew(81, 64)}
+	for _, nk := range [][2]int{{18, 16}, {20, 16}, {22, 16}, {36, 32}} {
+		e, err := NewEvaluation(nk[0], nk[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes = append(codes, e)
+	}
+	for _, c := range codes {
+		d, ref := c.NewDecoder(), c.NewDecoder()
+		syn := make([]byte, c.NumParity())
+		want, got := make([]byte, c.N), make([]byte, c.N)
+		for trial := 0; trial < 400; trial++ {
+			rx := c.Encode(randMsg(rng, c.K))
+			for _, p := range rng.Perm(c.N)[:rng.Intn(c.NumParity()+3)] {
+				rx[p] ^= byte(1 + rng.Intn(255))
+			}
+			var erasures []int
+			if rng.Intn(2) == 0 {
+				erasures = rng.Perm(c.N)[:rng.Intn(c.NumParity()+1)]
+			}
+			wantN, wantErr := ref.DecodeInto(want, rx, erasures)
+			c.SyndromesInto(syn, rx)
+			copy(got, rx)
+			gotN, gotErr := d.Correct(got, syn, erasures)
+			if (gotErr == nil) != (wantErr == nil) || gotN != wantN || (wantErr == nil && !bytes.Equal(got, want)) {
+				t.Fatalf("(%d,%d): Correct = %d, %v, %x; DecodeInto = %d, %v, %x",
+					c.N, c.K, gotN, gotErr, got, wantN, wantErr, want)
 			}
 		}
-		if allZero != wantZero {
-			t.Fatalf("allZero flag %v, want %v", allZero, wantZero)
+		if _, err := d.Correct(got[1:], syn, nil); err == nil {
+			t.Fatalf("(%d,%d): short word accepted", c.N, c.K)
+		}
+		if _, err := d.Correct(got, syn[1:], nil); err == nil {
+			t.Fatalf("(%d,%d): short syndrome accepted", c.N, c.K)
 		}
 	}
+}
+
+// TestColumnIsUnitWordSyndromes checks each packed column against the
+// syndromes of the word holding v at pos alone, in both views.
+func TestColumnIsUnitWordSyndromes(t *testing.T) {
+	e, err := NewEvaluation(22, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Code{MustNew(18, 16), e} {
+		word, syn := make([]byte, c.N), make([]byte, c.NumParity())
+		for pos := 0; pos < c.N; pos++ {
+			for _, v := range []byte{1, 2, 0x80, 0x5a, 0xff} {
+				clear(word)
+				word[pos] = v
+				c.SyndromesInto(syn, word)
+				var want uint64
+				for i, s := range syn {
+					want |= uint64(s) << (8 * i)
+				}
+				if got := c.Column(pos, v); got != want {
+					t.Fatalf("(%d,%d): Column(%d, %#x) = %#x, want %#x", c.N, c.K, pos, v, got, want)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Column of a code with 17 parity symbols did not panic")
+		}
+	}()
+	MustNew(81, 64).Column(0, 1)
 }
 
 // TestCodecFastPathAllocs pins the allocation behaviour the Monte-Carlo
@@ -145,6 +212,8 @@ func TestCodecFastPathAllocs(t *testing.T) {
 		tooMany[i] ^= byte(0x11 * (i + 1))
 	}
 	erasures := []int{2, 9}
+	syn := make([]byte, c.NumParity())
+	c.SyndromesInto(syn, twoErr)
 
 	cases := []struct {
 		name string
@@ -156,6 +225,7 @@ func TestCodecFastPathAllocs(t *testing.T) {
 		{"DecodeInto/erasures", func() { d.DecodeInto(dst, twoErr[:20], erasures) }},
 		{"DecodeInto/uncorrectable", func() { d.DecodeInto(dst, tooMany, nil) }},
 		{"SyndromesInto", func() { c.SyndromesInto(dst[:4], clean) }},
+		{"Correct/two-errors", func() { copy(dst, twoErr); d.Correct(dst, syn, nil) }},
 	}
 	for _, tc := range cases {
 		tc.fn() // warm up
