@@ -133,7 +133,6 @@ type op struct {
 	line      uint64
 	bus, fb   int
 	addr      dram.Address
-	readyAt   uint64 // earliest schedulable cycle
 	enq       uint64 // admission time (FCFS order, latency base)
 	reqIdx    int    // owning trace request, -1 for posted extras
 	dependent *op    // released when this op completes (RMW write leg)
@@ -316,7 +315,7 @@ func (s *simulator) newOp(kind opKind, line uint64, reqIdx int) *op {
 	} else {
 		o = new(op)
 	}
-	*o = op{kind: kind, line: line, readyAt: s.now, enq: s.now, reqIdx: reqIdx}
+	*o = op{kind: kind, line: line, enq: s.now, reqIdx: reqIdx}
 	if s.nBuses == 1 {
 		o.addr = s.mapper.Map(line)
 	} else {
@@ -334,7 +333,7 @@ func (s *simulator) run(wl trace.Workload) {
 	cap64 := s.totalCap
 
 	var (
-		pending     []*op // admitted, schedulable (or waiting on readyAt)
+		pending     []*op // admitted and schedulable
 		completions completionQueue
 		outstanding int
 		traceIdx    int
@@ -369,7 +368,6 @@ func (s *simulator) run(wl trace.Workload) {
 				outstanding--
 			}
 			if dep := ev.o.dependent; dep != nil {
-				dep.readyAt = ev.at
 				pending = append(pending, dep)
 			}
 			s.free = append(s.free, ev.o)
@@ -380,7 +378,7 @@ func (s *simulator) run(wl trace.Workload) {
 		// without compressing the ScrubReads accounting.
 		for s.cfg.ScrubPeriod > 0 && s.now >= nextScrub {
 			o := s.newOp(opRead, scrubLine%cap64, -1)
-			o.readyAt, o.enq = nextScrub, nextScrub
+			o.enq = nextScrub
 			pending = append(pending, o)
 			s.res.ScrubReads++
 			scrubLine += 64 // stride across rows over time
@@ -390,7 +388,7 @@ func (s *simulator) run(wl trace.Workload) {
 		// Pick the next operation: FR-FCFS with write draining.
 		idx := s.pick(pending)
 		if idx < 0 {
-			// Nothing schedulable now: advance time to the next event.
+			// Nothing pending: advance time to the next event.
 			next := uint64(math.MaxUint64)
 			if len(completions) > 0 {
 				next = completions[0].at
@@ -398,15 +396,10 @@ func (s *simulator) run(wl trace.Workload) {
 			if traceIdx < len(wl.Reqs) && outstanding < window && arrive < next {
 				next = arrive
 			}
-			for _, o := range pending {
-				if o.readyAt > s.now && o.readyAt < next {
-					next = o.readyAt
-				}
-			}
 			// Patrol scrubs fire on time during request gaps — but only
 			// while work remains, so a drained run still terminates.
 			if s.cfg.ScrubPeriod > 0 && nextScrub < next &&
-				(len(pending) > 0 || outstanding > 0 || traceIdx < len(wl.Reqs)) {
+				(outstanding > 0 || traceIdx < len(wl.Reqs)) {
 				next = nextScrub
 			}
 			if next == uint64(math.MaxUint64) {
@@ -481,11 +474,12 @@ func (s *simulator) expand(pending []*op, r trace.Request, line uint64, idx int)
 	return pending
 }
 
-// pick chooses the next operation index, or -1 if none is ready. Policy:
-// FR-FCFS — row hits first, then oldest, then first in pending — with
-// reads prioritized over writes unless the write backlog exceeds the
-// drain threshold. One pass counts the ready ops of each kind and keeps
-// the best of each.
+// pick chooses the next operation index, or -1 if pending is empty: every
+// pending op is ready, because it enters the queue at or before the
+// current cycle. Policy: FR-FCFS — row hits first, then oldest, then
+// first in pending — with reads prioritized over writes unless the write
+// backlog exceeds the drain threshold. One pass counts the ready ops of
+// each kind and keeps the best of each.
 func (s *simulator) pick(pending []*op) int {
 	const drainThreshold = 12
 	var ready [2]int // indexed by opKind
@@ -493,9 +487,6 @@ func (s *simulator) pick(pending []*op) int {
 	var bestHit [2]bool
 	var bestEnq [2]uint64
 	for i, o := range pending {
-		if o.readyAt > s.now {
-			continue
-		}
 		k := o.kind
 		ready[k]++
 		hit := s.buses[o.bus].banks[o.fb].openRow == o.addr.Row
@@ -614,7 +605,7 @@ func (s *simulator) schedule(o *op) uint64 {
 	isWrite := o.kind == opWrite
 	miss := b.openRow != a.Row
 
-	earliest := s.refreshDefer(maxU(s.now, o.readyAt), bankIdx)
+	earliest := s.refreshDefer(s.now, bankIdx)
 
 	// Row management plan.
 	var preAt, actAt, casAt uint64
