@@ -295,7 +295,7 @@ func (c *Coordinator) restore() error {
 	if err := c.saveEpoch(); err != nil {
 		return err
 	}
-	c.warnf("fleet: journal replayed %d job(s) (epoch %d)", len(c.order), c.epoch)
+	c.warnf("fleet: restored %d job(s) (epoch %d)", len(c.order), c.epoch)
 	return nil
 }
 
