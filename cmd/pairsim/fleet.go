@@ -22,10 +22,10 @@ import (
 // campaigns are fully declarative (scheme spec x scenario spec), which
 // is exactly what travels on the wire; the other experiments close over
 // local state and run in-process only.
-func runFleetExperiments(ctx context.Context, base string, ids []string, schemeList, faultList string, sc scale, progress bool, stdout, stderr io.Writer) int {
-	for _, id := range ids {
-		if strings.TrimSpace(id) != "f13" {
-			fmt.Fprintf(stderr, "pairsim: -fleet supports only the f13 experiment (its campaigns are declarative scheme x scenario specs); got %q\n", id)
+func runFleetExperiments(ctx context.Context, base string, exps []experiments.Experiment, schemeList, faultList string, sc experiments.Scale, progress bool, stdout, stderr io.Writer) int {
+	for _, e := range exps {
+		if e.ID != "f13" {
+			fmt.Fprintf(stderr, "pairsim: -fleet supports only the f13 experiment (its campaigns are declarative scheme x scenario specs); got %q\n", e.ID)
 			return 2
 		}
 	}
@@ -51,7 +51,7 @@ func runFleetExperiments(ctx context.Context, base string, ids []string, schemeL
 		Namespace: "f13",
 		Schemes:   schemeSpecs,
 		Scenarios: scenarioSpecs,
-		Trials:    sc.coverage,
+		Trials:    sc.Coverage,
 		Seed:      1,
 	})
 	if err != nil {
@@ -86,7 +86,7 @@ func runFleetExperiments(ctx context.Context, base string, ids []string, schemeL
 		return 1
 	}
 
-	out, err := renderFleetF13(res, schemeSpecs, scenarioSpecs, sc.coverage)
+	out, err := renderFleetF13(res, schemeSpecs, scenarioSpecs, sc.Coverage)
 	if err != nil {
 		fmt.Fprintln(stderr, "pairsim:", err)
 		return 1

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pair/internal/campaign"
+	"pair/internal/experiments"
 	"pair/internal/failpoint"
 )
 
@@ -23,7 +24,10 @@ func TestListOutput(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
-	for _, want := range []string{"T1 ", "F1 ", "T2 ", "F3 ", "F12", "T2X", "F3X"} {
+	if out != experiments.ListText() {
+		t.Fatal("-list must print experiments.ListText() verbatim")
+	}
+	for _, want := range []string{"T1 ", "F1 ", "F1F2", "T2 ", "F3 ", "F12", "T2X", "F3X"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("-list output missing %q:\n%s", want, out)
 		}
@@ -205,16 +209,16 @@ func TestProgressFlagReports(t *testing.T) {
 }
 
 func TestScaleFor(t *testing.T) {
-	def := scaleFor(false, 0, 0, 0)
-	if def.coverage != 20000 || def.devices != 40000 {
+	def := experiments.ScaleFor(false, 0, 0, 0)
+	if def.Coverage != 20000 || def.Devices != 40000 {
 		t.Fatalf("default scale %+v", def)
 	}
-	q := scaleFor(true, 0, 0, 0)
-	if q.coverage != 2000 || q.devices != 2000 || q.requests != 4000 {
+	q := experiments.ScaleFor(true, 0, 0, 0)
+	if q.Coverage != 2000 || q.Devices != 2000 || q.Requests != 4000 {
 		t.Fatalf("quick scale %+v", q)
 	}
-	o := scaleFor(true, 123, 456, 789)
-	if o.sweep.Trials != 123 || o.coverage != 123 || o.devices != 456 || o.requests != 789 {
+	o := experiments.ScaleFor(true, 123, 456, 789)
+	if o.Sweep.Trials != 123 || o.Coverage != 123 || o.Devices != 456 || o.Requests != 789 {
 		t.Fatalf("override scale %+v", o)
 	}
 }

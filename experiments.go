@@ -1,87 +1,25 @@
 package pair
 
 import (
+	"context"
 	"fmt"
 
+	"pair/internal/campaign"
 	"pair/internal/experiments"
 )
 
 // ExperimentIDs lists the identifiers RunExperiment accepts, in
 // presentation order (see DESIGN.md's per-experiment index).
-func ExperimentIDs() []string {
-	return []string{"t1", "f1", "f2", "t2", "f3", "f4", "f4b", "f4c", "f5", "f6", "f7", "t3", "t4", "t5", "f8", "f9", "f10", "f11", "f12"}
-}
+func ExperimentIDs() []string { return experiments.IDs() }
 
 // RunExperiment regenerates one of the study's tables or figures and
-// returns its rendered text. quick selects CI-scale trial counts;
-// publication scale is what `cmd/pairsim` uses by default.
+// returns the text `pairsim -exp <id>` prints for it, without the timing
+// line. quick selects pairsim's -quick CI scale; publication scale is its
+// default.
 func RunExperiment(id string, quick bool) (string, error) {
-	sweep := experiments.DefaultSweep()
-	coverage, devices, requests := 20000, 40000, 20000
-	if quick {
-		sweep = experiments.QuickSweep()
-		coverage, devices, requests = 2000, 2000, 4000
+	e, err := experiments.Lookup(id)
+	if err != nil {
+		return "", fmt.Errorf("pair: %w", err)
 	}
-	switch id {
-	case "t1":
-		return experiments.T1Config().Render(), nil
-	case "f1":
-		return experiments.F1F2(experiments.CommoditySchemes(), sweep).RenderF1(), nil
-	case "f2":
-		return experiments.F1F2(experiments.CommoditySchemes(), sweep).RenderF2(), nil
-	case "t2":
-		return experiments.T2Coverage(experiments.CommoditySchemes(), coverage, 1).Render(), nil
-	case "f3":
-		return experiments.F3Lifetime(experiments.CommoditySchemes(), devices, 1).Render(), nil
-	case "f4":
-		r, err := experiments.F4Performance(experiments.PerfSchemes(), requests)
-		if err != nil {
-			return "", err
-		}
-		return r.Render(), nil
-	case "f5":
-		t, err := experiments.F5WriteSweep(experiments.PerfSchemes(), requests)
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	case "f6":
-		return experiments.F6Expandability(sweep.Trials, 1).Render(), nil
-	case "f7":
-		return experiments.F7Burst(experiments.CommoditySchemes(), coverage, 1).Render(), nil
-	case "t3":
-		return experiments.T3Complexity().Render(), nil
-	case "t4":
-		return experiments.T4BusEnergy().Render(), nil
-	case "t5":
-		return experiments.T5Widths(coverage, 1).Render(), nil
-	case "f8":
-		return experiments.F8ScrubSweep(experiments.CommoditySchemes(), devices/4, 1).Render(), nil
-	case "f9":
-		return experiments.F9DDR5(coverage, 1).Render(), nil
-	case "f10":
-		return experiments.F10Sparing(coverage, 1).Render(), nil
-	case "f4b":
-		t, err := experiments.F4Latency(experiments.PerfSchemes(), requests)
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	case "f4c":
-		t, err := experiments.F4CommandMix(experiments.PerfSchemes(), requests)
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	case "f11":
-		t, err := experiments.F11ScrubTraffic(requests)
-		if err != nil {
-			return "", err
-		}
-		return t.Render(), nil
-	case "f12":
-		return experiments.F12Repair(experiments.CommoditySchemes(), devices, 1).Render(), nil
-	default:
-		return "", fmt.Errorf("pair: unknown experiment %q", id)
-	}
+	return e.Run(context.Background(), experiments.ScaleFor(quick, 0, 0, 0), campaign.Options{})
 }

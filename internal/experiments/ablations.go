@@ -21,16 +21,11 @@ func ExtendedSchemes() []ecc.Scheme {
 	return schemes.MustBuildSet("extended")
 }
 
-// F8ScrubSweep varies the scrub interval in the lifetime model — the
+// F8ScrubSweepCtx varies the scrub interval in the lifetime model — the
 // knob that controls how long transient faults linger and can pair with
-// permanent ones. It is the blocking wrapper around F8ScrubSweepCtx.
-func F8ScrubSweep(schemes []ecc.Scheme, devices int, seed int64) *Table {
-	return must(F8ScrubSweepCtx(context.Background(), schemes, devices, seed, campaign.Options{}))
-}
-
-// F8ScrubSweepCtx varies the scrub interval as cancellable,
-// checkpointable campaigns; each interval runs under an h=<n> campaign
-// sublabel since the scheme set repeats across intervals.
+// permanent ones — as cancellable, checkpointable campaigns; each
+// interval runs under an h=<n> campaign sublabel since the scheme set
+// repeats across intervals.
 func F8ScrubSweepCtx(ctx context.Context, schemes []ecc.Scheme, devices int, seed int64, opts campaign.Options) (*Table, error) {
 	intervals := []float64{1, 6, 24, 168} // hours
 	t := &Table{
@@ -72,17 +67,12 @@ func F8ScrubSweepCtx(ctx context.Context, schemes []ecc.Scheme, devices int, see
 	return t, nil
 }
 
-// F9DDR5 compares PAIR across DRAM generations: DDR4 x16 BL8 (one symbol
-// per pin) against DDR5 x16 BL16 (two symbols per pin), at both
-// expansion levels, under the pin-fault and inherent-cell hazards. It is
-// the blocking wrapper around F9DDR5Ctx.
-func F9DDR5(trials int, seed int64) *Table {
-	return must(F9DDR5Ctx(context.Background(), trials, seed, campaign.Options{}))
-}
-
-// F9DDR5Ctx compares PAIR across DRAM generations as cancellable,
-// checkpointable campaigns. The scheme/organization campaign labels
-// already distinguish the four cases (name and burst length differ).
+// F9DDR5Ctx compares PAIR across DRAM generations: DDR4 x16 BL8 (one
+// symbol per pin) against DDR5 x16 BL16 (two symbols per pin), at both
+// expansion levels, under the pin-fault and inherent-cell hazards, as
+// cancellable, checkpointable campaigns. The scheme/organization
+// campaign labels already distinguish the four cases (name and burst
+// length differ).
 func F9DDR5Ctx(ctx context.Context, trials int, seed int64, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  "F9: PAIR across DRAM generations (pin-fault fail rate / inherent 2-cell fail rate)",
@@ -124,17 +114,12 @@ func F9DDR5Ctx(ctx context.Context, trials int, seed int64, opts campaign.Option
 	return t, nil
 }
 
-// T5Widths shows the PAIR design space across device widths: the
+// T5WidthsCtx shows the PAIR design space across device widths: the
 // codeword shrinks with the pin count, so the fixed two-symbol parity
 // floor costs proportionally more on narrow devices — the economics
 // behind PAIR's focus on x16 (and the abstract's "latest DRAM model").
-// It is the blocking wrapper around T5WidthsCtx.
-func T5Widths(trials int, seed int64) *Table {
-	return must(T5WidthsCtx(context.Background(), trials, seed, campaign.Options{}))
-}
-
-// T5WidthsCtx runs the device-width design-space table as cancellable,
-// checkpointable campaigns (pin counts distinguish the campaign labels).
+// Its campaigns are cancellable and checkpointable (pin counts
+// distinguish the campaign labels).
 func T5WidthsCtx(ctx context.Context, trials int, seed int64, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  "T5: PAIR across device widths (expanded config, t=2)",
@@ -177,19 +162,14 @@ func T5WidthsCtx(ctx context.Context, trials int, seed int64, opts campaign.Opti
 	return t, nil
 }
 
-// F12Repair compares 7-year failure probability without and with a
+// F12RepairCtx compares 7-year failure probability without and with a
 // post-package-repair budget. Only *detected* failures can trigger
 // repair, so schemes that convert failures into DUEs (PAIR) benefit
 // fully while miscorrecting schemes (IECC) and alias-prone ones (XED)
-// keep dying silently — the operational argument for low SDC. It is the
-// blocking wrapper around F12RepairCtx.
-func F12Repair(schemes []ecc.Scheme, devices int, seed int64) *Table {
-	return must(F12RepairCtx(context.Background(), schemes, devices, seed, campaign.Options{}))
-}
-
-// F12RepairCtx runs the post-package-repair comparison as cancellable,
-// checkpointable campaigns; the base and PPR populations run under
-// distinct campaign sublabels since they share scheme, devices and seed.
+// keep dying silently — the operational argument for low SDC. Its
+// campaigns are cancellable and checkpointable; the base and PPR
+// populations run under distinct campaign sublabels since they share
+// scheme, devices and seed.
 func F12RepairCtx(ctx context.Context, schemes []ecc.Scheme, devices int, seed int64, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("F12: 7-year failure probability without / with post-package repair (budget 4; %d ranks)", devices),
@@ -222,17 +202,12 @@ func F12RepairCtx(ctx context.Context, schemes []ecc.Scheme, devices int, seed i
 	return t, nil
 }
 
-// F10Sparing quantifies the pin-sparing (erasure) extension: a device
+// F10SparingCtx quantifies the pin-sparing (erasure) extension: a device
 // with d dead pins on one chip, with and without the repair map, under
-// an additional fresh cell error per access. It is the blocking wrapper
-// around F10SparingCtx.
-func F10Sparing(trials int, seed int64) *Table {
-	return must(F10SparingCtx(context.Background(), trials, seed, campaign.Options{}))
-}
-
-// F10SparingCtx runs the pin-sparing comparison as cancellable,
-// checkpointable campaigns; each dead-pin count runs under a dead=<n>
-// campaign sublabel since the schemes and labels repeat across counts.
+// an additional fresh cell error per access. Its campaigns are
+// cancellable and checkpointable; each dead-pin count runs under a
+// dead=<n> campaign sublabel since the schemes and labels repeat across
+// counts.
 func F10SparingCtx(ctx context.Context, trials int, seed int64, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  "F10: decode outcome with dead pins, plain vs spared (erasure) decoding, +1 fresh cell",

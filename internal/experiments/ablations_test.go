@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"pair/internal/campaign"
 )
 
 func TestExtendedSchemesIncludeRankLevel(t *testing.T) {
@@ -18,7 +21,10 @@ func TestExtendedSchemesIncludeRankLevel(t *testing.T) {
 }
 
 func TestF8ScrubSweepShape(t *testing.T) {
-	tb := F8ScrubSweep(CommoditySchemes()[:2], 150, 1)
+	tb, err := F8ScrubSweepCtx(context.Background(), CommoditySchemes()[:2], 150, 1, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 2 || len(tb.Header) != 5 {
 		t.Fatalf("F8 shape wrong: %d rows, %d cols", len(tb.Rows), len(tb.Header))
 	}
@@ -28,7 +34,10 @@ func TestF8ScrubSweepShape(t *testing.T) {
 }
 
 func TestF9DDR5Story(t *testing.T) {
-	tb := F9DDR5(250, 1)
+	tb, err := F9DDR5Ctx(context.Background(), 250, 1, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 4 {
 		t.Fatalf("F9 rows %d", len(tb.Rows))
 	}
@@ -47,7 +56,10 @@ func TestF9DDR5Story(t *testing.T) {
 }
 
 func TestF12RepairStory(t *testing.T) {
-	tb := F12Repair(CommoditySchemes(), 3000, 1)
+	tb, err := F12RepairCtx(context.Background(), CommoditySchemes(), 3000, 1, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != len(CommoditySchemes()) {
 		t.Fatalf("F12 rows %d", len(tb.Rows))
 	}
@@ -75,7 +87,10 @@ func TestF12RepairStory(t *testing.T) {
 }
 
 func TestF10SparingStory(t *testing.T) {
-	tb := F10Sparing(250, 1)
+	tb, err := F10SparingCtx(context.Background(), 250, 1, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 3 {
 		t.Fatalf("F10 rows %d", len(tb.Rows))
 	}

@@ -28,7 +28,7 @@ func TestT4BusEnergyOrdering(t *testing.T) {
 }
 
 func TestF11ScrubTraffic(t *testing.T) {
-	tb, err := F11ScrubTraffic(3000)
+	tb, err := F11ScrubTraffic(3000, SimInstrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestF11ScrubTraffic(t *testing.T) {
 }
 
 func TestF4LatencyTable(t *testing.T) {
-	tb, err := F4Latency(PerfSchemes(), 2500)
+	tb, err := F4Latency(PerfSchemes(), 2500, nil, SimInstrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}

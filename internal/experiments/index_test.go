@@ -1,0 +1,96 @@
+package experiments
+
+import (
+	"context"
+	"os"
+	"reflect"
+	"strings"
+	"testing"
+
+	"pair/internal/campaign"
+)
+
+func TestIndexIDs(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range index {
+		if e.ID == "" || e.ID != strings.ToLower(e.ID) || seen[e.ID] {
+			t.Fatalf("id %q is empty, not lower-case or repeated", e.ID)
+		}
+		seen[e.ID] = true
+		if e.Title == "" || e.run == nil {
+			t.Fatalf("%s: no title or no run function", e.ID)
+		}
+	}
+	if got := IDs(); len(got) != len(index) || got[0] != "t1" {
+		t.Fatalf("IDs() = %v", got)
+	}
+	if n := strings.Count(ListText(), "\n"); n != len(index) {
+		t.Fatalf("ListText has %d lines, want %d", n, len(index))
+	}
+}
+
+func TestSelect(t *testing.T) {
+	ids := func(es []Experiment) []string {
+		var out []string
+		for _, e := range es {
+			out = append(out, e.ID)
+		}
+		return out
+	}
+	// "all" runs each table once: f1f2 stands for f1 and f2, and the
+	// extended-set variants stay out.
+	all := []string{"t1", "f1f2", "t2", "f3", "f4", "f5", "f6", "f7", "t3", "t4", "t5", "f8", "f9", "f10", "f11", "f12", "f13", "f14"}
+	for _, list := range []string{"all", "ALL", " All "} {
+		got, err := Select(list)
+		if err != nil || !reflect.DeepEqual(ids(got), all) {
+			t.Fatalf("Select(%q) = %v, %v", list, ids(got), err)
+		}
+	}
+	got, err := Select("F3X, t1,f1f2")
+	if err != nil || !reflect.DeepEqual(ids(got), []string{"f3x", "t1", "f1f2"}) {
+		t.Fatalf("Select of a list = %v, %v", ids(got), err)
+	}
+	if _, err := Select("t1,zz"); err == nil || !strings.Contains(err.Error(), `unknown experiment "zz"`) {
+		t.Fatalf("unknown id: err = %v", err)
+	}
+	if _, err := Lookup(""); err == nil {
+		t.Fatal("empty id accepted")
+	}
+}
+
+// TestEveryExperimentRuns renders every index entry at a tiny scale, and
+// checks that an entry's campaigns checkpoint under its id.
+func TestEveryExperimentRuns(t *testing.T) {
+	sc := ScaleFor(true, 20, 20, 200)
+	if sc.Profile.Spec() != DefaultProfile {
+		t.Fatalf("scale profile %s, want %s", sc.Profile.Spec(), DefaultProfile)
+	}
+	for _, id := range IDs() {
+		e, err := Lookup(strings.ToUpper(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := e.Run(context.Background(), sc, campaign.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if !strings.HasSuffix(out, "\n") || strings.Count(out, "\n") < 3 {
+			t.Fatalf("%s rendered %q", id, out)
+		}
+	}
+
+	dir := t.TempDir()
+	e, _ := Lookup("f9")
+	if _, err := e.Run(context.Background(), sc, campaign.Options{CheckpointDir: dir, Namespace: "other"}); err != nil {
+		t.Fatal(err)
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no checkpoints: %v", err)
+	}
+	for _, f := range files {
+		if !strings.HasPrefix(f.Name(), "f9_") {
+			t.Fatalf("checkpoint %s is not namespaced by the experiment id", f.Name())
+		}
+	}
+}

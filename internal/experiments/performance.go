@@ -21,8 +21,8 @@ func PerfSchemes() []ecc.Scheme {
 }
 
 // SimInstrumentation configures observers attached to every timing-
-// simulator run the performance experiments execute (the -check and
-// -cmdtrace modes of cmd/pairsim).
+// simulator run of a performance experiment (the -check and -cmdtrace
+// modes of cmd/pairsim). The zero value attaches none.
 type SimInstrumentation struct {
 	// Check attaches an independent JEDEC protocol checker to each run;
 	// any violation fails the experiment with command context.
@@ -32,23 +32,12 @@ type SimInstrumentation struct {
 	CmdTrace io.Writer
 }
 
-var simInst SimInstrumentation
-
-// SetSimInstrumentation installs the instrumentation for subsequent
-// experiment runs (pass the zero value to disable).
-func SetSimInstrumentation(si SimInstrumentation) { simInst = si }
-
-// simRuns counts timing-simulator invocations (regression hook: the
-// baseline-reuse path must not re-simulate identical zero-cost runs).
-var simRuns int
-
-// runSim executes one timing simulation under the installed
-// instrumentation.
-func runSim(label string, cfg memsim.Config, wl trace.Workload) (memsim.Result, error) {
-	simRuns++
+// runSim executes one timing simulation with the instrumentation
+// attached.
+func (si SimInstrumentation) runSim(label string, cfg memsim.Config, wl trace.Workload) (memsim.Result, error) {
 	var chk *check.Checker
 	var obs []memsim.Observer
-	if simInst.Check {
+	if si.Check {
 		if cfg.Profile != nil {
 			chk = check.ForProfile(cfg.Profile)
 		} else {
@@ -56,9 +45,9 @@ func runSim(label string, cfg memsim.Config, wl trace.Workload) (memsim.Result, 
 		}
 		obs = append(obs, chk)
 	}
-	if simInst.CmdTrace != nil {
-		fmt.Fprintf(simInst.CmdTrace, "# sim %s\n", label)
-		obs = append(obs, &check.Tracer{W: simInst.CmdTrace})
+	if si.CmdTrace != nil {
+		fmt.Fprintf(si.CmdTrace, "# sim %s\n", label)
+		obs = append(obs, &check.Tracer{W: si.CmdTrace})
 	}
 	cfg.Observer = memsim.MultiObserver(obs...)
 	res, err := memsim.Run(cfg, wl)
@@ -84,14 +73,10 @@ type PerfResult struct {
 }
 
 // F4Performance runs the SPEC-like suite through the timing simulator
-// under every scheme's cost model.
-func F4Performance(schemes []ecc.Scheme, requests int) (*PerfResult, error) {
-	suite := trace.SPECLike(requests)
-	return perfOn(schemes, suite)
-}
-
-func perfOn(schemes []ecc.Scheme, suite []trace.Workload) (*PerfResult, error) {
-	return perfOnProfile(schemes, suite, nil)
+// under every scheme's cost model, on the memory profile prof (nil = the
+// DDR4 default).
+func F4Performance(schemes []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*PerfResult, error) {
+	return perfOnProfile(schemes, trace.SPECLike(requests), prof, inst)
 }
 
 // simConfig returns the simulator configuration of one experiment run:
@@ -113,7 +98,7 @@ func simLabel(prof *memsim.Profile, label string) string {
 	return prof.Spec() + "/" + label
 }
 
-func perfOnProfile(schemes []ecc.Scheme, suite []trace.Workload, prof *memsim.Profile) (*PerfResult, error) {
+func perfOnProfile(schemes []ecc.Scheme, suite []trace.Workload, prof *memsim.Profile, inst SimInstrumentation) (*PerfResult, error) {
 	res := &PerfResult{}
 	for _, s := range schemes {
 		res.Schemes = append(res.Schemes, s.Name())
@@ -121,7 +106,7 @@ func perfOnProfile(schemes []ecc.Scheme, suite []trace.Workload, prof *memsim.Pr
 	baseline := make([]uint64, len(suite))
 	for wi, wl := range suite {
 		res.Workloads = append(res.Workloads, wl.Name)
-		r, err := runSim(simLabel(prof, "baseline/"+wl.Name), simConfig(prof), wl)
+		r, err := inst.runSim(simLabel(prof, "baseline/"+wl.Name), simConfig(prof), wl)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +123,7 @@ func perfOnProfile(schemes []ecc.Scheme, suite []trace.Workload, prof *memsim.Pr
 			if cost != (ecc.AccessCost{}) {
 				cfg := simConfig(prof)
 				cfg.Cost = cost
-				r, err := runSim(simLabel(prof, s.Name()+"/"+wl.Name), cfg, wl)
+				r, err := inst.runSim(simLabel(prof, s.Name()+"/"+wl.Name), cfg, wl)
 				if err != nil {
 					return nil, err
 				}
@@ -200,17 +185,11 @@ func (r *PerfResult) headline() []string {
 
 // F5WriteSweep sweeps the write ratio on a random-access stream — the
 // ablation isolating where XED's parity-write traffic and the RMW costs
-// bite (figure F5).
-func F5WriteSweep(schemes []ecc.Scheme, requests int) (*Table, error) {
-	return F5WriteSweepOn(schemes, requests, nil)
-}
-
-// F5WriteSweepOn is F5WriteSweep on a specific memory profile (nil = the
-// DDR4 default).
-func F5WriteSweepOn(schemes []ecc.Scheme, requests int, prof *memsim.Profile) (*Table, error) {
+// bite (figure F5) — on the memory profile prof (nil = the DDR4 default).
+func F5WriteSweep(schemes []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*Table, error) {
 	fracs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
 	suite := trace.WriteSweep(requests, fracs, 0.3)
-	res, err := perfOnProfile(schemes, suite, prof)
+	res, err := perfOnProfile(schemes, suite, prof, inst)
 	if err != nil {
 		return nil, err
 	}
@@ -234,16 +213,11 @@ func F5WriteSweepOn(schemes []ecc.Scheme, requests int, prof *memsim.Profile) (*
 
 // F4Latency renders the tail read-latency companion to F4: mean, p99 and
 // p999 read latency per scheme on the two most latency-revealing
-// workloads (a pointer-chaser and a masked-write-heavy mix). Companion
-// writes and RMW reads interfere with demand reads, which shows in the
-// tail long before it moves the mean.
-func F4Latency(set []ecc.Scheme, requests int) (*Table, error) {
-	return F4LatencyOn(set, requests, nil)
-}
-
-// F4LatencyOn is F4Latency on a specific memory profile (nil = the DDR4
-// default).
-func F4LatencyOn(set []ecc.Scheme, requests int, prof *memsim.Profile) (*Table, error) {
+// workloads (a pointer-chaser and a masked-write-heavy mix), on the
+// memory profile prof (nil = the DDR4 default). Companion writes and RMW
+// reads interfere with demand reads, which shows in the tail long before
+// it moves the mean.
+func F4Latency(set []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*Table, error) {
 	title := "F4b: read latency (mean / p99 / p999, ns) per scheme"
 	if prof != nil {
 		title += " [" + prof.Spec() + "]"
@@ -264,7 +238,7 @@ func F4LatencyOn(set []ecc.Scheme, requests int, prof *memsim.Profile) (*Table, 
 		for _, s := range set {
 			cfg := simConfig(prof)
 			cfg.Cost = s.Cost()
-			res, err := runSim(simLabel(prof, s.Name()+"/lat/"+wl.Name), cfg, wl)
+			res, err := inst.runSim(simLabel(prof, s.Name()+"/lat/"+wl.Name), cfg, wl)
 			if err != nil {
 				return nil, err
 			}
@@ -282,7 +256,7 @@ func F4LatencyOn(set []ecc.Scheme, requests int, prof *memsim.Profile) (*Table, 
 // the DRAM command histogram, row-buffer behavior and data-bus occupancy
 // per scheme on the masked-write-heavy x264 mix — the mechanism-level
 // view behind the normalized-cycles rows.
-func F4CommandMix(set []ecc.Scheme, requests int) (*Table, error) {
+func F4CommandMix(set []ecc.Scheme, requests int, inst SimInstrumentation) (*Table, error) {
 	t := &Table{
 		Title:  "F4c: command mix and bus occupancy (x264 mix)",
 		Header: []string{"scheme", "ACT", "PRE", "RD", "WR", "REF", "row hit%", "bus util%"},
@@ -296,7 +270,7 @@ func F4CommandMix(set []ecc.Scheme, requests int) (*Table, error) {
 	for _, s := range set {
 		cfg := memsim.DefaultConfig()
 		cfg.Cost = s.Cost()
-		res, err := runSim(s.Name()+"/mix/"+wl.Name, cfg, wl)
+		res, err := inst.runSim(s.Name()+"/mix/"+wl.Name, cfg, wl)
 		if err != nil {
 			return nil, err
 		}
@@ -317,7 +291,7 @@ func F4CommandMix(set []ecc.Scheme, requests int) (*Table, error) {
 // F11ScrubTraffic measures the performance cost of patrol scrubbing at
 // several rates on a moderately loaded workload — the bandwidth side of
 // the reliability/scrub-interval trade-off (F8 is the reliability side).
-func F11ScrubTraffic(requests int) (*Table, error) {
+func F11ScrubTraffic(requests int, inst SimInstrumentation) (*Table, error) {
 	wl := trace.Generate(trace.Params{
 		Name: "mixed", Requests: requests, Lines: 1 << 20, Pattern: trace.Random,
 		ReadFrac: 0.7, MaskedFrac: 0.2, MeanGap: 4, Window: 8, Seed: 42,
@@ -329,7 +303,7 @@ func F11ScrubTraffic(requests int) (*Table, error) {
 	pairCost := schemes.MustNew("pair").Cost()
 	baseCfg := memsim.DefaultConfig()
 	baseCfg.Cost = pairCost
-	base, err := runSim("scrub-off", baseCfg, wl)
+	base, err := inst.runSim("scrub-off", baseCfg, wl)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +312,7 @@ func F11ScrubTraffic(requests int) (*Table, error) {
 		cfg := memsim.DefaultConfig()
 		cfg.Cost = pairCost
 		cfg.ScrubPeriod = period
-		r, err := runSim(fmt.Sprintf("scrub-%d", period), cfg, wl)
+		r, err := inst.runSim(fmt.Sprintf("scrub-%d", period), cfg, wl)
 		if err != nil {
 			return nil, err
 		}

@@ -12,19 +12,21 @@ import (
 // TestPerfOnReusesBaselineRun pins the fix for the double simulation of
 // the zero-cost baseline: the "none" scheme's cycles are the baseline
 // run's cycles, not a second simulation of the identical configuration.
+// Every simulation writes one "# sim <label>" header to the command
+// trace, so the headers count the runs.
 func TestPerfOnReusesBaselineRun(t *testing.T) {
 	suite := trace.SPECLike(400)[:3]
 	schemes := []ecc.Scheme{ecc.NewNone(dram.DDR4x16()), ecc.NewIECC(dram.DDR4x16())}
 
-	before := simRuns
-	res, err := perfOn(schemes, suite)
+	var cmds strings.Builder
+	res, err := perfOnProfile(schemes, suite, nil, SimInstrumentation{CmdTrace: &cmds})
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := simRuns - before
+	used := strings.Count(cmds.String(), "# sim ")
 	// 3 baseline runs + 3 iecc runs; the none column costs no extra runs.
 	if used != 6 {
-		t.Fatalf("perfOn used %d simulations, want 6 (baseline reused for the zero-cost scheme)", used)
+		t.Fatalf("perfOnProfile used %d simulations, want 6 (baseline reused for the zero-cost scheme)", used)
 	}
 	// Reuse makes the equality exact, not approximate: baseline cycles ==
 	// none-scheme cycles, so the normalized column is identically 1.0.
@@ -40,12 +42,11 @@ func TestPerfOnReusesBaselineRun(t *testing.T) {
 // trace writer receives one header per simulation.
 func TestSimInstrumentationCheck(t *testing.T) {
 	var sb strings.Builder
-	SetSimInstrumentation(SimInstrumentation{Check: true, CmdTrace: &sb})
-	defer SetSimInstrumentation(SimInstrumentation{})
+	inst := SimInstrumentation{Check: true, CmdTrace: &sb}
 
 	suite := trace.SPECLike(300)[:2]
 	schemes := []ecc.Scheme{ecc.NewNone(dram.DDR4x16()), ecc.NewXED(dram.DDR4x16())}
-	if _, err := perfOn(schemes, suite); err != nil {
+	if _, err := perfOnProfile(schemes, suite, nil, inst); err != nil {
 		t.Fatalf("checked run failed: %v", err)
 	}
 	out := sb.String()

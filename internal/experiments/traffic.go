@@ -8,19 +8,12 @@ import (
 	"pair/internal/trace"
 )
 
-// F4PerformanceOn is F4Performance on a specific memory profile (nil =
-// the DDR4 default).
-func F4PerformanceOn(schemes []ecc.Scheme, requests int, prof *memsim.Profile) (*PerfResult, error) {
-	suite := trace.SPECLike(requests)
-	return perfOnProfile(schemes, suite, prof)
-}
-
 // F4ProfileGeomeans runs the SPEC-like suite on every given profile spec
 // and renders the per-scheme geomean columns side by side: how each ECC
 // scheme's cost model lands across memory generations. DDR5's BL16 makes
 // DUO's +1 extension beat relatively cheaper (1/16 vs 1/8 of a burst)
 // while XED's whole-burst parity writes stay expensive everywhere.
-func F4ProfileGeomeans(set []ecc.Scheme, requests int, specs []string) (*Table, error) {
+func F4ProfileGeomeans(set []ecc.Scheme, requests int, specs []string, inst SimInstrumentation) (*Table, error) {
 	t := &Table{
 		Title:  "F4d: normalized performance geomean per scheme across profiles",
 		Header: []string{"scheme"},
@@ -32,7 +25,7 @@ func F4ProfileGeomeans(set []ecc.Scheme, requests int, specs []string) (*Table, 
 			return nil, err
 		}
 		t.Header = append(t.Header, prof.Spec())
-		res, err := F4PerformanceOn(set, requests, prof)
+		res, err := F4Performance(set, requests, prof, inst)
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +68,7 @@ func f14Points() []f14Point {
 // of offered loads and renders p99/p999 read latency per scheme. The
 // open loop means queues grow when a scheme's extra traffic pushes the
 // system past its knee: exactly where ECC overheads become user-visible.
-func F14TailLatency(set []ecc.Scheme, requests int, prof *memsim.Profile) (*Table, error) {
+func F14TailLatency(set []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*Table, error) {
 	title := "F14: tail read latency (p99 / p999, ns) vs offered load"
 	if prof != nil {
 		title += " [" + prof.Spec() + "]"
@@ -97,7 +90,7 @@ func F14TailLatency(set []ecc.Scheme, requests int, prof *memsim.Profile) (*Tabl
 		for _, s := range set {
 			cfg := simConfig(prof)
 			cfg.Cost = s.Cost()
-			res, err := runSim(simLabel(prof, s.Name()+"/f14/"+wl.Name), cfg, wl)
+			res, err := inst.runSim(simLabel(prof, s.Name()+"/f14/"+wl.Name), cfg, wl)
 			if err != nil {
 				return nil, err
 			}

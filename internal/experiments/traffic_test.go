@@ -10,7 +10,7 @@ import (
 
 func TestF4ProfileGeomeansShape(t *testing.T) {
 	set := PerfSchemes()
-	tb, err := F4ProfileGeomeans(set, 600, []string{"ddr4-2400", "ddr5-4800"})
+	tb, err := F4ProfileGeomeans(set, 600, []string{"ddr4-2400", "ddr5-4800"}, SimInstrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestF4ProfileGeomeansShape(t *testing.T) {
 			t.Fatalf("none row %v", row)
 		}
 	}
-	if _, err := F4ProfileGeomeans(set, 100, []string{"ddr6"}); err == nil {
+	if _, err := F4ProfileGeomeans(set, 100, []string{"ddr6"}, SimInstrumentation{}); err == nil {
 		t.Fatal("unknown profile spec accepted")
 	}
 }
@@ -40,7 +40,7 @@ func TestF4ProfileGeomeansShape(t *testing.T) {
 func TestF14TailLatencyShape(t *testing.T) {
 	set := PerfSchemes()
 	prof := memsim.MustProfile("ddr5-4800")
-	tb, err := F14TailLatency(set, 1500, prof)
+	tb, err := F14TailLatency(set, 1500, prof, SimInstrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestF14TailLatencyShape(t *testing.T) {
 }
 
 func TestF4LatencyOnProfileRuns(t *testing.T) {
-	tb, err := F4LatencyOn(PerfSchemes(), 1000, memsim.MustProfile("ddr5-4800"))
+	tb, err := F4Latency(PerfSchemes(), 1000, memsim.MustProfile("ddr5-4800"), SimInstrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestF4LatencyOnProfileRuns(t *testing.T) {
 }
 
 func TestF5WriteSweepOnProfileRuns(t *testing.T) {
-	tb, err := F5WriteSweepOn(PerfSchemes(), 800, memsim.MustProfile("ddr5-4800"))
+	tb, err := F5WriteSweep(PerfSchemes(), 800, memsim.MustProfile("ddr5-4800"), SimInstrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}

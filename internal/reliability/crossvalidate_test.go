@@ -1,10 +1,12 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"pair/internal/campaign"
 	"pair/internal/core"
 	"pair/internal/dram"
 	"pair/internal/ecc"
@@ -22,7 +24,10 @@ func TestSemiAnalyticMatchesRawMonteCarlo(t *testing.T) {
 		ecc.NewIECC(dram.DDR4x16()),
 		core.MustNew(dram.DDR4x16(), core.BaseConfig()),
 	} {
-		prof := BuildProfile(scheme, SweepConfig{MaxK: 10, Trials: 8000, Seed: 21})
+		prof, err := BuildProfileCtx(context.Background(), scheme, SweepConfig{MaxK: 10, Trials: 8000, Seed: 21}, campaign.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		analytic := prof.AtBER(ber).Fail()
 
 		rng := rand.New(rand.NewSource(77))
@@ -57,7 +62,10 @@ func TestSemiAnalyticMatchesRawMonteCarlo(t *testing.T) {
 // scheme, halving the BER must quarter the failure probability.
 func TestProfileScalesQuadratically(t *testing.T) {
 	s := core.MustNew(dram.DDR4x16(), core.BaseConfig())
-	prof := BuildProfile(s, SweepConfig{MaxK: 8, Trials: 4000, Seed: 5})
+	prof, err := BuildProfileCtx(context.Background(), s, SweepConfig{MaxK: 8, Trials: 4000, Seed: 5}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f1 := prof.AtBER(2e-6).Fail()
 	f2 := prof.AtBER(1e-6).Fail()
 	ratio := f1 / f2
@@ -70,7 +78,10 @@ func TestProfileScalesQuadratically(t *testing.T) {
 // expanded code.
 func TestProfileScalesCubicallyForT2(t *testing.T) {
 	s := core.MustNew(dram.DDR4x16(), core.DefaultConfig())
-	prof := BuildProfile(s, SweepConfig{MaxK: 8, Trials: 6000, Seed: 6})
+	prof, err := BuildProfileCtx(context.Background(), s, SweepConfig{MaxK: 8, Trials: 6000, Seed: 6}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	f1 := prof.AtBER(2e-6).Fail()
 	f2 := prof.AtBER(1e-6).Fail()
 	ratio := f1 / f2

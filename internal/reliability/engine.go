@@ -19,10 +19,11 @@
 // Every Monte-Carlo loop here runs through internal/campaign: trials are
 // sliced into shards with seeds derived from (label, seed, shard index),
 // never from a worker index, so results are bit-identical for any worker
-// count and survive kill-and-resume through campaign checkpoints. The
-// *Ctx variants accept a context for cancellation plus campaign.Options
-// for checkpointing/progress; the plain-named functions are blocking
-// wrappers that keep the original fire-and-forget signatures.
+// count and survive kill-and-resume through campaign checkpoints. Every
+// campaign entry point (BuildProfileCtx, CoverageCtx, CoverageEnvCtx,
+// ScenarioCoverageCtx, RunLifetimeCtx) takes a context for cancellation
+// plus campaign.Options for checkpointing and progress; a caller that
+// wants neither passes context.Background() and the zero Options.
 package reliability
 
 import (
@@ -144,16 +145,6 @@ func (c *SweepConfig) setDefaults() {
 	}
 }
 
-// BuildProfile estimates the conditional outcome rates for a scheme. It
-// is the blocking wrapper around BuildProfileCtx.
-func BuildProfile(scheme ecc.Scheme, cfg SweepConfig) *ConditionalProfile {
-	prof, err := BuildProfileCtx(context.Background(), scheme, cfg, campaign.Options{})
-	if err != nil {
-		panic(fmt.Sprintf("reliability: BuildProfile: %v", err)) // only reachable if the shard fn itself fails
-	}
-	return prof
-}
-
 // BuildProfileCtx estimates the conditional outcome rates for a scheme,
 // running one sharded campaign per conditioned flip count k. Results are
 // bit-identical for a given (scheme, config) regardless of worker count
@@ -265,21 +256,6 @@ func lchoose(n, k int) float64 {
 	return lg - lk - lnk
 }
 
-// SweepPoint is one (BER, outcome rates) sample of a sweep.
-type SweepPoint struct {
-	BER   float64
-	Rates OutcomeRates
-}
-
-// Sweep evaluates the profile across the given BERs.
-func (p *ConditionalProfile) Sweep(bers []float64) []SweepPoint {
-	out := make([]SweepPoint, len(bers))
-	for i, b := range bers {
-		out[i] = SweepPoint{BER: b, Rates: p.AtBER(b)}
-	}
-	return out
-}
-
 // LogspaceBERs returns n BERs log-spaced over [lo, hi].
 func LogspaceBERs(lo, hi float64, n int) []float64 {
 	if n < 2 || lo <= 0 || hi <= lo {
@@ -300,17 +276,6 @@ type CoverageResult struct {
 	Label  string
 	Rates  OutcomeRates
 	Trials int
-}
-
-// Coverage measures outcome rates when the given injection function is
-// applied to every trial's image. It is the blocking wrapper around
-// CoverageCtx.
-func Coverage(scheme ecc.Scheme, label string, trials int, seed int64, inject func(*rand.Rand, *ecc.Stored)) CoverageResult {
-	r, err := CoverageCtx(context.Background(), scheme, label, trials, seed, inject, campaign.Options{})
-	if err != nil {
-		panic(fmt.Sprintf("reliability: Coverage: %v", err)) // only reachable if the shard fn itself fails
-	}
-	return r
 }
 
 // CoverageCtx measures outcome rates when the given injection function
@@ -360,17 +325,6 @@ func CoverageEnvCtx(ctx context.Context, scheme ecc.Scheme, label string, trials
 	return CoverageCtx(ctx, scheme, label+",faults="+env.Spec(), trials, seed, wrapped, opts)
 }
 
-// ScenarioCoverage measures outcome rates when a registered fault
-// scenario is the sole corruption applied to every trial's image. It is
-// the blocking wrapper around ScenarioCoverageCtx.
-func ScenarioCoverage(scheme ecc.Scheme, sc faults.Scenario, trials int, seed int64) CoverageResult {
-	r, err := ScenarioCoverageCtx(context.Background(), scheme, sc, trials, seed, campaign.Options{})
-	if err != nil {
-		panic(fmt.Sprintf("reliability: ScenarioCoverage: %v", err)) // only reachable if the shard fn itself fails
-	}
-	return r
-}
-
 // ScenarioCampaignSpec returns the campaign identity of a scenario
 // coverage run: the spec ScenarioCoverageCtx executes and the one a
 // fleet coordinator shards into leases. Keeping the label derivation in
@@ -397,8 +351,9 @@ func ScenarioShardFn(scheme ecc.Scheme, sc faults.Scenario) func(rng *rand.Rand,
 	}
 }
 
-// ScenarioCoverageCtx runs one sharded campaign decoding images
-// corrupted only by the given scenario. The campaign label is
+// ScenarioCoverageCtx measures outcome rates when a registered fault
+// scenario is the sole corruption applied to every trial's image, as one
+// sharded campaign. The campaign label is
 // "scenario/<campaign-id>/<canonical spec>" — the "scenario" prefix
 // keeps these campaigns in their own checkpoint namespace, away from
 // the frozen "coverage" labels (whose short names, e.g. "pin", collide

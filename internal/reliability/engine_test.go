@@ -1,10 +1,12 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"pair/internal/campaign"
 	"pair/internal/core"
 	"pair/internal/dram"
 	"pair/internal/ecc"
@@ -15,7 +17,10 @@ func smallCfg() SweepConfig { return SweepConfig{MaxK: 6, Trials: 3000, Seed: 7}
 
 func TestBuildProfileBasicShape(t *testing.T) {
 	s := ecc.NewIECC(dram.DDR4x16())
-	p := BuildProfile(s, smallCfg())
+	p, err := BuildProfileCtx(context.Background(), s, smallCfg(), campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.TotalBits != 544 {
 		t.Fatalf("total bits %d", p.TotalBits)
 	}
@@ -46,8 +51,14 @@ func TestBuildProfileBasicShape(t *testing.T) {
 }
 
 func TestProfilePAIRStrongerThanBase(t *testing.T) {
-	base := BuildProfile(core.MustNew(dram.DDR4x16(), core.BaseConfig()), smallCfg())
-	full := BuildProfile(core.MustNew(dram.DDR4x16(), core.DefaultConfig()), smallCfg())
+	base, err := BuildProfileCtx(context.Background(), core.MustNew(dram.DDR4x16(), core.BaseConfig()), smallCfg(), campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := BuildProfileCtx(context.Background(), core.MustNew(dram.DDR4x16(), core.DefaultConfig()), smallCfg(), campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// k=2: expanded PAIR corrects everything (t=2 covers any 2 symbols),
 	// base fails when the two cells hit different symbols of one chip.
 	if full.PerK[2].Fail() != 0 {
@@ -64,7 +75,10 @@ func TestProfilePAIRStrongerThanBase(t *testing.T) {
 
 func TestAtBERFoldsBinomial(t *testing.T) {
 	s := ecc.NewIECC(dram.DDR4x16())
-	p := BuildProfile(s, smallCfg())
+	p, err := BuildProfileCtx(context.Background(), s, smallCfg(), campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	r0 := p.AtBER(0)
 	if r0.OK != 1 || r0.Fail() != 0 {
 		t.Fatal("BER 0 must be all OK")
@@ -84,7 +98,10 @@ func TestAtBERFoldsBinomial(t *testing.T) {
 
 func TestAtBERPanicsOnBadInput(t *testing.T) {
 	s := ecc.NewNone(dram.DDR4x16())
-	p := BuildProfile(s, SweepConfig{MaxK: 2, Trials: 100, Seed: 1})
+	p, err := BuildProfileCtx(context.Background(), s, SweepConfig{MaxK: 2, Trials: 100, Seed: 1}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("invalid BER did not panic")
@@ -133,11 +150,14 @@ func TestLogspaceBERs(t *testing.T) {
 
 func TestSweepMonotoneFailure(t *testing.T) {
 	s := core.MustNew(dram.DDR4x16(), core.DefaultConfig())
-	p := BuildProfile(s, smallCfg())
-	pts := p.Sweep(LogspaceBERs(1e-7, 1e-4, 7))
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Rates.Fail() < pts[i-1].Rates.Fail() {
-			t.Fatalf("failure not monotone at %v", pts[i].BER)
+	p, err := BuildProfileCtx(context.Background(), s, smallCfg(), campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bers := LogspaceBERs(1e-7, 1e-4, 7)
+	for i := 1; i < len(bers); i++ {
+		if p.AtBER(bers[i]).Fail() < p.AtBER(bers[i-1]).Fail() {
+			t.Fatalf("failure not monotone at %v", bers[i])
 		}
 	}
 }
@@ -148,8 +168,14 @@ func TestCoveragePAIRPinVsDUOPin(t *testing.T) {
 	inject := func(rng *rand.Rand, st *ecc.Stored) {
 		ecc.InjectAccessFault(rng, st, faults.PermanentPin, -1)
 	}
-	p := Coverage(pairS, "pin", 1000, 3, inject)
-	d := Coverage(duoS, "pin", 1000, 3, inject)
+	p, err := CoverageCtx(context.Background(), pairS, "pin", 1000, 3, inject, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := CoverageCtx(context.Background(), duoS, "pin", 1000, 3, inject, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Rates.Fail() != 0 {
 		t.Fatalf("PAIR pin-fault fail rate %v, want 0", p.Rates.Fail())
 	}
@@ -165,7 +191,10 @@ func TestStandardCoverageLabelsRun(t *testing.T) {
 		t.Fatalf("only %d coverage labels", len(labels))
 	}
 	for _, l := range labels {
-		r := Coverage(s, l.Label, 200, 5, l.Inject)
+		r, err := CoverageCtx(context.Background(), s, l.Label, 200, 5, l.Inject, campaign.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		sum := r.Rates.OK + r.Rates.CE + r.Rates.DUE + r.Rates.SDC
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("%s: rates sum to %v", l.Label, sum)
@@ -179,8 +208,14 @@ func TestCoverageDeterministic(t *testing.T) {
 		ecc.InjectAccessFault(rng, st, faults.PermanentCell, -1)
 		ecc.InjectAccessFault(rng, st, faults.PermanentCell, -1)
 	}
-	a := Coverage(s, "2cell", 2000, 42, inject)
-	b := Coverage(s, "2cell", 2000, 42, inject)
+	a, err := CoverageCtx(context.Background(), s, "2cell", 2000, 42, inject, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := CoverageCtx(context.Background(), s, "2cell", 2000, 42, inject, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Rates != b.Rates {
 		t.Fatal("coverage not deterministic for fixed seed")
 	}

@@ -2,7 +2,6 @@ package reliability
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -119,16 +118,6 @@ func schemeCouplesChips(s ecc.Scheme) bool {
 	default:
 		return false
 	}
-}
-
-// RunLifetime executes the lifetime Monte-Carlo and aggregates results.
-// It is the blocking wrapper around RunLifetimeCtx.
-func RunLifetime(cfg LifetimeConfig) LifetimeResult {
-	res, err := RunLifetimeCtx(context.Background(), cfg, campaign.Options{})
-	if err != nil {
-		panic(fmt.Sprintf("reliability: RunLifetime: %v", err)) // only reachable if the shard fn itself fails
-	}
-	return res
 }
 
 // lifetimeShard is one shard's population outcome. It is the unit the

@@ -1,10 +1,12 @@
 package reliability
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 
+	"pair/internal/campaign"
 	"pair/internal/core"
 	"pair/internal/dram"
 	"pair/internal/ecc"
@@ -67,14 +69,18 @@ func TestRunLifetimeSmokeAndOrdering(t *testing.T) {
 		{Kind: faults.PermanentRow, Rate: 5e3},
 	}
 	run := func(s ecc.Scheme) LifetimeResult {
-		return RunLifetime(LifetimeConfig{
+		r, err := RunLifetimeCtx(context.Background(), LifetimeConfig{
 			Scheme:         s,
 			Years:          7,
 			Devices:        800,
 			PatternSamples: 120,
 			Seed:           11,
 			FITs:           fits,
-		})
+		}, campaign.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
 	none := run(ecc.NewNone(dram.DDR4x16()))
 	pairS := run(core.MustNew(dram.DDR4x16(), core.DefaultConfig()))
@@ -120,18 +126,27 @@ func TestRunLifetimeDeterministic(t *testing.T) {
 		Seed:           5,
 		FITs:           []faults.FITEntry{{Kind: faults.PermanentCell, Rate: 1e5}},
 	}
-	a := RunLifetime(cfg)
-	b := RunLifetime(cfg)
+	a, err := RunLifetimeCtx(context.Background(), cfg, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunLifetimeCtx(context.Background(), cfg, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.Failed != b.Failed || a.SDCFailures != b.SDCFailures {
 		t.Fatalf("lifetime not deterministic: %+v vs %+v", a, b)
 	}
 }
 
 func TestRunLifetimeDefaultsApplied(t *testing.T) {
-	r := RunLifetime(LifetimeConfig{
+	r, err := RunLifetimeCtx(context.Background(), LifetimeConfig{
 		Scheme:  ecc.NewNone(dram.DDR4x16()),
 		Devices: 50, // keep the smoke test fast; other fields default
-	})
+	}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.MissionYears != 7 || len(r.FailYearCDF) != 7 {
 		t.Fatalf("defaults not applied: %+v", r)
 	}
@@ -143,7 +158,7 @@ func TestTransientPairingNeedsTemporalOverlap(t *testing.T) {
 	// same-chip pairs) must fail far less often than the raw fault count
 	// suggests. This exercises the expiry purge path.
 	fits := []faults.FITEntry{{Kind: faults.TransientBit, Rate: 2e5}}
-	r := RunLifetime(LifetimeConfig{
+	r, err := RunLifetimeCtx(context.Background(), LifetimeConfig{
 		Scheme:         ecc.NewIECC(dram.DDR4x16()),
 		Years:          2,
 		ScrubHours:     0.5,
@@ -151,7 +166,10 @@ func TestTransientPairingNeedsTemporalOverlap(t *testing.T) {
 		PatternSamples: 60,
 		Seed:           13,
 		FITs:           fits,
-	})
+	}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// ~2e5 FIT * 4 chips * 17532h = ~14 transients per device; with a
 	// 30-minute scrub the expected concurrent pairs are <<1, so the
 	// failure probability must stay well below 1.

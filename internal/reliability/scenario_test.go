@@ -37,7 +37,10 @@ func TestScenarioDifferential(t *testing.T) {
 
 	fail := func(scheme, spec string) float64 {
 		t.Helper()
-		r := ScenarioCoverage(set[scheme], faults.MustScenario(spec), trials, 1)
+		r, err := ScenarioCoverageCtx(context.Background(), set[scheme], faults.MustScenario(spec), trials, 1, campaign.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return r.Rates.Fail()
 	}
 
@@ -154,11 +157,17 @@ func TestBuildProfileAmbientFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := BuildProfile(scheme, SweepConfig{MaxK: 2, Trials: 400, Seed: 5})
+	clean, err := BuildProfileCtx(context.Background(), scheme, SweepConfig{MaxK: 2, Trials: 400, Seed: 5}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if clean.PerK[0] != (OutcomeRates{OK: 1}) {
 		t.Fatalf("default sweep k=0 row = %+v, want all-OK", clean.PerK[0])
 	}
-	amb := BuildProfile(scheme, SweepConfig{MaxK: 2, Trials: 400, Seed: 5, Faults: faults.MustScenario("chipkill")})
+	amb, err := BuildProfileCtx(context.Background(), scheme, SweepConfig{MaxK: 2, Trials: 400, Seed: 5, Faults: faults.MustScenario("chipkill")}, campaign.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if amb.PerK[0].Fail() < 0.9 {
 		t.Fatalf("ambient chipkill sweep k=0 fail rate %v, want near 1", amb.PerK[0].Fail())
 	}

@@ -3,6 +3,9 @@ package pair_test
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -84,6 +87,10 @@ func TestUpdateRejectsForeignImage(t *testing.T) {
 	}
 }
 
+// TestRunExperimentFacade holds the facade to pairsim: it lists the
+// experiment index's ids, and RunExperiment(id, true) returns the block
+// `pairsim -exp all -quick` prints for id (its golden drops the timing
+// lines, which leaves two blank lines after every block).
 func TestRunExperimentFacade(t *testing.T) {
 	for _, id := range []string{"t1", "t3", "t4"} {
 		out, err := pair.RunExperiment(id, true)
@@ -94,7 +101,22 @@ func TestRunExperimentFacade(t *testing.T) {
 	if _, err := pair.RunExperiment("zz", true); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if len(pair.ExperimentIDs()) < 15 {
-		t.Fatal("experiment list incomplete")
+	want := []string{"t1", "f1", "f2", "f1f2", "t2", "t2x", "f3", "f3x", "f4", "f5", "f6", "f7",
+		"t3", "t4", "t5", "f8", "f9", "f10", "f11", "f12", "f13", "f14"}
+	if got := pair.ExperimentIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ExperimentIDs() = %v, want %v", got, want)
+	}
+	golden, err := os.ReadFile(filepath.Join("cmd", "pairsim", "testdata", "all-quick.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"t2", "f6"} {
+		out, err := pair.RunExperiment(id, true)
+		if err != nil {
+			t.Fatalf("RunExperiment(%q): %v", id, err)
+		}
+		if !strings.Contains(string(golden), "\n\n"+out+"\n\n") {
+			t.Fatalf("RunExperiment(%q, true) is not its block of pairsim -exp all -quick:\n%s", id, out)
+		}
 	}
 }
