@@ -19,6 +19,7 @@ import (
 	"pair"
 	"pair/internal/campaign"
 	"pair/internal/experiments"
+	"pair/internal/memsim"
 )
 
 func quickSweep() experiments.SweepSettings {
@@ -113,7 +114,7 @@ func BenchmarkF3_Lifetime(b *testing.B) {
 func BenchmarkF4_Performance(b *testing.B) {
 	var overXED, overDUO float64
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.F4Performance(experiments.PerfSchemes(), 6000, nil, experiments.SimInstrumentation{})
+		r, err := experiments.F4Performance(experiments.PerfSchemes(), 6000, memsim.MustProfile("ddr4-2400"), experiments.SimInstrumentation{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,7 +132,7 @@ func BenchmarkF4_Performance(b *testing.B) {
 // BenchmarkF5_WriteSweep regenerates the write-ratio ablation.
 func BenchmarkF5_WriteSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.F5WriteSweep(experiments.PerfSchemes(), 5000, nil, experiments.SimInstrumentation{})
+		t, err := experiments.F5WriteSweep(experiments.PerfSchemes(), 5000, memsim.MustProfile("ddr4-2400"), experiments.SimInstrumentation{})
 		if err != nil {
 			b.Fatal(err)
 		}

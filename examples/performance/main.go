@@ -53,7 +53,7 @@ func main() {
 		hit := float64(res.RowHits) / float64(res.RowHits+res.RowMisses) * 100
 		fmt.Printf("%-10s %12d %9.3f %11d %11d %12.1f %10.1f %8.1f%%\n",
 			scheme.Name(), res.Cycles, norm, res.ExtraReads, res.ExtraWrites,
-			res.AvgReadLatencyNS(cfg.Timing), res.P99ReadLatencyNS(cfg.Timing), hit)
+			res.AvgReadLatencyNS(cfg.Profile.Timing), res.P99ReadLatencyNS(cfg.Profile.Timing), hit)
 	}
 
 	fmt.Println("\nXED pays one companion parity write per write plus RMW reads for")

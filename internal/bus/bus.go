@@ -1,5 +1,5 @@
-// Package bus models the DDR4 data-bus signaling costs that differentiate
-// the ECC architectures: Data Bus Inversion (DBI) and line toggling.
+// Package bus models the DDR4 data-bus signaling cost that differentiates
+// the ECC architectures: driven zeros under Data Bus Inversion (DBI).
 //
 // DDR4 x16 devices drive a terminated (POD12) bus where transmitting a
 // zero burns static current; the DBI-DC scheme inverts any byte lane with
@@ -10,10 +10,9 @@
 // cost the PAIR paper's comparison context implies. DUO transfers extra
 // beats; PAIR changes nothing.
 //
-// The model is deliberately at the accounting level the study needs:
-// given burst payloads (or the uniform-random expectation), it counts
-// driven zeros (static power proxy) and line toggles (dynamic power
-// proxy) per lane, with and without DBI.
+// The model is deliberately at the accounting level the study needs: it
+// counts driven zeros (a static power proxy) per lane-beat and their
+// uniform-random expectation, with and without DBI.
 package bus
 
 import "math/bits"
@@ -45,41 +44,6 @@ func ZerosDriven(data byte, dbi bool) int {
 		z++ // DBI_n driven low
 	}
 	return z
-}
-
-// BurstZeros sums driven zeros over a burst of lane bytes.
-func BurstZeros(lane []byte, dbi bool) int {
-	total := 0
-	for _, b := range lane {
-		total += ZerosDriven(b, dbi)
-	}
-	return total
-}
-
-// BurstToggles counts line transitions between consecutive beats on one
-// byte lane (dynamic-power proxy), on the wire image (after DBI encoding
-// when enabled; the DBI line's own toggles included).
-func BurstToggles(lane []byte, dbi bool) int {
-	if len(lane) < 2 {
-		return 0
-	}
-	toggles := 0
-	prevWire, prevInv := lane[0], false
-	if dbi {
-		prevWire, prevInv = EncodeDBI(lane[0])
-	}
-	for _, b := range lane[1:] {
-		wire, inv := b, false
-		if dbi {
-			wire, inv = EncodeDBI(b)
-		}
-		toggles += bits.OnesCount8(wire ^ prevWire)
-		if inv != prevInv {
-			toggles++
-		}
-		prevWire, prevInv = wire, inv
-	}
-	return toggles
 }
 
 // ExpectedZerosPerByte returns the exact expectation of ZerosDriven for a

@@ -2,7 +2,6 @@ package bus
 
 import (
 	"math/bits"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -60,42 +59,6 @@ func TestExpectedZerosPerByte(t *testing.T) {
 	// Known value: sum over weights w of C(8,w)*min-side accounting.
 	if withDBI < 3.0 || withDBI > 3.6 {
 		t.Fatalf("DBI expectation %v outside plausible band", withDBI)
-	}
-}
-
-func TestBurstZerosMatchesSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	lane := make([]byte, 8)
-	for i := range lane {
-		lane[i] = byte(rng.Intn(256))
-	}
-	for _, dbi := range []bool{false, true} {
-		want := 0
-		for _, b := range lane {
-			want += ZerosDriven(b, dbi)
-		}
-		if got := BurstZeros(lane, dbi); got != want {
-			t.Fatalf("dbi=%v: %d != %d", dbi, got, want)
-		}
-	}
-}
-
-func TestBurstToggles(t *testing.T) {
-	// Constant lane: zero toggles.
-	if BurstToggles([]byte{0xAA, 0xAA, 0xAA}, false) != 0 {
-		t.Fatal("constant lane toggled")
-	}
-	// Alternating all bits: 8 toggles per transition.
-	if got := BurstToggles([]byte{0x00, 0xFF, 0x00}, false); got != 16 {
-		t.Fatalf("alternating toggles = %d, want 16", got)
-	}
-	// With DBI, 0x00 and 0xFF both ride the wire as 0xFF; only the DBI
-	// line toggles.
-	if got := BurstToggles([]byte{0x00, 0xFF, 0x00}, true); got != 2 {
-		t.Fatalf("DBI alternating toggles = %d, want 2", got)
-	}
-	if BurstToggles([]byte{0x12}, true) != 0 {
-		t.Fatal("single beat toggled")
 	}
 }
 

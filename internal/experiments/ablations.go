@@ -90,7 +90,7 @@ func F9DDR5Ctx(ctx context.Context, trials int, seed int64, opts campaign.Option
 		s := schemes.MustNew(c.spec).(*core.Scheme)
 		pin, err := reliability.CoverageCtx(ctx, s, "pin", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
 			ecc.InjectAccessFault(rng, st, faults.PermanentPin, -1)
-		}, opts)
+		}, nil, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -98,7 +98,7 @@ func F9DDR5Ctx(ctx context.Context, trials int, seed int64, opts campaign.Option
 			chip := rng.Intn(st.Org.ChipsPerRank)
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, chip)
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, chip)
-		}, opts)
+		}, nil, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -137,7 +137,7 @@ func T5WidthsCtx(ctx context.Context, trials int, seed int64, opts campaign.Opti
 		s := schemes.MustNew(c.spec).(*core.Scheme)
 		pin, err := reliability.CoverageCtx(ctx, s, "pin", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
 			ecc.InjectAccessFault(rng, st, faults.PermanentPin, -1)
-		}, opts)
+		}, nil, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +145,7 @@ func T5WidthsCtx(ctx context.Context, trials int, seed int64, opts campaign.Opti
 			chip := rng.Intn(st.Org.ChipsPerRank)
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, chip)
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, chip)
-		}, opts)
+		}, nil, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -235,11 +235,11 @@ func F10SparingCtx(ctx context.Context, trials int, seed int64, opts campaign.Op
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, 0)
 		}
 		dOpts := opts.Sublabel(fmt.Sprintf("dead=%d", dead))
-		p, err := reliability.CoverageCtx(ctx, plain, "plain", trials, seed, inject, dOpts)
+		p, err := reliability.CoverageCtx(ctx, plain, "plain", trials, seed, inject, nil, dOpts)
 		if err != nil {
 			return nil, err
 		}
-		sp, err := reliability.CoverageCtx(ctx, sparedScheme, "spared", trials, seed, inject, dOpts)
+		sp, err := reliability.CoverageCtx(ctx, sparedScheme, "spared", trials, seed, inject, nil, dOpts)
 		if err != nil {
 			return nil, err
 		}

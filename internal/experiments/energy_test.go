@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"pair/internal/memsim"
 )
 
 func TestT4BusEnergyOrdering(t *testing.T) {
@@ -50,10 +52,11 @@ func TestF11ScrubTraffic(t *testing.T) {
 }
 
 func TestF4LatencyTable(t *testing.T) {
-	tb, err := F4Latency(PerfSchemes(), 2500, nil, SimInstrumentation{})
+	r, err := F4Performance(PerfSchemes(), 2500, memsim.MustProfile("ddr4-2400"), SimInstrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tb := F4Latency(r)
 	if len(tb.Rows) != 2 {
 		t.Fatalf("F4b rows %d", len(tb.Rows))
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pair/internal/campaign"
+	"pair/internal/memsim"
 )
 
 func tiny() SweepSettings {
@@ -124,7 +125,7 @@ func TestF3LifetimeSmoke(t *testing.T) {
 }
 
 func TestF4PerformanceHeadlines(t *testing.T) {
-	r, err := F4Performance(PerfSchemes(), 2500, nil, SimInstrumentation{})
+	r, err := F4Performance(PerfSchemes(), 2500, memsim.MustProfile("ddr4-2400"), SimInstrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestF4PerformanceHeadlines(t *testing.T) {
 }
 
 func TestF5WriteSweepMonotone(t *testing.T) {
-	tb, err := F5WriteSweep(PerfSchemes(), 2500, nil, SimInstrumentation{})
+	tb, err := F5WriteSweep(PerfSchemes(), 2500, memsim.MustProfile("ddr4-2400"), SimInstrumentation{})
 	if err != nil {
 		t.Fatal(err)
 	}

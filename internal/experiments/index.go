@@ -15,6 +15,10 @@ import (
 // F5 and of the F14 traffic experiment, unless a run names another.
 const DefaultProfile = "ddr5-4800"
 
+// paperProfile is the memory system of the paper's figures: F4 and F5
+// run on it beside Scale.Profile.
+const paperProfile = "ddr4-2400"
+
 // Scale sizes one run of the study and carries the overrides every
 // experiment honors.
 type Scale struct {
@@ -204,39 +208,28 @@ func rendered(t *Table, err error) (string, error) {
 	return t.Render(), nil
 }
 
-// runF4 renders F4 and its companions: normalized performance and read
-// latency on DDR4, the command mix, the geomeans on DDR4 and sc.Profile,
-// and read latency on sc.Profile.
+// runF4 simulates the SPEC-like suite once on DDR4 and once on
+// sc.Profile and renders F4 and its companions from those runs:
+// normalized performance, read latency and the command mix on DDR4, the
+// geomeans on both, and read latency on sc.Profile.
 func runF4(_ context.Context, sc Scale, _ campaign.Options) (string, error) {
 	set := sc.set(PerfSchemes)
-	perf, err := F4Performance(set, sc.Requests, nil, sc.Sim)
+	ddr4, err := F4Performance(set, sc.Requests, memsim.MustProfile(paperProfile), sc.Sim)
 	if err != nil {
 		return "", err
 	}
-	lat, err := F4Latency(set, sc.Requests, nil, sc.Sim)
+	prof, err := F4Performance(set, sc.Requests, sc.Profile, sc.Sim)
 	if err != nil {
 		return "", err
 	}
-	mix, err := F4CommandMix(set, sc.Requests, sc.Sim)
-	if err != nil {
-		return "", err
-	}
-	gm, err := F4ProfileGeomeans(set, sc.Requests, []string{"ddr4-2400", sc.Profile.Spec()}, sc.Sim)
-	if err != nil {
-		return "", err
-	}
-	latP, err := F4Latency(set, sc.Requests, sc.Profile, sc.Sim)
-	if err != nil {
-		return "", err
-	}
-	return perf.Render() + "\n" + lat.Render() + "\n" + mix.Render() + "\n" +
-		gm.Render() + "\n" + latP.Render(), nil
+	return ddr4.Render() + "\n" + F4Latency(ddr4).Render() + "\n" + F4CommandMix(ddr4).Render() + "\n" +
+		F4ProfileGeomeans(ddr4, prof).Render() + "\n" + F4Latency(prof).Render(), nil
 }
 
 // runF5 renders the write-ratio sweep on DDR4 and on sc.Profile.
 func runF5(_ context.Context, sc Scale, _ campaign.Options) (string, error) {
 	set := sc.set(PerfSchemes)
-	t, err := F5WriteSweep(set, sc.Requests, nil, sc.Sim)
+	t, err := F5WriteSweep(set, sc.Requests, memsim.MustProfile(paperProfile), sc.Sim)
 	if err != nil {
 		return "", err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"pair/internal/ecc"
 	"pair/internal/hamming"
@@ -38,11 +39,7 @@ func (si SimInstrumentation) runSim(label string, cfg memsim.Config, wl trace.Wo
 	var chk *check.Checker
 	var obs []memsim.Observer
 	if si.Check {
-		if cfg.Profile != nil {
-			chk = check.ForProfile(cfg.Profile)
-		} else {
-			chk = check.New(cfg.Timing)
-		}
+		chk = check.ForProfile(cfg.Profile)
 		obs = append(obs, chk)
 	}
 	if si.CmdTrace != nil {
@@ -62,85 +59,106 @@ func (si SimInstrumentation) runSim(label string, cfg memsim.Config, wl trace.Wo
 	return res, nil
 }
 
-// PerfResult holds normalized performance per workload per scheme.
+// PerfResult holds the timing simulations of one scheme set on a suite
+// of workloads on one memory profile, and, for the tables that
+// normalize, each scheme's speed relative to the zero-cost baseline.
+// F4, F5 and F14 and the F4 companions render from it.
 type PerfResult struct {
 	Workloads []string
 	Schemes   []string
-	// Normalized[w][s] = cycles(none) / cycles(scheme): 1.0 = baseline
-	// speed, higher is better.
+	// Normalized[w][s] = cycles(baseline) / cycles(scheme): 1.0 = baseline
+	// speed, higher is better. Nil when the runs have no baseline.
 	Normalized [][]float64
 	GeoMean    []float64
+
+	prof *memsim.Profile
+	runs [][]memsim.Result // [workload][scheme]
 }
 
-// F4Performance runs the SPEC-like suite through the timing simulator
-// under every scheme's cost model, on the memory profile prof (nil = the
-// DDR4 default).
-func F4Performance(schemes []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*PerfResult, error) {
-	return perfOnProfile(schemes, trace.SPECLike(requests), prof, inst)
-}
-
-// simConfig returns the simulator configuration of one experiment run:
-// the DDR4 default when prof is nil (the legacy golden-pinned path), the
-// profile's otherwise.
-func simConfig(prof *memsim.Profile) memsim.Config {
-	if prof == nil {
-		return memsim.DefaultConfig()
+// simulate runs every workload of suite on prof once per distinct
+// ecc.AccessCost of set and keeps the results. Schemes with one cost
+// share the run of the first of them, which names it in the run's
+// -cmdtrace label, [<profile>/]<scheme>/<tag><workload>, so headers and
+// error messages identify the memory generation. With normalize, each
+// workload first runs at zero cost under the name "baseline", the set's
+// zero-cost schemes share that run, and the result carries every
+// scheme's normalized speed and geomean.
+func simulate(set []ecc.Scheme, suite []trace.Workload, prof *memsim.Profile, normalize bool, tag string, inst SimInstrumentation) (*PerfResult, error) {
+	prefix := profileName(prof)
+	if prefix != "" {
+		prefix += "/"
 	}
-	return prof.Config()
-}
-
-// simLabel prefixes a run label with the profile spec so -cmdtrace
-// headers and error messages identify the memory generation.
-func simLabel(prof *memsim.Profile, label string) string {
-	if prof == nil {
-		return label
+	var names []string
+	var costs []ecc.AccessCost
+	if normalize {
+		names, costs = []string{"baseline"}, []ecc.AccessCost{{}}
 	}
-	return prof.Spec() + "/" + label
-}
-
-func perfOnProfile(schemes []ecc.Scheme, suite []trace.Workload, prof *memsim.Profile, inst SimInstrumentation) (*PerfResult, error) {
-	res := &PerfResult{}
-	for _, s := range schemes {
-		res.Schemes = append(res.Schemes, s.Name())
+	off := len(names) // index of the set's first scheme
+	for _, s := range set {
+		names = append(names, s.Name())
+		costs = append(costs, s.Cost())
 	}
-	baseline := make([]uint64, len(suite))
-	for wi, wl := range suite {
-		res.Workloads = append(res.Workloads, wl.Name)
-		r, err := inst.runSim(simLabel(prof, "baseline/"+wl.Name), simConfig(prof), wl)
-		if err != nil {
-			return nil, err
-		}
-		baseline[wi] = r.Cycles
-	}
-	res.Normalized = make([][]float64, len(suite))
-	for wi, wl := range suite {
-		res.Normalized[wi] = make([]float64, len(schemes))
-		for si, s := range schemes {
-			cost := s.Cost()
-			cycles := baseline[wi]
-			// A zero cost model is bit-identical to the baseline run —
-			// reuse it instead of simulating the workload a second time.
-			if cost != (ecc.AccessCost{}) {
-				cfg := simConfig(prof)
-				cfg.Cost = cost
-				r, err := inst.runSim(simLabel(prof, s.Name()+"/"+wl.Name), cfg, wl)
-				if err != nil {
-					return nil, err
-				}
-				cycles = r.Cycles
+	r := &PerfResult{Schemes: names[off:], prof: prof}
+	for _, wl := range suite {
+		runs := make([]memsim.Result, len(costs))
+		for c, cost := range costs {
+			if j := slices.Index(costs[:c], cost); j >= 0 {
+				runs[c] = runs[j]
+				continue
 			}
-			res.Normalized[wi][si] = float64(baseline[wi]) / float64(cycles)
+			cfg := prof.Config()
+			cfg.Cost = cost
+			res, err := inst.runSim(prefix+names[c]+"/"+tag+wl.Name, cfg, wl)
+			if err != nil {
+				return nil, err
+			}
+			runs[c] = res
+		}
+		r.Workloads = append(r.Workloads, wl.Name)
+		r.runs = append(r.runs, runs[off:])
+		if normalize {
+			norm := make([]float64, len(set))
+			for si := range set {
+				norm[si] = float64(runs[0].Cycles) / float64(runs[off+si].Cycles)
+			}
+			r.Normalized = append(r.Normalized, norm)
 		}
 	}
-	res.GeoMean = make([]float64, len(schemes))
-	for si := range schemes {
-		col := make([]float64, len(suite))
-		for wi := range suite {
-			col[wi] = res.Normalized[wi][si]
+	if normalize {
+		r.GeoMean = make([]float64, len(set))
+		for si := range set {
+			col := make([]float64, len(suite))
+			for wi := range suite {
+				col[wi] = r.Normalized[wi][si]
+			}
+			r.GeoMean[si] = stats.GeoMean(col)
 		}
-		res.GeoMean[si] = stats.GeoMean(col)
 	}
-	return res, nil
+	return r, nil
+}
+
+// profileName names prof in table titles and -cmdtrace labels: its spec,
+// or nothing for ddr4-2400, the memory system of the paper's figures.
+func profileName(prof *memsim.Profile) string {
+	if s := prof.Spec(); s != paperProfile {
+		return s
+	}
+	return ""
+}
+
+// titled appends the profile's name, when it has one, to a table title.
+func titled(title string, prof *memsim.Profile) string {
+	if n := profileName(prof); n != "" {
+		return title + " [" + n + "]"
+	}
+	return title
+}
+
+// F4Performance runs the SPEC-like suite through the timing simulator on
+// the memory profile prof, once per distinct cost model of the scheme
+// set plus the baseline.
+func F4Performance(set []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*PerfResult, error) {
+	return simulate(set, trace.SPECLike(requests), prof, true, "", inst)
 }
 
 // Render formats the F4 table.
@@ -185,24 +203,19 @@ func (r *PerfResult) headline() []string {
 
 // F5WriteSweep sweeps the write ratio on a random-access stream — the
 // ablation isolating where XED's parity-write traffic and the RMW costs
-// bite (figure F5) — on the memory profile prof (nil = the DDR4 default).
-func F5WriteSweep(schemes []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*Table, error) {
+// bite (figure F5) — on the memory profile prof.
+func F5WriteSweep(set []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*Table, error) {
 	fracs := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
-	suite := trace.WriteSweep(requests, fracs, 0.3)
-	res, err := perfOnProfile(schemes, suite, prof, inst)
+	res, err := simulate(set, trace.WriteSweep(requests, fracs, 0.3), prof, true, "", inst)
 	if err != nil {
 		return nil, err
 	}
-	title := "F5: normalized performance vs write ratio (30% of writes masked)"
-	if prof != nil {
-		title += " [" + prof.Spec() + "]"
-	}
 	t := &Table{
-		Title:  title,
+		Title:  titled("F5: normalized performance vs write ratio (30% of writes masked)", prof),
 		Header: append([]string{"write ratio"}, res.Schemes...),
 	}
-	for wi := range suite {
-		row := []string{fmt.Sprintf("%.0f%%", fracs[wi]*100)}
+	for wi, frac := range fracs {
+		row := []string{fmt.Sprintf("%.0f%%", frac*100)}
 		for si := range res.Schemes {
 			row = append(row, fmt.Sprintf("%.3f", res.Normalized[wi][si]))
 		}
@@ -211,81 +224,59 @@ func F5WriteSweep(schemes []ecc.Scheme, requests int, prof *memsim.Profile, inst
 	return t, nil
 }
 
-// F4Latency renders the tail read-latency companion to F4: mean, p99 and
-// p999 read latency per scheme on the two most latency-revealing
-// workloads (a pointer-chaser and a masked-write-heavy mix), on the
-// memory profile prof (nil = the DDR4 default). Companion writes and RMW
-// reads interfere with demand reads, which shows in the tail long before
-// it moves the mean.
-func F4Latency(set []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*Table, error) {
-	title := "F4b: read latency (mean / p99 / p999, ns) per scheme"
-	if prof != nil {
-		title += " [" + prof.Spec() + "]"
-	}
+// F4Latency renders the tail read-latency companion to F4 from its runs:
+// mean, p99 and p999 read latency per scheme on the two most
+// latency-revealing workloads (a pointer-chaser and a masked-write-heavy
+// mix). Companion writes and RMW reads interfere with demand reads,
+// which shows in the tail long before it moves the mean.
+func F4Latency(r *PerfResult) *Table {
 	t := &Table{
-		Title:  title,
-		Header: []string{"workload"},
+		Title:  titled("F4b: read latency (mean / p99 / p999, ns) per scheme", r.prof),
+		Header: append([]string{"workload"}, r.Schemes...),
 	}
-	for _, s := range set {
-		t.Header = append(t.Header, s.Name())
-	}
-	suite := trace.SPECLike(requests)
-	for _, wl := range suite {
-		if wl.Name != "mcf" && wl.Name != "x264" {
+	tm := r.prof.Timing
+	for wi, w := range r.Workloads {
+		if w != "mcf" && w != "x264" {
 			continue
 		}
-		row := []string{wl.Name}
-		for _, s := range set {
-			cfg := simConfig(prof)
-			cfg.Cost = s.Cost()
-			res, err := inst.runSim(simLabel(prof, s.Name()+"/lat/"+wl.Name), cfg, wl)
-			if err != nil {
-				return nil, err
-			}
+		row := []string{w}
+		for _, res := range r.runs[wi] {
 			row = append(row, fmt.Sprintf("%.0f/%.0f/%.0f",
-				res.AvgReadLatencyNS(cfg.Timing), res.P99ReadLatencyNS(cfg.Timing),
-				res.P999ReadLatencyNS(cfg.Timing)))
+				res.AvgReadLatencyNS(tm), res.P99ReadLatencyNS(tm), res.P999ReadLatencyNS(tm)))
 		}
 		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes, "XED's parity writes queue ahead of demand reads: the p99 inflates far more than the mean")
-	return t, nil
+	return t
 }
 
-// F4CommandMix renders the command-stream observability companion to F4:
-// the DRAM command histogram, row-buffer behavior and data-bus occupancy
-// per scheme on the masked-write-heavy x264 mix — the mechanism-level
-// view behind the normalized-cycles rows.
-func F4CommandMix(set []ecc.Scheme, requests int, inst SimInstrumentation) (*Table, error) {
+// F4CommandMix renders the command-stream observability companion to F4
+// from its runs: the DRAM command histogram, row-buffer behavior and
+// data-bus occupancy per scheme on the masked-write-heavy x264 mix — the
+// mechanism-level view behind the normalized-cycles rows.
+func F4CommandMix(r *PerfResult) *Table {
 	t := &Table{
-		Title:  "F4c: command mix and bus occupancy (x264 mix)",
+		Title:  titled("F4c: command mix and bus occupancy (x264 mix)", r.prof),
 		Header: []string{"scheme", "ACT", "PRE", "RD", "WR", "REF", "row hit%", "bus util%"},
 	}
-	var wl trace.Workload
-	for _, w := range trace.SPECLike(requests) {
-		if w.Name == "x264" {
-			wl = w
+	for wi, w := range r.Workloads {
+		if w != "x264" {
+			continue
 		}
-	}
-	for _, s := range set {
-		cfg := memsim.DefaultConfig()
-		cfg.Cost = s.Cost()
-		res, err := inst.runSim(s.Name()+"/mix/"+wl.Name, cfg, wl)
-		if err != nil {
-			return nil, err
+		for si, res := range r.runs[wi] {
+			t.AddRow(r.Schemes[si],
+				fmt.Sprintf("%d", res.Cmds.ACT),
+				fmt.Sprintf("%d", res.Cmds.PRE),
+				fmt.Sprintf("%d", res.Cmds.RD),
+				fmt.Sprintf("%d", res.Cmds.WR),
+				fmt.Sprintf("%d", res.Cmds.REF),
+				fmt.Sprintf("%.1f", res.RowHitRate()*100),
+				fmt.Sprintf("%.1f", res.BusUtilization()*100))
 		}
-		t.AddRow(s.Name(),
-			fmt.Sprintf("%d", res.Cmds.ACT),
-			fmt.Sprintf("%d", res.Cmds.PRE),
-			fmt.Sprintf("%d", res.Cmds.RD),
-			fmt.Sprintf("%d", res.Cmds.WR),
-			fmt.Sprintf("%d", res.Cmds.REF),
-			fmt.Sprintf("%.1f", res.RowHitRate()*100),
-			fmt.Sprintf("%.1f", res.BusUtilization()*100))
 	}
 	t.Notes = append(t.Notes,
 		"XED's extra WR column is the companion parity-write traffic; DUO's bus util is the +1 extension beat")
-	return t, nil
+	return t
 }
 
 // F11ScrubTraffic measures the performance cost of patrol scrubbing at

@@ -6,33 +6,43 @@ import (
 
 	"pair/internal/dram"
 	"pair/internal/ecc"
+	"pair/internal/memsim"
+	"pair/internal/schemes"
 	"pair/internal/trace"
 )
 
-// TestPerfOnReusesBaselineRun pins the fix for the double simulation of
-// the zero-cost baseline: the "none" scheme's cycles are the baseline
-// run's cycles, not a second simulation of the identical configuration.
-// Every simulation writes one "# sim <label>" header to the command
-// trace, so the headers count the runs.
+// TestPerfOnReusesBaselineRun pins that each distinct run is simulated
+// once: the "none" scheme's cycles are the baseline run's cycles, and
+// schemes with one cost model (iecc and pair) share one run, rather than
+// simulating an identical configuration again. Every simulation writes
+// one "# sim <label>" header to the command trace, so the headers count
+// the runs.
 func TestPerfOnReusesBaselineRun(t *testing.T) {
 	suite := trace.SPECLike(400)[:3]
-	schemes := []ecc.Scheme{ecc.NewNone(dram.DDR4x16()), ecc.NewIECC(dram.DDR4x16())}
-
-	var cmds strings.Builder
-	res, err := perfOnProfile(schemes, suite, nil, SimInstrumentation{CmdTrace: &cmds})
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := strings.Count(cmds.String(), "# sim ")
-	// 3 baseline runs + 3 iecc runs; the none column costs no extra runs.
-	if used != 6 {
-		t.Fatalf("perfOnProfile used %d simulations, want 6 (baseline reused for the zero-cost scheme)", used)
-	}
-	// Reuse makes the equality exact, not approximate: baseline cycles ==
-	// none-scheme cycles, so the normalized column is identically 1.0.
-	for wi, w := range res.Workloads {
-		if res.Normalized[wi][0] != 1.0 {
-			t.Fatalf("%s: none normalized to %v, want exactly 1.0", w, res.Normalized[wi][0])
+	org := dram.DDR4x16()
+	for _, set := range [][]ecc.Scheme{
+		{ecc.NewNone(org), ecc.NewIECC(org)},
+		{ecc.NewNone(org), ecc.NewIECC(org), schemes.MustNew("pair")},
+	} {
+		var cmds strings.Builder
+		res, err := simulate(set, suite, memsim.MustProfile("ddr4-2400"), true, "", SimInstrumentation{CmdTrace: &cmds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 3 baseline runs + 3 iecc runs; none and pair cost no extra runs.
+		if used := strings.Count(cmds.String(), "# sim "); used != 6 {
+			t.Fatalf("%v: %d simulations, want 6 (one per workload and distinct cost)", res.Schemes, used)
+		}
+		// Reuse makes the equalities exact, not approximate: baseline
+		// cycles == none-scheme cycles, so the normalized column is
+		// identically 1.0, and pair's column is iecc's.
+		for wi, w := range res.Workloads {
+			if res.Normalized[wi][0] != 1.0 {
+				t.Fatalf("%s: none normalized to %v, want exactly 1.0", w, res.Normalized[wi][0])
+			}
+			if len(set) == 3 && res.Normalized[wi][2] != res.Normalized[wi][1] {
+				t.Fatalf("%s: pair %v, iecc %v; want equal", w, res.Normalized[wi][2], res.Normalized[wi][1])
+			}
 		}
 	}
 }
@@ -45,8 +55,8 @@ func TestSimInstrumentationCheck(t *testing.T) {
 	inst := SimInstrumentation{Check: true, CmdTrace: &sb}
 
 	suite := trace.SPECLike(300)[:2]
-	schemes := []ecc.Scheme{ecc.NewNone(dram.DDR4x16()), ecc.NewXED(dram.DDR4x16())}
-	if _, err := perfOnProfile(schemes, suite, nil, inst); err != nil {
+	set := []ecc.Scheme{ecc.NewNone(dram.DDR4x16()), ecc.NewXED(dram.DDR4x16())}
+	if _, err := simulate(set, suite, memsim.MustProfile("ddr4-2400"), true, "", inst); err != nil {
 		t.Fatalf("checked run failed: %v", err)
 	}
 	out := sb.String()

@@ -197,7 +197,7 @@ func T2CoverageEnvCtx(ctx context.Context, schemes []ecc.Scheme, trials int, see
 	for _, l := range reliability.StandardCoverageLabels() {
 		row := []string{l.Label}
 		for _, s := range schemes {
-			r, err := reliability.CoverageEnvCtx(ctx, s, l.Label, trials, seed, l.Inject, env, opts)
+			r, err := reliability.CoverageCtx(ctx, s, l.Label, trials, seed, l.Inject, env, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -293,13 +293,13 @@ func F7BurstCtx(ctx context.Context, schemes []ecc.Scheme, trials int, seed int6
 			blen := b
 			along, err := reliability.CoverageCtx(ctx, s, "pin-burst", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
 				faults.InjectPinBurst(rng, st.Chips[rng.Intn(st.Org.ChipsPerRank)].Data, blen)
-			}, bOpts)
+			}, nil, bOpts)
 			if err != nil {
 				return nil, err
 			}
 			across, err := reliability.CoverageCtx(ctx, s, "beat-burst", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
 				faults.InjectBeatBurst(rng, st.Chips[rng.Intn(st.Org.ChipsPerRank)].Data, blen)
-			}, bOpts)
+			}, nil, bOpts)
 			if err != nil {
 				return nil, err
 			}

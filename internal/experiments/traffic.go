@@ -8,39 +8,29 @@ import (
 	"pair/internal/trace"
 )
 
-// F4ProfileGeomeans runs the SPEC-like suite on every given profile spec
-// and renders the per-scheme geomean columns side by side: how each ECC
+// F4ProfileGeomeans renders the per-scheme geomean columns of F4 runs
+// of one scheme set on one or more profiles side by side: how each ECC
 // scheme's cost model lands across memory generations. DDR5's BL16 makes
 // DUO's +1 extension beat relatively cheaper (1/16 vs 1/8 of a burst)
 // while XED's whole-burst parity writes stay expensive everywhere.
-func F4ProfileGeomeans(set []ecc.Scheme, requests int, specs []string, inst SimInstrumentation) (*Table, error) {
+func F4ProfileGeomeans(cols ...*PerfResult) *Table {
 	t := &Table{
 		Title:  "F4d: normalized performance geomean per scheme across profiles",
 		Header: []string{"scheme"},
 	}
-	cols := make([]*PerfResult, len(specs))
-	for pi, spec := range specs {
-		prof, err := memsim.NewProfile(spec)
-		if err != nil {
-			return nil, err
-		}
-		t.Header = append(t.Header, prof.Spec())
-		res, err := F4Performance(set, requests, prof, inst)
-		if err != nil {
-			return nil, err
-		}
-		cols[pi] = res
+	for _, c := range cols {
+		t.Header = append(t.Header, c.prof.Spec())
 	}
-	for si, s := range set {
-		row := []string{s.Name()}
-		for pi := range specs {
-			row = append(row, fmt.Sprintf("%.3f", cols[pi].GeoMean[si]))
+	for si, s := range cols[0].Schemes {
+		row := []string{s}
+		for _, c := range cols {
+			row = append(row, fmt.Sprintf("%.3f", c.GeoMean[si]))
 		}
 		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
 		"geomean over the ten SPEC-like workloads, normalized to No-ECC on the same profile")
-	return t, nil
+	return t
 }
 
 // f14Points are the offered-load points of the tail-latency experiment:
@@ -69,33 +59,27 @@ func f14Points() []f14Point {
 // open loop means queues grow when a scheme's extra traffic pushes the
 // system past its knee: exactly where ECC overheads become user-visible.
 func F14TailLatency(set []ecc.Scheme, requests int, prof *memsim.Profile, inst SimInstrumentation) (*Table, error) {
-	title := "F14: tail read latency (p99 / p999, ns) vs offered load"
-	if prof != nil {
-		title += " [" + prof.Spec() + "]"
-	}
-	t := &Table{
-		Title:  title,
-		Header: []string{"arrival@load"},
-	}
-	for _, s := range set {
-		t.Header = append(t.Header, s.Name())
-	}
+	var suite []trace.Workload
 	for i, pt := range f14Points() {
-		wl := trace.Traffic(trace.TrafficParams{
+		suite = append(suite, trace.Traffic(trace.TrafficParams{
 			Requests: requests, Arrival: pt.arrival, Load: pt.load,
 			Users: 32, ReadFrac: 0.7, MaskedFrac: 0.2, Lines: 1 << 20,
 			HotFraction: 0.3, Seed: 300 + int64(i),
-		})
+		}))
+	}
+	r, err := simulate(set, suite, prof, false, "f14/", inst)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		Title:  titled("F14: tail read latency (p99 / p999, ns) vs offered load", prof),
+		Header: append([]string{"arrival@load"}, r.Schemes...),
+	}
+	tm := prof.Timing
+	for wi, pt := range f14Points() {
 		row := []string{fmt.Sprintf("%s@%.2f", pt.arrival, pt.load)}
-		for _, s := range set {
-			cfg := simConfig(prof)
-			cfg.Cost = s.Cost()
-			res, err := inst.runSim(simLabel(prof, s.Name()+"/f14/"+wl.Name), cfg, wl)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, fmt.Sprintf("%.0f/%.0f",
-				res.P99ReadLatencyNS(cfg.Timing), res.P999ReadLatencyNS(cfg.Timing)))
+		for _, res := range r.runs[wi] {
+			row = append(row, fmt.Sprintf("%.0f/%.0f", res.P99ReadLatencyNS(tm), res.P999ReadLatencyNS(tm)))
 		}
 		t.AddRow(row...)
 	}

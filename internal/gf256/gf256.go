@@ -47,11 +47,8 @@ func init() {
 }
 
 // Add returns a + b in GF(2^8). Addition is XOR; it is its own inverse,
-// so Sub is identical to Add.
+// so subtraction is Add too.
 func Add(a, b byte) byte { return a ^ b }
-
-// Sub returns a - b in GF(2^8) (identical to Add in characteristic 2).
-func Sub(a, b byte) byte { return a ^ b }
 
 // Mul returns a * b in GF(2^8).
 func Mul(a, b byte) byte {
@@ -118,23 +115,6 @@ func Pow(a byte, e int) byte {
 		l += Order
 	}
 	return expTable[l]
-}
-
-// MulSlice computes dst[i] ^= c * src[i] for all i. dst and src must have
-// the same length. It is the inner loop of systematic RS encoding.
-func MulSlice(c byte, src, dst []byte) {
-	if len(src) != len(dst) {
-		panic(fmt.Sprintf("gf256: MulSlice length mismatch %d != %d", len(src), len(dst)))
-	}
-	if c == 0 {
-		return
-	}
-	lc := int(logTable[c])
-	for i, s := range src {
-		if s != 0 {
-			dst[i] ^= expTable[lc+int(logTable[s])]
-		}
-	}
 }
 
 // DotProduct returns sum_i a[i]*b[i] over GF(2^8).

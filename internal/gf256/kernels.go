@@ -26,25 +26,6 @@ func init() {
 // inner loop so each product is one table lookup with no branches.
 func Row(c byte) *[256]byte { return &mulTab[c] }
 
-// MulSliceTo computes dst[i] = c * src[i] for all i. dst and src must have
-// the same length; they may alias. It is the scatter-free counterpart of
-// MulSlice (which accumulates with ^=).
-func MulSliceTo(dst []byte, c byte, src []byte) {
-	if len(src) != len(dst) {
-		panic("gf256: MulSliceTo length mismatch")
-	}
-	if c == 0 {
-		for i := range dst {
-			dst[i] = 0
-		}
-		return
-	}
-	row := &mulTab[c]
-	for i, s := range src {
-		dst[i] = row[s]
-	}
-}
-
 // EvalAsc evaluates the ascending-power polynomial p (p[i] the x^i
 // coefficient) at x with a fused table-row Horner step: one lookup and one
 // XOR per coefficient, no branches.

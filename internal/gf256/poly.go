@@ -133,21 +133,6 @@ func PolyFromRoots(roots []byte) Polynomial {
 	return out
 }
 
-// PolyEqual reports whether a and b denote the same polynomial
-// (ignoring trailing zeros).
-func PolyEqual(a, b Polynomial) bool {
-	da, db := PolyDegree(a), PolyDegree(b)
-	if da != db {
-		return false
-	}
-	for i := 0; i <= da; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // LagrangeInterpolate returns the unique polynomial of degree < len(xs)
 // passing through the points (xs[i], ys[i]). The xs must be distinct;
 // it panics otherwise.

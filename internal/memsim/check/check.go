@@ -15,9 +15,9 @@
 // shares no code with the scheduler, a bug must be made twice,
 // independently, to go unseen.
 //
-// New asserts a bare DDR4-style timing table over a single-bus stream;
-// ForProfile derives everything — burst occupancy, per-subchannel buses,
-// refresh mode — from a memsim.Profile instead.
+// ForProfile derives everything the checker asserts (timing table,
+// burst occupancy, per-subchannel buses, refresh mode) from a
+// memsim.Profile.
 package check
 
 import (
@@ -65,8 +65,8 @@ type bankHist struct {
 
 // Channel-qualified keys: every piece of bus-local state is tracked per
 // data bus, so independent subchannels never constrain each other while
-// commands sharing a bus still do. Legacy single-bus streams carry
-// Channel 0 everywhere and collapse to the old global behavior.
+// commands sharing a bus still do. Single-bus streams carry Channel 0
+// everywhere.
 type chanBank struct{ ch, fb int }
 type chanRank struct{ ch, rank int }
 type chanRankGroup struct{ ch, rank, group int }
@@ -107,40 +107,29 @@ type Checker struct {
 	viol     []Violation
 }
 
-func newChecker(t memsim.Timing) *Checker {
-	return &Checker{
-		t:        t,
-		max:      32,
-		minBurst: 4,
-		banks:    map[chanBank]*bankHist{},
-		rankACT:  map[chanRank]seen{},
-		groupACT: map[chanRankGroup]seen{},
-		faw:      map[chanRank]*[4]seen{},
-		groupCAS: map[chanRankGroup]seen{},
-		lastCAS:  map[int]seen{},
-		lastWR:   map[int]seen{},
-		lastRD:   map[int]seen{},
-		lastData: map[int]seen{},
-	}
-}
-
-// New builds a checker asserting the given timing table over a legacy
-// single-bus BL8 stream with all-bank refresh. Pass the same Timing the
-// simulated controller runs with to audit the model against its own
-// claims, or a reference table to audit one model against another.
-func New(t memsim.Timing) *Checker {
-	return newChecker(t)
-}
-
 // ForProfile builds a checker asserting the profile's timing table with
 // the profile's burst occupancy, per-bus constraint scoping and refresh
 // mode. The REFsb stagger geometry is re-derived here, independently of
-// the scheduler's arithmetic.
+// the scheduler's arithmetic. Pass the profile the simulated controller
+// runs to audit the model against its own claims, or a reference profile
+// to audit one model against another.
 func ForProfile(p *memsim.Profile) *Checker {
-	c := newChecker(p.Timing)
-	c.minBurst = p.BurstCycles(0)
-	c.numBanks = p.NumBanks()
-	c.banksPerGrp = p.Org.BanksPerGrp
+	c := &Checker{
+		t:           p.Timing,
+		max:         32,
+		minBurst:    p.BurstCycles(0),
+		numBanks:    p.NumBanks(),
+		banksPerGrp: p.Org.BanksPerGrp,
+		banks:       map[chanBank]*bankHist{},
+		rankACT:     map[chanRank]seen{},
+		groupACT:    map[chanRankGroup]seen{},
+		faw:         map[chanRank]*[4]seen{},
+		groupCAS:    map[chanRankGroup]seen{},
+		lastCAS:     map[int]seen{},
+		lastWR:      map[int]seen{},
+		lastRD:      map[int]seen{},
+		lastData:    map[int]seen{},
+	}
 	if p.Refresh == memsim.RefreshSameBank {
 		c.sameBank = true
 		c.slotPeriod = p.RefSlotPeriod()

@@ -10,9 +10,10 @@ import (
 	"pair/internal/trace"
 )
 
-// feed builds a checker over DDR4-2400 and plays a synthetic stream.
+// feed builds a checker over the ddr4-2400 profile and plays a
+// synthetic stream.
 func feed(cmds ...memsim.Command) *check.Checker {
-	c := check.New(memsim.DDR4_2400())
+	c := check.ForProfile(memsim.MustProfile("ddr4-2400"))
 	for _, cmd := range cmds {
 		c.Observe(cmd)
 	}
@@ -162,7 +163,7 @@ func TestCheckerRefreshRules(t *testing.T) {
 }
 
 func TestCheckerViolationCapAndErr(t *testing.T) {
-	c := check.New(memsim.DDR4_2400())
+	c := check.ForProfile(memsim.MustProfile("ddr4-2400"))
 	for i := 0; i < 50; i++ {
 		c.Observe(rd(uint64(1000+40*i), 0, 0, 0, 0)) // every CAS hits a closed bank
 	}
@@ -176,19 +177,21 @@ func TestCheckerViolationCapAndErr(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "50 protocol violations") {
 		t.Fatalf("err %v", err)
 	}
-	if clean := check.New(memsim.DDR4_2400()); clean.Err() != nil {
+	if clean := check.ForProfile(memsim.MustProfile("ddr4-2400")); clean.Err() != nil {
 		t.Fatal("empty checker reported an error")
 	}
 }
 
 // runBroken simulates with a deliberately corrupted timing table while the
-// checker asserts the true DDR4-2400 constraints — the acceptance test
-// that a scheduler timing bug cannot pass unseen.
+// checker asserts the true ddr4-2400 profile — the acceptance test that a
+// scheduler timing bug cannot pass unseen.
 func runBroken(t *testing.T, mutate func(*memsim.Timing), wl trace.Workload) *check.Checker {
 	t.Helper()
-	cfg := memsim.DefaultConfig()
-	mutate(&cfg.Timing)
-	chk := check.New(memsim.DDR4_2400())
+	truth := memsim.MustProfile("ddr4-2400")
+	broken := *truth
+	mutate(&broken.Timing)
+	cfg := broken.Config()
+	chk := check.ForProfile(truth)
 	cfg.Observer = chk
 	memsim.MustRun(cfg, wl)
 	return chk

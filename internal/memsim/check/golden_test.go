@@ -41,7 +41,7 @@ func TestSPECSuiteProtocolCleanGolden(t *testing.T) {
 		for _, wl := range suite {
 			cfg := memsim.DefaultConfig()
 			cfg.Cost = s.Cost()
-			chk := check.New(cfg.Timing)
+			chk := check.ForProfile(cfg.Profile)
 			cfg.Observer = chk
 			res := memsim.MustRun(cfg, wl)
 			if err := chk.Err(); err != nil {

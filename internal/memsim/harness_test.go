@@ -9,19 +9,9 @@ import (
 // Run executes the simulation with an independent JEDEC protocol checker
 // riding the command stream. Any protocol violation panics with full
 // command context — every test in this package doubles as a
-// timing-correctness test of the scheduler. Profile runs get the
-// profile-parameterized checker.
+// timing-correctness test of the scheduler.
 func Run(cfg memsim.Config, wl trace.Workload) memsim.Result {
-	var chk *check.Checker
-	if cfg.Profile != nil {
-		chk = check.ForProfile(cfg.Profile)
-	} else {
-		tm := cfg.Timing
-		if tm.NSPerCycle == 0 {
-			tm = memsim.DDR4_2400()
-		}
-		chk = check.New(tm)
-	}
+	chk := check.ForProfile(cfg.Profile)
 	cfg.Observer = memsim.MultiObserver(cfg.Observer, chk)
 	res := memsim.MustRun(cfg, wl)
 	if err := chk.Err(); err != nil {

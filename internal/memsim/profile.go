@@ -147,7 +147,7 @@ func (p *Profile) Validate() error {
 // Config returns a single-rank simulator configuration running this
 // profile (seed 1, no ECC cost model).
 func (p *Profile) Config() Config {
-	return Config{Profile: p, Org: p.Org, Ranks: 1, Timing: p.Timing, Seed: 1}
+	return Config{Profile: p, Ranks: 1, Seed: 1}
 }
 
 // ProfileEntry is one registered profile.

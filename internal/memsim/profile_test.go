@@ -121,7 +121,7 @@ func TestNewProfileOptions(t *testing.T) {
 		t.Fatalf("refresh override: %+v", p2)
 	}
 	cfg := p.Config()
-	if cfg.Profile != p || cfg.Ranks != 1 || cfg.Org.BurstLen != 16 {
+	if cfg.Profile != p || cfg.Ranks != 1 || cfg.Profile.Org.BurstLen != 16 {
 		t.Fatalf("profile config: %+v", cfg)
 	}
 }

@@ -64,8 +64,6 @@ func TestSameBankConflictSlowerThanDifferentBanks(t *testing.T) {
 		}
 		return trace.Workload{Name: "conflict", Window: 4, Reqs: reqs}
 	}
-	m, _ := cfg.Org, cfg.Ranks
-	_ = m
 	// Same bank, different row: stride = one full bank's worth of lines.
 	sameBank := Run(cfg, mk(1<<20))
 	// Different banks: adjacent lines (XOR interleave spreads them).

@@ -1,6 +1,7 @@
 package memsim
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,17 +15,14 @@ import (
 
 // Config parameterizes one simulation run.
 type Config struct {
-	// Profile, when non-nil, selects the full device profile (organization,
-	// timing, channel count, refresh mode, page policy) and overrides Org
-	// and Timing. A nil Profile preserves the legacy single-bus behavior:
-	// Org + Timing with all-bank refresh and open-page policy.
+	// Profile is the memory system the run simulates: organization,
+	// timing, channel count, refresh mode and page policy. Run rejects a
+	// nil Profile.
 	Profile *Profile
 
-	Org    dram.Organization
-	Ranks  int
-	Timing Timing
-	Cost   ecc.AccessCost
-	Seed   int64
+	Ranks int
+	Cost  ecc.AccessCost
+	Seed  int64
 	// ScrubPeriod, when positive, injects one patrol-scrub read every
 	// ScrubPeriod cycles (walking the address space sequentially) — the
 	// background traffic a memory-scrubbing reliability policy costs.
@@ -35,10 +33,10 @@ type Config struct {
 	Observer Observer
 }
 
-// DefaultConfig returns a single-rank DDR4-2400 x16 channel with no ECC
-// cost model.
+// DefaultConfig returns the ddr4-2400 profile's Config: one rank of a
+// DDR4-2400 x16 channel with no ECC cost model.
 func DefaultConfig() Config {
-	return Config{Org: dram.DDR4x16(), Ranks: 1, Timing: DDR4_2400(), Seed: 1}
+	return MustProfile("ddr4-2400").Config()
 }
 
 // CmdCounts tallies the DRAM commands issued during a run.
@@ -236,33 +234,23 @@ type simulator struct {
 
 // Run simulates the workload under the configuration and returns the
 // aggregate result. Runs are deterministic for a fixed (Config, Workload).
-// An invalid Organization/Ranks combination is reported as an error
-// (the zero Ranks defaults to 1).
+// A nil or invalid Profile and an invalid rank count are reported as
+// errors (the zero Ranks defaults to 1).
 func Run(cfg Config, wl trace.Workload) (Result, error) {
+	prof := cfg.Profile
+	if prof == nil {
+		return Result{}, errors.New("memsim: nil Profile")
+	}
 	if cfg.Ranks == 0 {
 		cfg.Ranks = 1
 	}
 	if cfg.Ranks < 0 {
 		return Result{}, fmt.Errorf("memsim: invalid rank count %d", cfg.Ranks)
 	}
-	prof := cfg.Profile
-	if prof != nil {
-		if err := prof.Validate(); err != nil {
-			return Result{}, err
-		}
-		cfg.Org = prof.Org
-		cfg.Timing = prof.Timing
-	} else {
-		if cfg.Timing.NSPerCycle == 0 {
-			cfg.Timing = DDR4_2400()
-		}
-		// Legacy configuration: wrap Org+Timing in an implicit single-bus,
-		// all-bank-refresh, open-page profile so every scheduling decision
-		// below is profile-derived yet bit-identical to the DDR4 era.
-		p := Profile{ID: "custom", Org: cfg.Org, Timing: cfg.Timing, Channels: 1, Subchannels: 1}
-		prof = &p
+	if err := prof.Validate(); err != nil {
+		return Result{}, err
 	}
-	mapper, err := dram.NewAddressMapper(cfg.Org, cfg.Ranks)
+	mapper, err := dram.NewAddressMapper(prof.Org, cfg.Ranks)
 	if err != nil {
 		return Result{}, fmt.Errorf("memsim: %w", err)
 	}
@@ -288,7 +276,7 @@ func Run(cfg Config, wl trace.Workload) (Result, error) {
 		bus.lastACTGrp = make([][]uint64, cfg.Ranks)
 		for i := range bus.fawRing {
 			bus.fawRing[i] = make([]uint64, 4)
-			bus.lastACTGrp[i] = make([]uint64, cfg.Org.BankGroups)
+			bus.lastACTGrp[i] = make([]uint64, prof.Org.BankGroups)
 		}
 	}
 	s.run(wl)
@@ -507,7 +495,7 @@ func (s *simulator) pick(pending []*op) int {
 // to the refreshing bank stall, for tRFCsb. The windows elapse in the
 // background; only commands landing inside them are deferred.
 func (s *simulator) refreshDefer(x uint64, bankIdx int) uint64 {
-	t := s.cfg.Timing
+	t := s.prof.Timing
 	if s.prof.Refresh == RefreshSameBank {
 		period := s.prof.RefSlotPeriod()
 		nb := uint64(s.prof.NumBanks())
@@ -597,11 +585,11 @@ func (s *simulator) drainHeld() {
 // a lower bound, so each constraint only moves commands later), then
 // committed and emitted to the observer in time order.
 func (s *simulator) schedule(o *op) uint64 {
-	t := s.cfg.Timing
+	t := s.prof.Timing
 	busIdx, a, fb := o.bus, o.addr, o.fb
 	bus := &s.buses[busIdx]
 	b := &bus.banks[fb]
-	bankIdx := a.Group*s.cfg.Org.BanksPerGrp + a.Bank
+	bankIdx := a.Group*s.prof.Org.BanksPerGrp + a.Bank
 	isWrite := o.kind == opWrite
 	miss := b.openRow != a.Row
 
@@ -677,7 +665,7 @@ func (s *simulator) schedule(o *op) uint64 {
 			for g := s.lastRefresh + 1; g <= slot; g++ {
 				bank := int(g % nb)
 				s.emit(Command{Kind: CmdREFSB, At: g * period, FlatBank: -1, Channel: -1,
-					Addr: dram.Address{Group: bank / s.cfg.Org.BanksPerGrp, Bank: bank % s.cfg.Org.BanksPerGrp}})
+					Addr: dram.Address{Group: bank / s.prof.Org.BanksPerGrp, Bank: bank % s.prof.Org.BanksPerGrp}})
 			}
 			s.res.Refreshes += slot - s.lastRefresh
 			s.res.Cmds.REF += slot - s.lastRefresh
@@ -756,7 +744,7 @@ func (s *simulator) schedule(o *op) uint64 {
 
 	finish := dataEnd
 	if !isWrite {
-		finish += s.cfg.Timing.NSToCycles(s.cfg.Cost.DecodeLatencyNS)
+		finish += s.prof.Timing.NSToCycles(s.cfg.Cost.DecodeLatencyNS)
 	}
 	return finish
 }

@@ -10,7 +10,9 @@ import (
 
 func TestRunRejectsBadConfig(t *testing.T) {
 	cfg := memsim.DefaultConfig()
-	cfg.Org = dram.Organization{} // invalid: zero geometry
+	p := *cfg.Profile
+	p.Org = dram.Organization{} // invalid: zero geometry
+	cfg.Profile = &p
 	if _, err := memsim.Run(cfg, seqReads(10)); err == nil {
 		t.Fatal("Run accepted an invalid organization")
 	}
@@ -20,6 +22,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		}
 	}()
 	memsim.MustRun(cfg, seqReads(10))
+}
+
+func TestRunRejectsNilProfile(t *testing.T) {
+	cfg := memsim.DefaultConfig()
+	cfg.Profile = nil
+	if _, err := memsim.Run(cfg, seqReads(10)); err == nil {
+		t.Fatal("Run accepted a nil Profile")
+	}
 }
 
 func TestRunRanksValidation(t *testing.T) {
@@ -96,7 +106,9 @@ func TestTRRDEnforcedBetweenACTs(t *testing.T) {
 	tm.TRRDS = 8
 	tm.TRRDL = 12
 	cfg := memsim.DefaultConfig()
-	cfg.Timing = tm
+	p := *cfg.Profile
+	p.Timing = tm
+	cfg.Profile = &p
 
 	type act struct {
 		at          uint64

@@ -163,7 +163,7 @@ func TestDecodeLatencyAddsToReads(t *testing.T) {
 	cfg := memsim.DefaultConfig()
 	cfg.Cost = ecc.AccessCost{DecodeLatencyNS: 10}
 	dec := Run(cfg, wl)
-	diff := dec.AvgReadLatencyNS(cfg.Timing) - base.AvgReadLatencyNS(cfg.Timing)
+	diff := dec.AvgReadLatencyNS(cfg.Profile.Timing) - base.AvgReadLatencyNS(cfg.Profile.Timing)
 	if diff < 8 || diff > 16 {
 		t.Fatalf("latency delta %vns, want ~10ns", diff)
 	}

@@ -49,7 +49,7 @@ func TestCoverageIndependentOfGOMAXPROCS(t *testing.T) {
 	runAt := func(procs int) CoverageResult {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
-		r, err := CoverageCtx(context.Background(), scheme, "det", detTrials, 11, flip3, campaign.Options{})
+		r, err := CoverageCtx(context.Background(), scheme, "det", detTrials, 11, flip3, nil, campaign.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,14 +91,14 @@ func TestCoverageKillAndResume(t *testing.T) {
 	scheme := ecc.NewIECC(dram.DDR4x16())
 	dir := t.TempDir()
 
-	uninterrupted, err := CoverageCtx(context.Background(), scheme, "resume", detTrials, 3, flip3, campaign.Options{})
+	uninterrupted, err := CoverageCtx(context.Background(), scheme, "resume", detTrials, 3, flip3, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	_, err = CoverageCtx(ctx, scheme, "resume", detTrials, 3, flip3, campaign.Options{
+	_, err = CoverageCtx(ctx, scheme, "resume", detTrials, 3, flip3, nil, campaign.Options{
 		Workers:       1,
 		CheckpointDir: dir,
 		OnShardDone:   func(done, total int) { cancel() },
@@ -107,7 +107,7 @@ func TestCoverageKillAndResume(t *testing.T) {
 		t.Fatal("interrupted campaign reported success")
 	}
 
-	resumed, err := CoverageCtx(context.Background(), scheme, "resume", detTrials, 3, flip3, campaign.Options{
+	resumed, err := CoverageCtx(context.Background(), scheme, "resume", detTrials, 3, flip3, nil, campaign.Options{
 		CheckpointDir: dir,
 		Resume:        true,
 	})
@@ -172,11 +172,11 @@ func TestLifetimeKillAndResume(t *testing.T) {
 // same seed but different labels accidentally sharing randomness.
 func TestCoverageLabelsSaltSeedStreams(t *testing.T) {
 	scheme := ecc.NewIECC(dram.DDR4x16())
-	a, err := CoverageCtx(context.Background(), scheme, "salt-a", detTrials, 21, flip3, campaign.Options{})
+	a, err := CoverageCtx(context.Background(), scheme, "salt-a", detTrials, 21, flip3, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CoverageCtx(context.Background(), scheme, "salt-b", detTrials, 21, flip3, campaign.Options{})
+	b, err := CoverageCtx(context.Background(), scheme, "salt-b", detTrials, 21, flip3, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@
 // sliced into shards with seeds derived from (label, seed, shard index),
 // never from a worker index, so results are bit-identical for any worker
 // count and survive kill-and-resume through campaign checkpoints. Every
-// campaign entry point (BuildProfileCtx, CoverageCtx, CoverageEnvCtx,
+// campaign entry point (BuildProfileCtx, CoverageCtx,
 // ScenarioCoverageCtx, RunLifetimeCtx) takes a context for cancellation
 // plus campaign.Options for checkpointing and progress; a caller that
 // wants neither passes context.Background() and the zero Options.
@@ -286,7 +286,21 @@ type CoverageResult struct {
 // (scheme, label) campaign identity and the shard index, so campaigns
 // over several labels sharing one seed draw independent randomness per
 // label and results do not depend on worker scheduling.
-func CoverageCtx(ctx context.Context, scheme ecc.Scheme, label string, trials int, seed int64, inject func(*rand.Rand, *ecc.Stored), opts campaign.Options) (CoverageResult, error) {
+//
+// A non-nil env is an ambient fault scenario layered on top of inject: it
+// corrupts each trial's image after inject runs, and ",faults=<spec>" is
+// appended to the label (a distinct checkpoint namespace). A nil env
+// keeps the label, and with it the seed streams and checkpoint identity
+// of a run without scenarios.
+func CoverageCtx(ctx context.Context, scheme ecc.Scheme, label string, trials int, seed int64, inject func(*rand.Rand, *ecc.Stored), env faults.Scenario, opts campaign.Options) (CoverageResult, error) {
+	if env != nil {
+		own, ambient := inject, ecc.ScenarioInjector(env)
+		inject = func(rng *rand.Rand, st *ecc.Stored) {
+			own(rng, st)
+			ambient(rng, st)
+		}
+		label += ",faults=" + env.Spec()
+	}
 	spec := campaign.Spec{
 		Label:  campaign.JoinLabel("coverage", schemes.CampaignID(scheme), label),
 		Trials: trials,
@@ -304,25 +318,6 @@ func CoverageCtx(ctx context.Context, scheme ecc.Scheme, label string, trials in
 		Trials: trials,
 		Rates:  RatesFromCounts(counts, trials),
 	}, nil
-}
-
-// CoverageEnvCtx is CoverageCtx with an optional ambient fault scenario
-// layered on top of the per-label injector. A nil env delegates to
-// CoverageCtx unchanged — same label, same seed streams, same checkpoint
-// identity as before scenarios existed. A non-nil env appends
-// ",faults=<spec>" to the campaign label (a distinct checkpoint
-// namespace) and corrupts each trial's image with the scenario after the
-// label's own injector runs.
-func CoverageEnvCtx(ctx context.Context, scheme ecc.Scheme, label string, trials int, seed int64, inject func(*rand.Rand, *ecc.Stored), env faults.Scenario, opts campaign.Options) (CoverageResult, error) {
-	if env == nil {
-		return CoverageCtx(ctx, scheme, label, trials, seed, inject, opts)
-	}
-	ambient := ecc.ScenarioInjector(env)
-	wrapped := func(rng *rand.Rand, st *ecc.Stored) {
-		inject(rng, st)
-		ambient(rng, st)
-	}
-	return CoverageCtx(ctx, scheme, label+",faults="+env.Spec(), trials, seed, wrapped, opts)
 }
 
 // ScenarioCampaignSpec returns the campaign identity of a scenario

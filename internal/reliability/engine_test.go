@@ -168,11 +168,11 @@ func TestCoveragePAIRPinVsDUOPin(t *testing.T) {
 	inject := func(rng *rand.Rand, st *ecc.Stored) {
 		ecc.InjectAccessFault(rng, st, faults.PermanentPin, -1)
 	}
-	p, err := CoverageCtx(context.Background(), pairS, "pin", 1000, 3, inject, campaign.Options{})
+	p, err := CoverageCtx(context.Background(), pairS, "pin", 1000, 3, inject, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := CoverageCtx(context.Background(), duoS, "pin", 1000, 3, inject, campaign.Options{})
+	d, err := CoverageCtx(context.Background(), duoS, "pin", 1000, 3, inject, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestStandardCoverageLabelsRun(t *testing.T) {
 		t.Fatalf("only %d coverage labels", len(labels))
 	}
 	for _, l := range labels {
-		r, err := CoverageCtx(context.Background(), s, l.Label, 200, 5, l.Inject, campaign.Options{})
+		r, err := CoverageCtx(context.Background(), s, l.Label, 200, 5, l.Inject, nil, campaign.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,11 +208,11 @@ func TestCoverageDeterministic(t *testing.T) {
 		ecc.InjectAccessFault(rng, st, faults.PermanentCell, -1)
 		ecc.InjectAccessFault(rng, st, faults.PermanentCell, -1)
 	}
-	a, err := CoverageCtx(context.Background(), s, "2cell", 2000, 42, inject, campaign.Options{})
+	a, err := CoverageCtx(context.Background(), s, "2cell", 2000, 42, inject, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CoverageCtx(context.Background(), s, "2cell", 2000, 42, inject, campaign.Options{})
+	b, err := CoverageCtx(context.Background(), s, "2cell", 2000, 42, inject, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

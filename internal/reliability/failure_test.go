@@ -25,7 +25,7 @@ func noInject(*rand.Rand, *ecc.Stored) {}
 func TestCoveragePanicIsolatedAndRetried(t *testing.T) {
 	defer failpoint.Reset()
 	s := ecc.NewIECC(dram.DDR4x16())
-	clean, err := CoverageCtx(context.Background(), s, "pin", 2000, 1, noInject, campaign.Options{})
+	clean, err := CoverageCtx(context.Background(), s, "pin", 2000, 1, noInject, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestCoveragePanicIsolatedAndRetried(t *testing.T) {
 	// Without a retry budget the panic becomes a structured error whose
 	// context names the coverage campaign.
 	failpoint.Arm(campaign.FailpointShard, failpoint.Action{Panic: "shard crash", Times: 1})
-	_, err = CoverageCtx(context.Background(), s, "pin", 2000, 1, noInject, campaign.Options{})
+	_, err = CoverageCtx(context.Background(), s, "pin", 2000, 1, noInject, nil, campaign.Options{})
 	var se *campaign.ShardError
 	if !errors.As(err, &se) {
 		t.Fatalf("panicking coverage shard returned %v, want ShardError", err)
@@ -47,7 +47,7 @@ func TestCoveragePanicIsolatedAndRetried(t *testing.T) {
 	failpoint.Arm(campaign.FailpointShard, failpoint.Action{Panic: "shard crash", Times: 1})
 	rep := new(campaign.Report)
 	got, err := CoverageCtx(context.Background(), s, "pin", 2000, 1, noInject,
-		campaign.Options{Retries: 2, Report: rep})
+		nil, campaign.Options{Retries: 2, Report: rep})
 	if err != nil {
 		t.Fatalf("retried coverage failed: %v", err)
 	}

@@ -83,7 +83,7 @@ func goldenCounts(t *testing.T, spec string) map[string][4]int64 {
 		rows["scenario/"+id] = toCounts(r.Rates)
 	}
 	for _, l := range StandardCoverageLabels() {
-		r, err := CoverageCtx(ctx, s, l.Label, trials, seed, l.Inject, campaign.Options{})
+		r, err := CoverageCtx(ctx, s, l.Label, trials, seed, l.Inject, nil, campaign.Options{})
 		if err != nil {
 			t.Fatalf("%s under %s: %v", spec, l.Label, err)
 		}

@@ -1,76 +1,12 @@
 // Package stats provides the small statistical toolkit the experiments
-// use: outcome counters, binomial confidence intervals, and aggregate
-// helpers.
+// use: binomial confidence intervals, aggregate helpers and a latency
+// histogram.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
-
-// Counter tallies string-keyed events.
-type Counter struct {
-	counts map[string]int64
-	total  int64
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter {
-	return &Counter{counts: make(map[string]int64)}
-}
-
-// Add increments key by n.
-func (c *Counter) Add(key string, n int64) {
-	c.counts[key] += n
-	c.total += n
-}
-
-// Inc increments key by one.
-func (c *Counter) Inc(key string) { c.Add(key, 1) }
-
-// Get returns key's count.
-func (c *Counter) Get(key string) int64 { return c.counts[key] }
-
-// Total returns the sum over all keys.
-func (c *Counter) Total() int64 { return c.total }
-
-// Rate returns key's share of the total (0 if empty).
-func (c *Counter) Rate(key string) float64 {
-	if c.total == 0 {
-		return 0
-	}
-	return float64(c.counts[key]) / float64(c.total)
-}
-
-// Keys returns the keys in sorted order.
-func (c *Counter) Keys() []string {
-	keys := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Merge adds another counter's tallies into c.
-func (c *Counter) Merge(other *Counter) {
-	for k, v := range other.counts {
-		c.Add(k, v)
-	}
-}
-
-// String renders the counter for logs.
-func (c *Counter) String() string {
-	s := ""
-	for _, k := range c.Keys() {
-		if s != "" {
-			s += " "
-		}
-		s += fmt.Sprintf("%s=%d", k, c.counts[k])
-	}
-	return s
-}
 
 // WilsonInterval returns the Wilson score 95% confidence interval for a
 // binomial proportion with k successes out of n trials.

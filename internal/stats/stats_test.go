@@ -5,36 +5,6 @@ import (
 	"testing"
 )
 
-func TestCounterBasics(t *testing.T) {
-	c := NewCounter()
-	c.Inc("a")
-	c.Add("b", 3)
-	c.Inc("a")
-	if c.Get("a") != 2 || c.Get("b") != 3 || c.Total() != 5 {
-		t.Fatalf("counts wrong: %v", c)
-	}
-	if c.Rate("a") != 0.4 {
-		t.Fatalf("rate = %v", c.Rate("a"))
-	}
-	keys := c.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("keys = %v", keys)
-	}
-	other := NewCounter()
-	other.Add("a", 8)
-	c.Merge(other)
-	if c.Get("a") != 10 || c.Total() != 13 {
-		t.Fatal("merge failed")
-	}
-	if c.String() == "" {
-		t.Fatal("empty String")
-	}
-	empty := NewCounter()
-	if empty.Rate("x") != 0 {
-		t.Fatal("rate on empty counter")
-	}
-}
-
 func TestWilsonInterval(t *testing.T) {
 	lo, hi := WilsonInterval(0, 0)
 	if lo != 0 || hi != 1 {

@@ -125,21 +125,15 @@ func AllSchemes() []Scheme {
 	return schemes.MustBuildSet("eval")
 }
 
-// SchemeByName builds a scheme from its canonical registry identifier on
-// its default organization. The accepted names — and the name list in the
-// error — come from the registry, so a newly registered scheme is
-// immediately constructible here.
-func SchemeByName(name string) (Scheme, error) {
-	return schemes.New(name)
-}
-
 // SchemeBySpec builds a scheme from a full registry spec string,
 //
 //	name[@org][:key=val,...]
 //
-// e.g. "pair@ddr5x16" (the headline code on a DDR5 subchannel) or
-// "pair:spare=3.7" (spared-PAIR with pins 3 and 7 of chip 0 erased).
-// Plain names are valid specs, so this is a superset of SchemeByName.
+// e.g. "pair" (a registered name on its default organization),
+// "pair@ddr5x16" (the headline code on a DDR5 subchannel) or
+// "pair:spare=3.7" (spared-PAIR with pins 3 and 7 of chip 0 erased). The
+// accepted names, and the name list in the error, come from the
+// registry, so a newly registered scheme is constructible here at once.
 func SchemeBySpec(spec string) (Scheme, error) {
 	return schemes.New(spec)
 }

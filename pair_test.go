@@ -23,12 +23,12 @@ func TestFacadeSchemeConstruction(t *testing.T) {
 
 func TestSchemeByName(t *testing.T) {
 	for _, n := range []string{"none", "iecc", "xed", "duo", "duo-rank", "pair-base", "pair", "secded"} {
-		s, err := pair.SchemeByName(n)
+		s, err := pair.SchemeBySpec(n)
 		if err != nil || s.Name() != n {
-			t.Fatalf("SchemeByName(%q) = %v, %v", n, s, err)
+			t.Fatalf("SchemeBySpec(%q) = %v, %v", n, s, err)
 		}
 	}
-	if _, err := pair.SchemeByName("nope"); err == nil {
+	if _, err := pair.SchemeBySpec("nope"); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
 }
