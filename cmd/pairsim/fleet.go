@@ -12,6 +12,7 @@ import (
 	"pair/internal/experiments"
 	"pair/internal/faults"
 	"pair/internal/fleet"
+	"pair/internal/registry"
 	"pair/internal/reliability"
 	"pair/internal/schemes"
 )
@@ -100,7 +101,7 @@ func runFleetExperiments(ctx context.Context, base string, exps []experiments.Ex
 // falling back to f13's default rosters.
 func fleetSpecs(schemeList, faultList string) (schemeSpecs, scenarioSpecs []string, err error) {
 	if schemeList != "" {
-		if schemeSpecs, err = schemes.SplitSpecList(schemeList); err != nil {
+		if schemeSpecs, err = registry.SplitList(schemeList); err != nil {
 			return nil, nil, err
 		}
 	} else {
@@ -111,7 +112,7 @@ func fleetSpecs(schemeList, faultList string) (schemeSpecs, scenarioSpecs []stri
 		schemeSpecs = set.Specs
 	}
 	if faultList != "" {
-		if scenarioSpecs, err = faults.SplitFaultSpecList(faultList); err != nil {
+		if scenarioSpecs, err = registry.SplitList(faultList); err != nil {
 			return nil, nil, err
 		}
 	} else {

@@ -209,33 +209,38 @@ func rendered(t *Table, err error) (string, error) {
 }
 
 // runF4 simulates the SPEC-like suite once on DDR4 and once on
-// sc.Profile and renders F4 and its companions from those runs:
-// normalized performance, read latency and the command mix on DDR4, the
-// geomeans on both, and read latency on sc.Profile.
+// sc.Profile, unless that is DDR4 too, and renders F4 and its companions
+// from those runs: normalized performance, read latency and the command
+// mix on DDR4, the geomeans on both, and read latency on sc.Profile.
 func runF4(_ context.Context, sc Scale, _ campaign.Options) (string, error) {
 	set := sc.set(PerfSchemes)
 	ddr4, err := F4Performance(set, sc.Requests, memsim.MustProfile(paperProfile), sc.Sim)
 	if err != nil {
 		return "", err
 	}
-	prof, err := F4Performance(set, sc.Requests, sc.Profile, sc.Sim)
-	if err != nil {
-		return "", err
+	prof := ddr4
+	if sc.Profile.Spec() != paperProfile {
+		if prof, err = F4Performance(set, sc.Requests, sc.Profile, sc.Sim); err != nil {
+			return "", err
+		}
 	}
 	return ddr4.Render() + "\n" + F4Latency(ddr4).Render() + "\n" + F4CommandMix(ddr4).Render() + "\n" +
 		F4ProfileGeomeans(ddr4, prof).Render() + "\n" + F4Latency(prof).Render(), nil
 }
 
-// runF5 renders the write-ratio sweep on DDR4 and on sc.Profile.
+// runF5 renders the write-ratio sweep on DDR4 and on sc.Profile,
+// simulating it once when sc.Profile is DDR4 too.
 func runF5(_ context.Context, sc Scale, _ campaign.Options) (string, error) {
 	set := sc.set(PerfSchemes)
 	t, err := F5WriteSweep(set, sc.Requests, memsim.MustProfile(paperProfile), sc.Sim)
 	if err != nil {
 		return "", err
 	}
-	tp, err := F5WriteSweep(set, sc.Requests, sc.Profile, sc.Sim)
-	if err != nil {
-		return "", err
+	tp := t
+	if sc.Profile.Spec() != paperProfile {
+		if tp, err = F5WriteSweep(set, sc.Requests, sc.Profile, sc.Sim); err != nil {
+			return "", err
+		}
 	}
 	return t.Render() + "\n" + tp.Render(), nil
 }

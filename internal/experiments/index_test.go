@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pair/internal/campaign"
+	"pair/internal/memsim"
 )
 
 func TestIndexIDs(t *testing.T) {
@@ -98,19 +99,23 @@ func TestEveryExperimentRuns(t *testing.T) {
 // TestPerfEntriesSimulateEachRunOnce counts the timing simulations of
 // the performance entries through their -cmdtrace headers: one per
 // workload and distinct cost model of the perf set (none shares the
-// baseline's run and pair iecc's), on DDR4 and on the scale's profile.
-// F4's companion tables render from F4's runs and F14 runs no baseline.
+// baseline's run and pair iecc's), on DDR4 and on the scale's profile,
+// which on ddr4-2400 is DDR4's runs again. F4's companion tables render
+// from F4's runs and F14 runs no baseline.
 func TestPerfEntriesSimulateEachRunOnce(t *testing.T) {
 	for _, tc := range []struct {
-		id   string
-		want int
+		id, profile string
+		want        int
 	}{
-		{"f4", 2 * 10 * 4}, // 2 profiles x 10 workloads x (baseline, iecc, xed, duo)
-		{"f5", 2 * 6 * 4},  // 2 profiles x 6 write ratios x the same 4 runs
-		{"f14", 6 * 4},     // 6 load points x (none, iecc, xed, duo)
+		{"f4", DefaultProfile, 2 * 10 * 4}, // 2 profiles x 10 workloads x (baseline, iecc, xed, duo)
+		{"f5", DefaultProfile, 2 * 6 * 4},  // 2 profiles x 6 write ratios x the same 4 runs
+		{"f14", DefaultProfile, 6 * 4},     // 6 load points x (none, iecc, xed, duo)
+		{"f4", paperProfile, 10 * 4},
+		{"f5", paperProfile, 6 * 4},
 	} {
 		var cmds strings.Builder
 		sc := ScaleFor(true, 0, 0, 100)
+		sc.Profile = memsim.MustProfile(tc.profile)
 		sc.Sim.CmdTrace = &cmds
 		e, err := Lookup(tc.id)
 		if err != nil {
@@ -123,13 +128,13 @@ func TestPerfEntriesSimulateEachRunOnce(t *testing.T) {
 		for _, line := range strings.Split(cmds.String(), "\n") {
 			if label, ok := strings.CutPrefix(line, "# sim "); ok {
 				if labels[label] {
-					t.Fatalf("%s simulated %s twice", tc.id, label)
+					t.Fatalf("%s on %s simulated %s twice", tc.id, tc.profile, label)
 				}
 				labels[label] = true
 			}
 		}
 		if len(labels) != tc.want {
-			t.Fatalf("%s made %d simulations, want %d", tc.id, len(labels), tc.want)
+			t.Fatalf("%s on %s made %d simulations, want %d", tc.id, tc.profile, len(labels), tc.want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"pair/internal/core"
 	"pair/internal/ecc"
 	"pair/internal/faults"
+	"pair/internal/registry"
 	"pair/internal/reliability"
 	"pair/internal/schemes"
 	"pair/internal/stats"
@@ -47,15 +48,11 @@ func T1Config() *Table {
 // mustEntry resolves a spec string to its registry entry plus a built
 // scheme, for tables that mix entry metadata with live scheme state.
 func mustEntry(spec string) (*schemes.Entry, ecc.Scheme) {
-	parsed, err := schemes.ParseSpec(spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	e, ok := schemes.Lookup(parsed.ID)
-	if !ok {
-		panic(fmt.Sprintf("experiments: unknown scheme %q", parsed.ID))
-	}
-	return e, schemes.MustNew(spec)
+	s := schemes.MustNew(spec)
+	// MustNew has parsed the spec and found its entry, so neither fails.
+	parsed, _ := registry.Parse(spec)
+	e, _ := schemes.Lookup(parsed.ID)
+	return e, s
 }
 
 // SweepSettings sizes the F1/F2/F6 semi-analytic sweeps.

@@ -1,13 +1,17 @@
 package faults
 
-import "testing"
+import (
+	"testing"
 
-// FuzzParseFaultSpec is the parse-or-reject property of the fault-spec
-// grammar: no input may panic the parser, and any accepted spec must
-// satisfy parse∘canonical = identity — the canonical form reparses to
-// the same canonical form, since campaign labels embed it. Rebuilding
-// through the registry must also never panic (errors are fine: most
-// random IDs are unregistered).
+	"pair/internal/registry"
+)
+
+// FuzzParseFaultSpec is the build side of the fault-spec grammar: no
+// input may panic NewScenario, and a built scenario's Spec is the
+// canonical form of its spec (registry.Spec.String) and rebuilds to
+// itself, since campaign labels embed it. Most random IDs are
+// unregistered, so most inputs are rejected. The grammar's own
+// parse-or-reject property is registry.FuzzParse.
 func FuzzParseFaultSpec(f *testing.F) {
 	for _, seed := range []string{
 		"pin",
@@ -30,20 +34,24 @@ func FuzzParseFaultSpec(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		s, err := ParseFaultSpec(spec)
+		sc, err := NewScenario(spec)
 		if err != nil {
 			return // rejected is fine; panicking is not
 		}
-		canon := s.String()
-		again, err := ParseFaultSpec(canon)
+		parsed, err := registry.Parse(spec)
 		if err != nil {
-			t.Fatalf("canonical %q of accepted spec %q fails to reparse: %v", canon, spec, err)
+			t.Fatalf("NewScenario built %q, which does not parse: %v", spec, err)
 		}
-		if got := again.String(); got != canon {
-			t.Fatalf("parse∘canonical not identity: %q reparsed to %q", canon, got)
+		canon := sc.Spec()
+		if canon != parsed.String() {
+			t.Fatalf("built scenario spec %q != canonical %q", canon, parsed.String())
 		}
-		if sc, err := s.Build(); err == nil && sc.Spec() != canon {
-			t.Fatalf("built scenario spec %q != canonical %q", sc.Spec(), canon)
+		again, err := NewScenario(canon)
+		if err != nil {
+			t.Fatalf("canonical %q of built spec %q fails to rebuild: %v", canon, spec, err)
+		}
+		if got := again.Spec(); got != canon {
+			t.Fatalf("build∘canonical not identity: %q rebuilt as %q", canon, got)
 		}
 	})
 }

@@ -1,8 +1,8 @@
 package faults
 
 // This file is the scenario registry: field-realistic fault scenarios as
-// self-registering entries, mirroring the scheme registry in
-// internal/schemes. A scenario is a seeded per-trial corruption of one
+// self-registering entries in the registry type and spec grammar of
+// internal/registry. A scenario is a seeded per-trial corruption of one
 // rank access — from inherent weak-cell noise through retention-failure
 // clusters, row-hammer disturbance and variable-retention-time flicker up
 // to whole-chip kills — addressable by a spec string (see
@@ -10,12 +10,11 @@ package faults
 // differential strength/weakness suite all draw from one source of truth.
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"pair/internal/dram"
+	"pair/internal/registry"
 )
 
 // Scenario is one registered fault scenario instance. Inject corrupts a
@@ -55,109 +54,19 @@ type ScenarioEntry struct {
 	Description string
 	// Options documents the option keys the hook accepts; specs using
 	// any other key are rejected before the hook runs.
-	Options []OptionDoc
+	Options []registry.OptionDoc
 	// New builds the injector from the spec's validated options.
 	New func(opts map[string]string) (InjectFunc, error)
 }
 
-// OptionDoc documents one option key a scenario's constructor accepts.
-type OptionDoc struct {
-	Key string
-	Doc string
-}
+var scenarios = registry.New[*ScenarioEntry]("faults", "scenario")
 
-// optionKeys returns the documented option keys.
-func (e *ScenarioEntry) optionKeys() []string {
-	keys := make([]string, len(e.Options))
-	for i, o := range e.Options {
-		keys[i] = o.Key
-	}
-	return keys
-}
-
-var (
-	scenarioRegistry = map[string]*ScenarioEntry{}
-	scenarioOrder    []string // registration (presentation) order
-)
-
-// RegisterScenario adds a scenario to the registry. It panics on a
-// duplicate or malformed entry — registration happens in init functions,
-// where a panic is a build-time error. IDs must stay inside the spec
-// grammar's name alphabet (lowercase letters, digits, '-') so every
-// registered scenario remains addressable by spec.
-func RegisterScenario(e ScenarioEntry) {
-	if e.ID == "" || e.New == nil {
-		panic("faults: scenario entry needs an ID and a constructor")
-	}
-	if e.ID == composeID {
-		panic(fmt.Sprintf("faults: scenario ID %q is reserved by the spec grammar", composeID))
-	}
-	for _, r := range e.ID {
-		if (r < 'a' || r > 'z') && (r < '0' || r > '9') && r != '-' {
-			panic(fmt.Sprintf("faults: scenario ID %q outside the spec name alphabet [a-z0-9-]", e.ID))
-		}
-	}
-	if _, dup := scenarioRegistry[e.ID]; dup {
-		panic(fmt.Sprintf("faults: duplicate scenario %q", e.ID))
-	}
-	cp := e
-	scenarioRegistry[e.ID] = &cp
-	scenarioOrder = append(scenarioOrder, e.ID)
-}
-
-// LookupScenario returns the entry registered under id.
-func LookupScenario(id string) (*ScenarioEntry, bool) {
-	e, ok := scenarioRegistry[id]
-	return e, ok
-}
+// register adds a scenario to the registry (see registry.Add for the ID
+// rules); it runs from init functions.
+func register(e ScenarioEntry) { scenarios.Add(e.ID, &e) }
 
 // ScenarioIDs returns every registered scenario ID in registration order.
-func ScenarioIDs() []string {
-	return append([]string(nil), scenarioOrder...)
-}
-
-// AllScenarios returns every registered entry in registration order.
-func AllScenarios() []*ScenarioEntry {
-	out := make([]*ScenarioEntry, len(scenarioOrder))
-	for i, id := range scenarioOrder {
-		out[i] = scenarioRegistry[id]
-	}
-	return out
-}
-
-// unknownScenarioError builds the error for an unregistered scenario ID;
-// the valid-ID list is generated from the registry so it cannot drift.
-func unknownScenarioError(id string) error {
-	return fmt.Errorf("faults: unknown scenario %q (valid: %s)", id, strings.Join(scenarioOrder, "|"))
-}
-
-// validateScenarioOptions checks that every option key of a spec is
-// documented by the entry.
-func validateScenarioOptions(e *ScenarioEntry, opts map[string]string) error {
-	if len(opts) == 0 {
-		return nil
-	}
-	allowed := map[string]bool{}
-	for _, k := range e.optionKeys() {
-		allowed[k] = true
-	}
-	var bad []string
-	for k := range opts {
-		if !allowed[k] {
-			bad = append(bad, k)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	keys := e.optionKeys()
-	if len(keys) == 0 {
-		return fmt.Errorf("faults: scenario %q takes no options, got %s", e.ID, strings.Join(bad, ","))
-	}
-	return fmt.Errorf("faults: scenario %q does not accept option(s) %s (valid: %s)",
-		e.ID, strings.Join(bad, ","), strings.Join(keys, "|"))
-}
+func ScenarioIDs() []string { return scenarios.IDs() }
 
 // scenarioFunc is the Scenario implementation every registry build
 // returns: a canonical spec string plus the constructor's injector.
@@ -183,14 +92,15 @@ func Compose(scs ...Scenario) Scenario {
 	case 1:
 		return scs[0]
 	}
-	spec := composeID + "("
+	parts := make([]string, len(scs))
 	for i, sc := range scs {
-		if i > 0 {
-			spec += ","
-		}
-		spec += sc.Spec()
+		parts[i] = sc.Spec()
 	}
-	spec += ")"
+	return composed(registry.Compose+"("+strings.Join(parts, ",")+")", scs)
+}
+
+// composed is the scenario under spec that injects each of scs in order.
+func composed(spec string, scs []Scenario) Scenario {
 	return &scenarioFunc{spec: spec, inject: func(rng *rand.Rand, chips []dram.Chip) int {
 		n := 0
 		for _, sc := range scs {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"pair/internal/dram"
+	"pair/internal/registry"
 )
 
 // Builtin fault scenarios. Each mirrors the physical reach the
@@ -17,10 +18,10 @@ import (
 // care which logical region they sit in.
 
 func init() {
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "inherent",
 		Description: "process-scaling weak cells: every stored bit of every chip flips independently at a bit-error rate",
-		Options: []OptionDoc{
+		Options: []registry.OptionDoc{
 			{Key: "ber", Doc: "per-bit flip probability in [0,1] (default 1e-4)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -38,10 +39,10 @@ func init() {
 		},
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "retention",
 		Description: "retention-failure population: rare weak-cell seeds that fail in clusters along adjacent bit positions",
-		Options: []OptionDoc{
+		Options: []registry.OptionDoc{
 			{Key: "pop", Doc: "expected failed-cell fraction in [0,1] (default 1e-4)"},
 			{Key: "cluster", Doc: "mean cluster size >= 1 spread along adjacent pins (default 2)"},
 		},
@@ -65,10 +66,10 @@ func init() {
 		},
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "vrt",
 		Description: "variable retention time: one random stored cell of one chip flickers, flipping with the given probability",
-		Options: []OptionDoc{
+		Options: []registry.OptionDoc{
 			{Key: "flicker", Doc: "per-access flip probability of the weak cell, in [0,1] (default 0.2)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -88,10 +89,10 @@ func init() {
 		},
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "rowhammer",
 		Description: "row-hammer disturbance: victim cells clustered around an aggressor wordline position on one chip",
-		Options: []OptionDoc{
+		Options: []registry.OptionDoc{
 			{Key: "radius", Doc: "pin distance from the aggressor position that can flip, >= 0 (default 1)"},
 			{Key: "rate", Doc: "per-cell flip probability inside the radius, in (0,1] (default 0.25)"},
 		},
@@ -113,10 +114,10 @@ func init() {
 		},
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "cell",
 		Description: "hard cell faults: exactly n distinct random stored bits of one chip flip",
-		Options: []OptionDoc{
+		Options: []registry.OptionDoc{
 			{Key: "n", Doc: "number of distinct flipped cells, >= 1 (default 1)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -130,7 +131,7 @@ func init() {
 		},
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "pin",
 		Description: "DQ pin fault (TSV/bond-wire/IO driver): one pin's lane corrupted in everything crossing the pins",
 		New: noOptions(func(rng *rand.Rand, chips []dram.Chip) int {
@@ -138,10 +139,10 @@ func init() {
 		}),
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "pinburst",
 		Description: "burst error along one pin's serial line: b consecutive beats flip on one pin of one chip",
-		Options: []OptionDoc{
+		Options: []registry.OptionDoc{
 			{Key: "b", Doc: "burst length in beats, >= 1 (default 4)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -155,10 +156,10 @@ func init() {
 		},
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "beatburst",
 		Description: "burst error across the bus width (crosstalk): one beat flips on b consecutive pins of one chip",
-		Options: []OptionDoc{
+		Options: []registry.OptionDoc{
 			{Key: "b", Doc: "burst length in pins, >= 1 (default 2)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {
@@ -172,7 +173,7 @@ func init() {
 		},
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "lane",
 		Description: "bitline (column) fault: one fixed (pin, beat) bit of one chip flips",
 		New: noOptions(func(rng *rand.Rand, chips []dram.Chip) int {
@@ -180,7 +181,7 @@ func init() {
 		}),
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "beat",
 		Description: "IO-strobe glitch: one beat corrupted across all pins of one chip",
 		New: noOptions(func(rng *rand.Rand, chips []dram.Chip) int {
@@ -188,7 +189,7 @@ func init() {
 		}),
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "localwordline",
 		Description: "mat-local wordline fault: the adjacent pins one mat feeds corrupted across all beats of one chip",
 		New: noOptions(func(rng *rand.Rand, chips []dram.Chip) int {
@@ -196,10 +197,10 @@ func init() {
 		}),
 	})
 
-	RegisterScenario(ScenarioEntry{
+	register(ScenarioEntry{
 		ID:          "chipkill",
 		Description: "whole-chip failure: every stored bit of k distinct chips randomized (data, on-die and transferred redundancy)",
-		Options: []OptionDoc{
+		Options: []registry.OptionDoc{
 			{Key: "chips", Doc: "number of simultaneously failing chips, >= 1 (default 1)"},
 		},
 		New: func(opts map[string]string) (InjectFunc, error) {

@@ -14,12 +14,12 @@ func ListFaultsText() string {
 	b.WriteString("fault spec grammar: name[:key=val,...] or compose(spec,spec,...)   e.g. pinburst:b=4, compose(pin,inherent:ber=1e-5)\n\n")
 
 	b.WriteString("scenarios\n")
-	for _, e := range AllScenarios() {
+	for _, e := range scenarios.All() {
 		fmt.Fprintf(&b, "  %-14s %s\n", e.ID, e.Description)
 	}
 
 	b.WriteString("\noptions\n")
-	for _, e := range AllScenarios() {
+	for _, e := range scenarios.All() {
 		if len(e.Options) == 0 {
 			continue
 		}

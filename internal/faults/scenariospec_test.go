@@ -3,12 +3,13 @@ package faults
 import (
 	"strings"
 	"testing"
+
+	"pair/internal/registry"
 )
 
-// TestParseFaultSpecCanonical pins the canonical form of representative
-// specs and checks the parse∘canonical = identity discipline: parsing
-// the canonical form must reproduce it byte-for-byte, since campaign
-// labels embed these strings.
+// TestParseFaultSpecCanonical pins the Spec of scenarios built from
+// representative specs: the canonical form of the spec, which campaign
+// labels embed, and rebuilding from it gives it back byte for byte.
 func TestParseFaultSpecCanonical(t *testing.T) {
 	cases := []struct {
 		spec, canonical string
@@ -25,25 +26,25 @@ func TestParseFaultSpecCanonical(t *testing.T) {
 		{"compose(compose(pin,lane),vrt:flicker=0.5)", "compose(compose(pin,lane),vrt:flicker=0.5)"},
 	}
 	for _, c := range cases {
-		s, err := ParseFaultSpec(c.spec)
+		sc, err := NewScenario(c.spec)
 		if err != nil {
-			t.Fatalf("ParseFaultSpec(%q): %v", c.spec, err)
+			t.Fatalf("NewScenario(%q): %v", c.spec, err)
 		}
-		if got := s.String(); got != c.canonical {
+		if got := sc.Spec(); got != c.canonical {
 			t.Fatalf("canonical of %q = %q, want %q", c.spec, got, c.canonical)
 		}
-		again, err := ParseFaultSpec(c.canonical)
+		again, err := NewScenario(c.canonical)
 		if err != nil {
-			t.Fatalf("reparse canonical %q: %v", c.canonical, err)
+			t.Fatalf("rebuild canonical %q: %v", c.canonical, err)
 		}
-		if got := again.String(); got != c.canonical {
-			t.Fatalf("parse∘canonical not identity: %q -> %q", c.canonical, got)
+		if got := again.Spec(); got != c.canonical {
+			t.Fatalf("build∘canonical not identity: %q -> %q", c.canonical, got)
 		}
 	}
 }
 
 // TestParseFaultSpecErrors rejects every malformed shape the grammar
-// rules out, with the offending spec quoted in the error.
+// rules out through NewScenario, with the package prefix on the error.
 func TestParseFaultSpecErrors(t *testing.T) {
 	for _, spec := range []string{
 		"",
@@ -62,8 +63,8 @@ func TestParseFaultSpecErrors(t *testing.T) {
 		"compose(pin,)",
 		"compose(compose)",
 	} {
-		if _, err := ParseFaultSpec(spec); err == nil {
-			t.Fatalf("ParseFaultSpec(%q) unexpectedly succeeded", spec)
+		if _, err := NewScenario(spec); err == nil || !strings.HasPrefix(err.Error(), "faults: ") {
+			t.Fatalf("NewScenario(%q) error %v, want a faults: error", spec, err)
 		}
 	}
 }
@@ -86,6 +87,7 @@ func TestNewScenarioErrors(t *testing.T) {
 		{"rowhammer:rate=0", "must be > 0"},
 		{"vrt:flicker=nan", "outside"},
 		{"compose(pin,nosuch)", "unknown scenario"},
+		{"pin@ddr4x16", "organization"},
 	}
 	for _, c := range cases {
 		_, err := NewScenario(c.spec)
@@ -171,10 +173,10 @@ func TestComposeProgrammatic(t *testing.T) {
 // every registered scenario and every documented option key must appear.
 func TestListFaultsTextMentionsEverything(t *testing.T) {
 	text := ListFaultsText()
-	if !strings.Contains(text, composeID+"(") {
+	if !strings.Contains(text, registry.Compose+"(") {
 		t.Fatal("ListFaultsText missing the compose combinator")
 	}
-	for _, e := range AllScenarios() {
+	for _, e := range scenarios.All() {
 		if !strings.Contains(text, e.ID) {
 			t.Fatalf("ListFaultsText missing scenario %q", e.ID)
 		}

@@ -2,10 +2,10 @@ package memsim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pair/internal/dram"
+	"pair/internal/registry"
 )
 
 // PagePolicy selects the controller's row-buffer management policy.
@@ -57,8 +57,8 @@ func (m RefreshMode) String() string {
 // memory subsystem generation: the device organization (burst length,
 // bank-group geometry), the timing table, the channel/subchannel count,
 // the refresh mode and the page policy. Profiles are addressable by spec
-// (`ddr5-4800:policy=closed,channels=2`) from every binary, mirroring the
-// schemes/faults grammars.
+// (`ddr5-4800:policy=closed,channels=2`) from every binary, in the spec
+// grammar of internal/registry (see profilespec.go).
 type Profile struct {
 	// ID is the registered base profile identifier, e.g. "ddr5-4800".
 	ID          string
@@ -150,58 +150,25 @@ func (p *Profile) Config() Config {
 	return Config{Profile: p, Ranks: 1, Seed: 1}
 }
 
-// ProfileEntry is one registered profile.
-type ProfileEntry struct {
+// profileEntry is one registered profile: its listing description and
+// the constructor of its defaults.
+type profileEntry struct {
 	ID          string
 	Description string
 	New         func() Profile
 }
 
-var profileReg []ProfileEntry
+var profiles = registry.New[profileEntry]("memsim", "profile")
 
-// RegisterProfile adds a profile to the registry; duplicate IDs panic
-// (registration is an init-time programming error).
-func RegisterProfile(e ProfileEntry) {
-	if e.ID == "" || e.New == nil {
-		panic("memsim: RegisterProfile: empty ID or nil constructor")
-	}
-	for _, p := range profileReg {
-		if p.ID == e.ID {
-			panic("memsim: duplicate profile " + e.ID)
-		}
-	}
-	profileReg = append(profileReg, e)
-	sort.Slice(profileReg, func(i, j int) bool { return profileReg[i].ID < profileReg[j].ID })
-}
+// register adds a profile to the registry (see registry.Add for the ID
+// rules); it runs from init.
+func register(e profileEntry) { profiles.Add(e.ID, e) }
 
-// ProfileEntries returns the registered profiles, sorted by ID.
-func ProfileEntries() []ProfileEntry {
-	out := make([]ProfileEntry, len(profileReg))
-	copy(out, profileReg)
-	return out
-}
-
-// LookupProfile finds a registered profile by ID.
-func LookupProfile(id string) (ProfileEntry, bool) {
-	for _, e := range profileReg {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return ProfileEntry{}, false
-}
-
-// ProfileIDs returns the registered profile IDs, sorted.
-func ProfileIDs() []string {
-	ids := make([]string, len(profileReg))
-	for i, e := range profileReg {
-		ids[i] = e.ID
-	}
-	return ids
-}
+// ProfileIDs returns the registered profile IDs, in registration order.
+func ProfileIDs() []string { return profiles.IDs() }
 
 func init() {
-	RegisterProfile(ProfileEntry{
+	register(profileEntry{
 		ID:          "ddr4-2400",
 		Description: "DDR4-2400R x16 channel: BL8, one 64-bit channel, all-bank refresh, open page (the study's baseline)",
 		New: func() Profile {
@@ -217,7 +184,7 @@ func init() {
 			}
 		},
 	})
-	RegisterProfile(ProfileEntry{
+	register(profileEntry{
 		ID:          "ddr5-4800",
 		Description: "DDR5-4800 channel: two independent 32-bit subchannels, BL16, same-bank refresh (REFsb), open page",
 		New: func() Profile {
@@ -233,7 +200,7 @@ func init() {
 			}
 		},
 	})
-	RegisterProfile(ProfileEntry{
+	register(profileEntry{
 		ID:          "lpddr5-6400",
 		Description: "LPDDR5-6400: two x16 channels, BL16, per-bank refresh, closed page (mobile-style controller)",
 		New: func() Profile {
@@ -260,14 +227,14 @@ func ListProfilesText() string {
 	b.WriteString("profile spec grammar: name[:key=val,...]   e.g. ddr5-4800:channels=2,policy=closed\n\n")
 
 	b.WriteString("profiles\n")
-	for _, e := range ProfileEntries() {
+	for _, e := range profiles.All() {
 		fmt.Fprintf(&b, "  %-12s %s\n", e.ID, e.Description)
 	}
 	b.WriteString("\n")
 
 	fmt.Fprintf(&b, "%-12s %-9s %-6s %-6s %-10s %-7s %-9s %s\n",
 		"profile", "ns/cycle", "BL", "buses", "refresh", "policy", "banks", "CL/tRCD/tRP/tRFC")
-	for _, e := range ProfileEntries() {
+	for _, e := range profiles.All() {
 		p := e.New()
 		trfc := p.Timing.TRFC
 		if p.Refresh == RefreshSameBank {
@@ -280,8 +247,8 @@ func ListProfilesText() string {
 	}
 
 	b.WriteString("\noptions\n")
-	b.WriteString("  policy    open|closed — row-buffer management (closed auto-precharges after every access)\n")
-	b.WriteString("  channels  1..16 — independent channels; cache lines interleave across channels x subchannels\n")
-	b.WriteString("  refresh   all-bank|same-bank — REFab blackout vs staggered per-bank REFsb windows\n")
+	for _, o := range profileOptions {
+		fmt.Fprintf(&b, "  %-9s %s\n", o.Key, o.Doc)
+	}
 	return b.String()
 }

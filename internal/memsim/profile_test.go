@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pair/internal/memsim"
+	"pair/internal/registry"
 	"pair/internal/trace"
 )
 
@@ -14,30 +15,25 @@ func TestProfileRegistry(t *testing.T) {
 	if len(ids) != len(want) {
 		t.Fatalf("profiles %v, want %v", ids, want)
 	}
+	list := memsim.ListProfilesText()
 	for i, id := range want {
 		if ids[i] != id {
 			t.Fatalf("profiles %v, want %v", ids, want)
 		}
-		e, ok := memsim.LookupProfile(id)
-		if !ok || e.ID != id || e.Description == "" {
-			t.Fatalf("lookup %q: %+v ok=%v", id, e, ok)
-		}
-		p := e.New()
-		if err := p.Validate(); err != nil {
-			t.Fatalf("builtin %q invalid: %v", id, err)
+		p, err := memsim.NewProfile(id) // NewProfile validates the builtin
+		if err != nil || p.ID != id {
+			t.Fatalf("builtin %q: %+v, %v", id, p, err)
 		}
 		if p.Spec() != id {
 			t.Fatalf("builtin %q spec %q", id, p.Spec())
 		}
-	}
-	if _, ok := memsim.LookupProfile("ddr6"); ok {
-		t.Fatal("phantom profile")
-	}
-	list := memsim.ListProfilesText()
-	for _, id := range want {
-		if !strings.Contains(list, id) {
-			t.Fatalf("ListProfilesText missing %q:\n%s", id, list)
+		_, rest, listed := strings.Cut(list, "\n  "+id+" ")
+		if desc, _, _ := strings.Cut(rest, "\n"); !listed || strings.TrimSpace(desc) == "" {
+			t.Fatalf("ListProfilesText lists %q without a description:\n%s", id, list)
 		}
+	}
+	if _, err := memsim.NewProfile("ddr6"); err == nil {
+		t.Fatal("phantom profile")
 	}
 }
 
@@ -75,7 +71,6 @@ func TestParseProfileSpec(t *testing.T) {
 		{"ddr4-2400", "ddr4-2400", true},
 		{"ddr5-4800:policy=closed", "ddr5-4800:policy=closed", true},
 		{"ddr5-4800:policy=closed,channels=2", "ddr5-4800:channels=2,policy=closed", true},
-		{"x:b=2,a=1", "x:a=1,b=2", true}, // syntax only; Build resolves the ID
 		{"", "", false},
 		{":policy=open", "", false},
 		{"ddr5-4800:policy=open:channels=2", "", false},
@@ -84,20 +79,23 @@ func TestParseProfileSpec(t *testing.T) {
 		{"ddr5-4800:policy=open,policy=closed", "", false},
 	}
 	for _, tc := range cases {
-		s, err := memsim.ParseProfileSpec(tc.spec)
+		p, err := memsim.NewProfile(tc.spec)
 		if tc.ok != (err == nil) {
-			t.Fatalf("parse %q: err=%v, want ok=%v", tc.spec, err, tc.ok)
+			t.Fatalf("build %q: err=%v, want ok=%v", tc.spec, err, tc.ok)
 		}
 		if err != nil {
+			if !strings.HasPrefix(err.Error(), "memsim: ") {
+				t.Fatalf("build %q: error %q lacks the memsim: prefix", tc.spec, err)
+			}
 			continue
 		}
-		if s.String() != tc.canonical {
-			t.Fatalf("parse %q canonical %q, want %q", tc.spec, s.String(), tc.canonical)
+		if p.Spec() != tc.canonical {
+			t.Fatalf("build %q canonical %q, want %q", tc.spec, p.Spec(), tc.canonical)
 		}
-		// Canonical form must reparse to itself.
-		s2, err := memsim.ParseProfileSpec(s.String())
-		if err != nil || s2.String() != s.String() {
-			t.Fatalf("canonical %q not stable: %q, %v", s.String(), s2.String(), err)
+		// Canonical form must rebuild to itself.
+		p2, err := memsim.NewProfile(p.Spec())
+		if err != nil || p2.Spec() != p.Spec() {
+			t.Fatalf("canonical %q not stable: %v, %v", p.Spec(), p2, err)
 		}
 	}
 }
@@ -136,6 +134,8 @@ func TestNewProfileErrors(t *testing.T) {
 		"ddr5-4800:channels=two",      // not a number
 		"ddr5-4800:refresh=never",     // bad refresh mode
 		"ddr4-2400:refresh=same-bank", // DDR4 table has no tRFCsb
+		"ddr5-4800@ddr5x16",           // profiles take no organization
+		"compose(ddr5-4800)",          // nor compose
 	}
 	for _, spec := range bad {
 		if _, err := memsim.NewProfile(spec); err == nil {
@@ -149,9 +149,9 @@ func TestNewProfileErrors(t *testing.T) {
 	}
 }
 
-// FuzzParseProfileSpec asserts parse-or-reject (no panics) and the
-// parse/canonical identity: any accepted spec's canonical form reparses
-// to the same canonical form.
+// FuzzParseProfileSpec asserts build-or-reject (no panics) and that a
+// built profile's Spec is the canonical form of its spec and rebuilds to
+// itself. The grammar's own property is registry.FuzzParse.
 func FuzzParseProfileSpec(f *testing.F) {
 	for _, seed := range []string{
 		"ddr4-2400",
@@ -165,17 +165,24 @@ func FuzzParseProfileSpec(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		s, err := memsim.ParseProfileSpec(spec)
+		p, err := memsim.NewProfile(spec)
 		if err != nil {
 			return
 		}
-		canon := s.String()
-		s2, err := memsim.ParseProfileSpec(canon)
+		parsed, err := registry.Parse(spec)
 		if err != nil {
-			t.Fatalf("canonical %q of accepted %q rejected: %v", canon, spec, err)
+			t.Fatalf("NewProfile built %q, which does not parse: %v", spec, err)
 		}
-		if s2.String() != canon {
-			t.Fatalf("canonical not a fixed point: %q -> %q -> %q", spec, canon, s2.String())
+		canon := p.Spec()
+		if canon != parsed.String() {
+			t.Fatalf("built profile spec %q != canonical %q", canon, parsed.String())
+		}
+		p2, err := memsim.NewProfile(canon)
+		if err != nil {
+			t.Fatalf("canonical %q of built %q rejected: %v", canon, spec, err)
+		}
+		if p2.Spec() != canon {
+			t.Fatalf("canonical not a fixed point: %q -> %q -> %q", spec, canon, p2.Spec())
 		}
 	})
 }

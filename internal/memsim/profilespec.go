@@ -2,13 +2,13 @@ package memsim
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
+
+	"pair/internal/registry"
 )
 
-// Profile spec grammar, with the same canonical-form discipline as
-// schemes.ParseSpec and faults.ParseFaultSpec:
+// Profile specs use the grammar of internal/registry without an
+// organization or composition:
 //
 //	name[:key=val,...]
 //
@@ -19,80 +19,36 @@ import (
 //	ddr5-4800:policy=closed,channels=2
 //	lpddr5-6400:refresh=all-bank
 //
-// The canonical form (ProfileSpec.String) sorts option keys and keeps the
-// raw option values; parsing the canonical form reproduces the spec
-// exactly, so experiment labels embedding a spec stay stable.
+// A built profile's Spec is the canonical form of its spec, so experiment
+// labels embedding a spec stay stable.
 
-// ProfileSpec is a parsed profile spec: a registered profile ID plus
-// key=val overrides.
-type ProfileSpec struct {
-	ID      string
-	Options map[string]string
+// profileOptions documents the option keys every profile accepts.
+var profileOptions = []registry.OptionDoc{
+	{Key: "policy", Doc: "open|closed — row-buffer management (closed auto-precharges after every access)"},
+	{Key: "channels", Doc: "1..16 — independent channels; cache lines interleave across channels x subchannels"},
+	{Key: "refresh", Doc: "all-bank|same-bank — REFab blackout vs staggered per-bank REFsb windows"},
 }
 
-// ParseProfileSpec parses the profile spec grammar. It only validates the
-// syntax; Build resolves the ID and options against the registry.
-func ParseProfileSpec(spec string) (ProfileSpec, error) {
-	s := ProfileSpec{}
-	head := spec
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		head = spec[:i]
-		opts := spec[i+1:]
-		if strings.IndexByte(opts, ':') >= 0 {
-			return ProfileSpec{}, fmt.Errorf("memsim: malformed profile spec %q (only one ':' allowed)", spec)
-		}
-		s.Options = map[string]string{}
-		for _, kv := range strings.Split(opts, ",") {
-			k, v, found := strings.Cut(kv, "=")
-			if !found || k == "" {
-				return ProfileSpec{}, fmt.Errorf("memsim: malformed option %q in profile spec %q (want key=val)", kv, spec)
-			}
-			if _, dup := s.Options[k]; dup {
-				return ProfileSpec{}, fmt.Errorf("memsim: duplicate option %q in profile spec %q", k, spec)
-			}
-			s.Options[k] = v
-		}
+// NewProfile parses a spec string and builds the profile it describes:
+// the registered defaults with the option overrides applied, validated.
+// Errors enumerate the valid profile IDs or option keys.
+func NewProfile(spec string) (*Profile, error) {
+	s, err := registry.Parse(spec)
+	if err != nil {
+		return nil, fmt.Errorf("memsim: %w", err)
 	}
-	if head == "" {
-		return ProfileSpec{}, fmt.Errorf("memsim: empty profile name in spec %q", spec)
+	if s.Org != "" {
+		return nil, fmt.Errorf("memsim: profile spec %q names organization %q; profiles take none", spec, s.Org)
 	}
-	s.ID = head
-	return s, nil
-}
-
-// String renders the spec in canonical form: options sorted by key with
-// their raw values.
-func (s ProfileSpec) String() string {
-	var b strings.Builder
-	b.WriteString(s.ID)
-	if len(s.Options) > 0 {
-		keys := make([]string, 0, len(s.Options))
-		for k := range s.Options {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sep := byte(':')
-		for _, k := range keys {
-			b.WriteByte(sep)
-			sep = ','
-			b.WriteString(k)
-			b.WriteByte('=')
-			b.WriteString(s.Options[k])
-		}
+	e, err := profiles.Lookup(s.ID)
+	if err != nil {
+		return nil, err
 	}
-	return b.String()
-}
-
-// Build resolves the spec against the profile registry, applies the
-// option overrides and validates the result. The built profile's Spec()
-// is this spec's canonical form.
-func (s ProfileSpec) Build() (*Profile, error) {
-	e, ok := LookupProfile(s.ID)
-	if !ok {
-		return nil, fmt.Errorf("memsim: unknown profile %q (valid: %s)", s.ID, strings.Join(ProfileIDs(), ", "))
+	if err := profiles.CheckOptions(s.ID, profileOptions, s.Options); err != nil {
+		return nil, err
 	}
 	p := e.New()
-	for _, k := range sortedKeys(s.Options) {
+	for _, k := range s.Keys() {
 		v := s.Options[k]
 		switch k {
 		case "policy":
@@ -119,8 +75,6 @@ func (s ProfileSpec) Build() (*Profile, error) {
 			default:
 				return nil, fmt.Errorf("memsim: profile option refresh=%q (want all-bank or same-bank)", v)
 			}
-		default:
-			return nil, fmt.Errorf("memsim: unknown profile option %q (valid: channels, policy, refresh)", k)
 		}
 	}
 	p.spec = s.String()
@@ -128,25 +82,6 @@ func (s ProfileSpec) Build() (*Profile, error) {
 		return nil, err
 	}
 	return &p, nil
-}
-
-func sortedKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// NewProfile parses a spec string and builds the profile it describes.
-// Errors enumerate the valid profile IDs or option keys.
-func NewProfile(spec string) (*Profile, error) {
-	s, err := ParseProfileSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	return s.Build()
 }
 
 // MustProfile is NewProfile, panicking on error; for specs known at

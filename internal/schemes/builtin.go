@@ -8,6 +8,7 @@ import (
 	"pair/internal/core"
 	"pair/internal/dram"
 	"pair/internal/ecc"
+	"pair/internal/registry"
 )
 
 // init registers the built-in organizations, the study's scheme family
@@ -22,11 +23,11 @@ func init() {
 }
 
 func registerOrgs() {
-	RegisterOrg(OrgEntry{ID: "ddr4x16", Description: "4x x16 BL8 commodity 64-bit rank (the study's default)", Org: dram.DDR4x16()})
-	RegisterOrg(OrgEntry{ID: "ddr4x8", Description: "8x x8 BL8 commodity rank", Org: dram.DDR4x8()})
-	RegisterOrg(OrgEntry{ID: "ddr4x4", Description: "16x x4 BL8 commodity rank", Org: dram.DDR4x4()})
-	RegisterOrg(OrgEntry{ID: "ddr5x16", Description: "2x x16 BL16 DDR5 32-bit subchannel", Org: dram.DDR5x16()})
-	RegisterOrg(OrgEntry{ID: "ddr4x8ecc", Description: "9x x8 BL8 ECC DIMM (72-bit bus)", Org: dram.DDR4x8ECC()})
+	registerOrg(OrgEntry{ID: "ddr4x16", Description: "4x x16 BL8 commodity 64-bit rank (the study's default)", Org: dram.DDR4x16()})
+	registerOrg(OrgEntry{ID: "ddr4x8", Description: "8x x8 BL8 commodity rank", Org: dram.DDR4x8()})
+	registerOrg(OrgEntry{ID: "ddr4x4", Description: "16x x4 BL8 commodity rank", Org: dram.DDR4x4()})
+	registerOrg(OrgEntry{ID: "ddr5x16", Description: "2x x16 BL16 DDR5 32-bit subchannel", Org: dram.DDR5x16()})
+	registerOrg(OrgEntry{ID: "ddr4x8ecc", Description: "9x x8 BL8 ECC DIMM (72-bit bus)", Org: dram.DDR4x8ECC()})
 }
 
 // noOpts wraps an option-less constructor as an Entry hook.
@@ -37,7 +38,7 @@ func noOpts(build func(org dram.Organization) ecc.Scheme) func(dram.Organization
 }
 
 // pairOptions documents the option keys both PAIR entries accept.
-var pairOptions = []OptionDoc{
+var pairOptions = []registry.OptionDoc{
 	{Key: "base", Doc: "base parity symbols (default 2)"},
 	{Key: "exp", Doc: "expansion symbols stored in spare columns (pair: 2, pair-base: 0)"},
 	{Key: "lat", Doc: "in-die decode latency in ns (default 2.0)"},
@@ -119,7 +120,7 @@ func parsePinList(v string) ([]int, error) {
 func registerSchemes() {
 	commodity := []string{"ddr4x16", "ddr4x8", "ddr4x4", "ddr5x16"}
 
-	Register(Entry{
+	register(Entry{
 		ID:          "none",
 		Description: "unprotected baseline",
 		Codec:       "-", Granularity: "-", Alignment: "-", Corrects: "0", BusChange: "none",
@@ -127,7 +128,7 @@ func registerSchemes() {
 		DefaultOrg: "ddr4x16",
 		New:        noOpts(func(org dram.Organization) ecc.Scheme { return ecc.NewNone(org) }),
 	})
-	Register(Entry{
+	register(Entry{
 		ID:          "iecc",
 		Description: "conventional in-DRAM ECC: per-access SEC Hamming",
 		Codec:       "Hamming (136,128) SEC", Granularity: "chip access (128b)", Alignment: "bit",
@@ -136,7 +137,7 @@ func registerSchemes() {
 		DefaultOrg: "ddr4x16",
 		New:        noOpts(func(org dram.Organization) ecc.Scheme { return ecc.NewIECC(org) }),
 	})
-	Register(Entry{
+	register(Entry{
 		ID:          "xed",
 		Description: "on-die detection + rank-XOR correction (commodity adaptation)",
 		Codec:       "on-die detect + rank XOR", Granularity: "chip access / rank", Alignment: "bit / chip",
@@ -146,7 +147,7 @@ func registerSchemes() {
 		DefaultOrg: "ddr4x16",
 		New:        noOpts(func(org dram.Organization) ecc.Scheme { return ecc.NewXED(org) }),
 	})
-	Register(Entry{
+	register(Entry{
 		ID:          "duo",
 		Description: "on-die redundancy forwarded to a controller-side RS over beat-aligned symbols",
 		Codec:       "RS(18,16) GF(256)", Granularity: "chip access", Alignment: "beat (byte)",
@@ -157,7 +158,7 @@ func registerSchemes() {
 		DefaultOrg: "ddr4x16",
 		New:        noOpts(func(org dram.Organization) ecc.Scheme { return ecc.NewDUO(org) }),
 	})
-	Register(Entry{
+	register(Entry{
 		ID:          "duo-rank",
 		Description: "original nine-chip ECC-DIMM DUO: rank-level RS, chip-erasure retry",
 		Codec:       "RS(81,64) GF(256)", Granularity: "rank access", Alignment: "beat (byte)",
@@ -166,7 +167,7 @@ func registerSchemes() {
 		DefaultOrg: "ddr4x8ecc",
 		New:        noOpts(func(org dram.Organization) ecc.Scheme { return ecc.NewDUORank(org) }),
 	})
-	Register(Entry{
+	register(Entry{
 		ID:          "pair-base",
 		Description: "PAIR without expansion: pin-aligned RS, t=1",
 		Codec:       "RS(18,16) GF(256)", Granularity: "chip access", Alignment: "pin",
@@ -176,7 +177,7 @@ func registerSchemes() {
 		Options:    pairOptions,
 		New:        pairHook(core.BaseConfig()),
 	})
-	Register(Entry{
+	register(Entry{
 		ID:          "pair",
 		Description: "headline PAIR: pin-aligned expandable RS, t=2",
 		Codec:       "RS(20,16) expandable", Granularity: "chip access", Alignment: "pin",
@@ -186,7 +187,7 @@ func registerSchemes() {
 		Options:    pairOptions,
 		New:        pairHook(core.DefaultConfig()),
 	})
-	Register(Entry{
+	register(Entry{
 		ID:          "secded",
 		Description: "rank-level Hsiao SEC-DED on the nine-chip ECC DIMM",
 		Codec:       "Hsiao (72,64) SEC-DED", Granularity: "beat (64b)", Alignment: "bit",
@@ -198,32 +199,32 @@ func registerSchemes() {
 }
 
 func registerSets() {
-	RegisterSet(SetEntry{
+	registerSet(SetEntry{
 		ID:          "eval",
 		Description: "the facade's presentation set (AllSchemes)",
 		Specs:       []string{"none", "iecc", "xed", "duo", "pair-base", "pair"},
 	})
-	RegisterSet(SetEntry{
+	registerSet(SetEntry{
 		ID:          "commodity",
 		Description: "x16 reliability evaluation set (F1/F2, T2, F3, F7, F8, F12)",
 		Specs:       []string{"iecc", "xed", "duo", "pair-base", "pair"},
 	})
-	RegisterSet(SetEntry{
+	registerSet(SetEntry{
 		ID:          "perf",
 		Description: "performance comparison set (F4/F4b/F4c, F5)",
 		Specs:       []string{"none", "iecc", "xed", "duo", "pair"},
 	})
-	RegisterSet(SetEntry{
+	registerSet(SetEntry{
 		ID:          "extended",
 		Description: "commodity set plus the rank-level ECC-DIMM schemes (T2X, F3X)",
 		Specs:       []string{"iecc", "xed", "duo", "pair-base", "pair", "secded", "duo-rank"},
 	})
-	RegisterSet(SetEntry{
+	registerSet(SetEntry{
 		ID:          "t1",
 		Description: "configuration-table presentation order (T1)",
 		Specs:       []string{"none", "iecc", "secded", "xed", "duo", "pair-base", "pair"},
 	})
-	RegisterSet(SetEntry{
+	registerSet(SetEntry{
 		ID:          "energy",
 		Description: "bus-energy proxy comparison set (T4)",
 		Specs:       []string{"none", "iecc", "xed", "duo", "duo-rank", "pair"},

@@ -149,17 +149,17 @@ func TestCampaignIDStability(t *testing.T) {
 
 func TestListTextMentionsEverything(t *testing.T) {
 	text := ListText()
-	for _, id := range IDs() {
+	for _, id := range schemeReg.IDs() {
 		if !bytes.Contains([]byte(text), []byte(id)) {
 			t.Fatalf("ListText missing scheme %q", id)
 		}
 	}
-	for _, id := range OrgIDs() {
+	for _, id := range orgReg.IDs() {
 		if !bytes.Contains([]byte(text), []byte(id)) {
 			t.Fatalf("ListText missing organization %q", id)
 		}
 	}
-	for _, id := range SetIDs() {
+	for _, id := range setReg.IDs() {
 		if !bytes.Contains([]byte(text), []byte(id)) {
 			t.Fatalf("ListText missing set %q", id)
 		}

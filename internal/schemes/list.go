@@ -83,12 +83,12 @@ func ListText() string {
 	}
 
 	b.WriteString("\norganizations\n")
-	for _, o := range Orgs() {
+	for _, o := range orgReg.All() {
 		fmt.Fprintf(&b, "  %-10s %s\n", o.ID, o.Description)
 	}
 
 	b.WriteString("\nsets\n")
-	for _, s := range Sets() {
+	for _, s := range setReg.All() {
 		fmt.Fprintf(&b, "  %-10s %-52s %s\n", s.ID, strings.Join(s.Specs, ","), s.Description)
 	}
 	return b.String()

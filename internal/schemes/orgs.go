@@ -2,9 +2,9 @@ package schemes
 
 import (
 	"fmt"
-	"strings"
 
 	"pair/internal/dram"
+	"pair/internal/registry"
 )
 
 // OrgEntry is one registered DRAM organization a spec can name.
@@ -14,48 +14,13 @@ type OrgEntry struct {
 	Org         dram.Organization
 }
 
-var (
-	orgRegistry = map[string]*OrgEntry{}
-	orgOrder    []string
-)
+var orgReg = registry.New[*OrgEntry]("schemes", "organization")
 
-// RegisterOrg adds an organization to the registry; like Register it
-// panics on duplicates since it runs from init functions.
-func RegisterOrg(e OrgEntry) {
-	if e.ID == "" {
-		panic("schemes: organization needs an ID")
-	}
-	if _, dup := orgRegistry[e.ID]; dup {
-		panic(fmt.Sprintf("schemes: duplicate organization %q", e.ID))
-	}
+// registerOrg adds an organization to the registry; like register it
+// panics on a malformed entry, since it runs from init functions.
+func registerOrg(e OrgEntry) {
 	if err := e.Org.Validate(); err != nil {
 		panic(fmt.Sprintf("schemes: organization %q: %v", e.ID, err))
 	}
-	cp := e
-	orgRegistry[e.ID] = &cp
-	orgOrder = append(orgOrder, e.ID)
-}
-
-// OrgByID resolves a registered organization ID.
-func OrgByID(id string) (dram.Organization, error) {
-	e, ok := orgRegistry[id]
-	if !ok {
-		return dram.Organization{}, fmt.Errorf("schemes: unknown organization %q (valid: %s)",
-			id, strings.Join(OrgIDs(), "|"))
-	}
-	return e.Org, nil
-}
-
-// OrgIDs returns every registered organization ID in registration order.
-func OrgIDs() []string {
-	return append([]string(nil), orgOrder...)
-}
-
-// Orgs returns every registered organization entry in registration order.
-func Orgs() []*OrgEntry {
-	out := make([]*OrgEntry, len(orgOrder))
-	for i, id := range orgOrder {
-		out[i] = orgRegistry[id]
-	}
-	return out
+	orgReg.Add(e.ID, &e)
 }

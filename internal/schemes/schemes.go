@@ -4,11 +4,12 @@
 // hook — and every consumer (the pair facade, the reliability campaigns,
 // the experiment tables, all five cmd/ binaries and the examples) builds
 // schemes exclusively through the registry. Adding a new RS variant is
-// one Register call; no consumer layer changes.
+// one register call in builtin.go; no consumer layer changes.
 //
 // # Spec grammar
 //
-// A scheme spec is a one-line description of a scheme instance:
+// A scheme spec is a one-line description of a scheme instance in the
+// grammar of internal/registry:
 //
 //	name[@org][:key=val,...]
 //
@@ -22,7 +23,8 @@
 //	pair:spare=3.7          spared-PAIR: pins 3 and 7 of chip 0 erased
 //	duo-rank@ddr4x8ecc      rank-level DUO on the 9-chip ECC DIMM
 //
-// ParseSpec parses the grammar; New builds a scheme from a spec string.
+// New parses a spec with registry.Parse, resolves the organization and
+// runs the scheme's hook.
 //
 // # Campaign identity
 //
@@ -34,18 +36,12 @@ package schemes
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 
 	"pair/internal/dram"
 	"pair/internal/ecc"
+	"pair/internal/registry"
 )
-
-// OptionDoc documents one option key a scheme's constructor hook accepts.
-type OptionDoc struct {
-	Key string
-	Doc string
-}
 
 // Entry is one registered scheme: identity, presentation metadata, the
 // organizations it can be built on and the constructor hook.
@@ -74,116 +70,35 @@ type Entry struct {
 
 	// Options documents the option keys the hook accepts; specs using any
 	// other key are rejected before the hook runs.
-	Options []OptionDoc
+	Options []registry.OptionDoc
 
 	// New builds the scheme on an organization resolved from Orgs with
 	// the spec's validated options.
 	New func(org dram.Organization, opts map[string]string) (ecc.Scheme, error)
 }
 
-// supportsOrg reports whether the entry lists the organization ID.
-func (e *Entry) supportsOrg(id string) bool {
-	for _, o := range e.Orgs {
-		if o == id {
-			return true
-		}
-	}
-	return false
-}
+var schemeReg = registry.New[*Entry]("schemes", "scheme")
 
-// optionKeys returns the documented option keys.
-func (e *Entry) optionKeys() []string {
-	keys := make([]string, len(e.Options))
-	for i, o := range e.Options {
-		keys[i] = o.Key
-	}
-	return keys
-}
-
-var (
-	registry = map[string]*Entry{}
-	order    []string // registration (presentation) order
-)
-
-// Register adds a scheme to the registry. It panics on a duplicate or
-// malformed entry — registration happens in init functions, where a
-// panic is a build-time error.
-func Register(e Entry) {
-	if e.ID == "" || e.New == nil {
-		panic("schemes: entry needs an ID and a constructor")
-	}
-	if _, dup := registry[e.ID]; dup {
-		panic(fmt.Sprintf("schemes: duplicate scheme %q", e.ID))
-	}
-	if len(e.Orgs) == 0 || e.DefaultOrg == "" {
-		panic(fmt.Sprintf("schemes: scheme %q needs supported organizations and a default", e.ID))
-	}
-	if !e.supportsOrg(e.DefaultOrg) {
+// register adds a scheme to the registry. It panics on a malformed
+// entry: registration happens in init functions, where a panic is a
+// build-time error.
+func register(e Entry) {
+	if !slices.Contains(e.Orgs, e.DefaultOrg) {
 		panic(fmt.Sprintf("schemes: scheme %q default org %q not in supported set", e.ID, e.DefaultOrg))
 	}
 	for _, id := range e.Orgs {
-		if _, err := OrgByID(id); err != nil {
+		if _, err := orgReg.Lookup(id); err != nil {
 			panic(fmt.Sprintf("schemes: scheme %q: %v", e.ID, err))
 		}
 	}
-	cp := e
-	registry[e.ID] = &cp
-	order = append(order, e.ID)
+	schemeReg.Add(e.ID, &e)
 }
 
 // Lookup returns the entry registered under id.
-func Lookup(id string) (*Entry, bool) {
-	e, ok := registry[id]
-	return e, ok
-}
-
-// IDs returns every registered scheme ID in registration order.
-func IDs() []string {
-	return append([]string(nil), order...)
-}
+func Lookup(id string) (*Entry, error) { return schemeReg.Lookup(id) }
 
 // All returns every registered entry in registration order.
-func All() []*Entry {
-	out := make([]*Entry, len(order))
-	for i, id := range order {
-		out[i] = registry[id]
-	}
-	return out
-}
-
-// unknownSchemeError builds the error for an unregistered scheme ID; the
-// valid-ID list is generated from the registry so it can never drift.
-func unknownSchemeError(id string) error {
-	return fmt.Errorf("schemes: unknown scheme %q (valid: %s)", id, strings.Join(IDs(), "|"))
-}
-
-// validateOptions checks that every option key of a spec is documented by
-// the entry.
-func validateOptions(e *Entry, opts map[string]string) error {
-	if len(opts) == 0 {
-		return nil
-	}
-	keys := e.optionKeys()
-	allowed := map[string]bool{}
-	for _, k := range keys {
-		allowed[k] = true
-	}
-	var bad []string
-	for k := range opts {
-		if !allowed[k] {
-			bad = append(bad, k)
-		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	sort.Strings(bad)
-	if len(keys) == 0 {
-		return fmt.Errorf("schemes: scheme %q takes no options, got %s", e.ID, strings.Join(bad, ","))
-	}
-	return fmt.Errorf("schemes: scheme %q does not accept option(s) %s (valid: %s)",
-		e.ID, strings.Join(bad, ","), strings.Join(keys, "|"))
-}
+func All() []*Entry { return schemeReg.All() }
 
 // CampaignID is the campaign/checkpoint identity of a scheme instance:
 // the label component that salts every Monte-Carlo seed stream and names
@@ -195,7 +110,8 @@ func validateOptions(e *Entry, opts map[string]string) error {
 // orphan every existing checkpoint directory (labels name the files and
 // must match on resume) and silently reseed every campaign (labels salt
 // the shard RNG streams). Human-facing canonical identity is the spec
-// form (Spec.String / CanonicalSpec); machine campaign identity is this.
+// form (registry.Spec.String / CanonicalSpec); machine campaign identity
+// is this.
 func CampaignID(s ecc.Scheme) string {
 	org := s.Org()
 	return fmt.Sprintf("%s-x%d-bl%d-c%d", s.Name(), org.Pins, org.BurstLen, org.ChipsPerRank)

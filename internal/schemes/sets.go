@@ -2,9 +2,9 @@ package schemes
 
 import (
 	"fmt"
-	"strings"
 
 	"pair/internal/ecc"
+	"pair/internal/registry"
 )
 
 // SetEntry is a named, ordered list of scheme specs — the presentation
@@ -16,53 +16,22 @@ type SetEntry struct {
 	Specs       []string
 }
 
-var (
-	setRegistry = map[string]*SetEntry{}
-	setOrder    []string
-)
+var setReg = registry.New[*SetEntry]("schemes", "scheme set")
 
-// RegisterSet adds a named scheme set; it panics on duplicates or specs
-// that do not build (registration runs from init functions).
-func RegisterSet(e SetEntry) {
-	if e.ID == "" || len(e.Specs) == 0 {
-		panic("schemes: set needs an ID and at least one spec")
+// registerSet adds a named scheme set; it panics on an empty set or a
+// spec that does not build (registration runs from init functions).
+func registerSet(e SetEntry) {
+	if len(e.Specs) == 0 {
+		panic(fmt.Sprintf("schemes: set %q needs at least one spec", e.ID))
 	}
-	if _, dup := setRegistry[e.ID]; dup {
-		panic(fmt.Sprintf("schemes: duplicate set %q", e.ID))
+	if _, err := Build(e.Specs); err != nil {
+		panic(fmt.Sprintf("schemes: set %q: %v", e.ID, err))
 	}
-	for _, spec := range e.Specs {
-		if _, err := New(spec); err != nil {
-			panic(fmt.Sprintf("schemes: set %q: %v", e.ID, err))
-		}
-	}
-	cp := e
-	cp.Specs = append([]string(nil), e.Specs...)
-	setRegistry[e.ID] = &cp
-	setOrder = append(setOrder, e.ID)
+	setReg.Add(e.ID, &e)
 }
 
 // SetByID returns the specs of a registered set.
-func SetByID(id string) (*SetEntry, error) {
-	e, ok := setRegistry[id]
-	if !ok {
-		return nil, fmt.Errorf("schemes: unknown scheme set %q (valid: %s)", id, strings.Join(SetIDs(), "|"))
-	}
-	return e, nil
-}
-
-// SetIDs returns every registered set ID in registration order.
-func SetIDs() []string {
-	return append([]string(nil), setOrder...)
-}
-
-// Sets returns every registered set in registration order.
-func Sets() []*SetEntry {
-	out := make([]*SetEntry, len(setOrder))
-	for i, id := range setOrder {
-		out[i] = setRegistry[id]
-	}
-	return out
-}
+func SetByID(id string) (*SetEntry, error) { return setReg.Lookup(id) }
 
 // BuildSet constructs every scheme of a registered set, in order.
 func BuildSet(id string) ([]ecc.Scheme, error) {

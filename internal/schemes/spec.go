@@ -2,121 +2,45 @@ package schemes
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"pair/internal/ecc"
+	"pair/internal/registry"
 )
-
-// Spec is a parsed scheme spec: name[@org][:key=val,...].
-type Spec struct {
-	// ID is the registered scheme identifier.
-	ID string
-	// Org is the registered organization ID, or "" for the scheme's
-	// default organization.
-	Org string
-	// Options holds the key=val options, if any.
-	Options map[string]string
-}
-
-// ParseSpec parses the spec grammar name[@org][:key=val,...]. It only
-// validates the syntax; New resolves the parts against the registry.
-func ParseSpec(spec string) (Spec, error) {
-	s := Spec{}
-	head := spec
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		head = spec[:i]
-		opts := spec[i+1:]
-		s.Options = map[string]string{}
-		for _, kv := range strings.Split(opts, ",") {
-			k, v, found := strings.Cut(kv, "=")
-			if !found || k == "" {
-				return Spec{}, fmt.Errorf("schemes: malformed option %q in spec %q (want key=val)", kv, spec)
-			}
-			if _, dup := s.Options[k]; dup {
-				return Spec{}, fmt.Errorf("schemes: duplicate option %q in spec %q", k, spec)
-			}
-			s.Options[k] = v
-		}
-	}
-	if i := strings.IndexByte(head, '@'); i >= 0 {
-		s.Org = head[i+1:]
-		head = head[:i]
-		if s.Org == "" {
-			return Spec{}, fmt.Errorf("schemes: empty organization in spec %q", spec)
-		}
-	}
-	if head == "" {
-		return Spec{}, fmt.Errorf("schemes: empty scheme name in spec %q", spec)
-	}
-	s.ID = head
-	return s, nil
-}
-
-// String renders the spec in canonical form: options sorted by key, the
-// organization omitted only when unset.
-func (s Spec) String() string {
-	var b strings.Builder
-	b.WriteString(s.ID)
-	if s.Org != "" {
-		b.WriteByte('@')
-		b.WriteString(s.Org)
-	}
-	if len(s.Options) > 0 {
-		keys := make([]string, 0, len(s.Options))
-		for k := range s.Options {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		sep := byte(':')
-		for _, k := range keys {
-			b.WriteByte(sep)
-			sep = ','
-			b.WriteString(k)
-			b.WriteByte('=')
-			b.WriteString(s.Options[k])
-		}
-	}
-	return b.String()
-}
-
-// Build resolves the spec against the registry and constructs the scheme.
-func (s Spec) Build() (ecc.Scheme, error) {
-	e, ok := Lookup(s.ID)
-	if !ok {
-		return nil, unknownSchemeError(s.ID)
-	}
-	orgID := s.Org
-	if orgID == "" {
-		orgID = e.DefaultOrg
-	}
-	if !e.supportsOrg(orgID) {
-		return nil, fmt.Errorf("schemes: scheme %q does not support organization %q (valid: %s)",
-			s.ID, orgID, strings.Join(e.Orgs, "|"))
-	}
-	org, err := OrgByID(orgID)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateOptions(e, s.Options); err != nil {
-		return nil, err
-	}
-	scheme, err := e.New(org, s.Options)
-	if err != nil {
-		return nil, fmt.Errorf("schemes: building %q: %w", s.String(), err)
-	}
-	return scheme, nil
-}
 
 // New parses a spec string and builds the scheme it describes. Errors
 // enumerate the valid scheme IDs, organizations or option keys, all
 // generated from the registry.
 func New(spec string) (ecc.Scheme, error) {
-	s, err := ParseSpec(spec)
+	s, err := registry.Parse(spec)
+	if err != nil {
+		return nil, fmt.Errorf("schemes: %w", err)
+	}
+	e, err := schemeReg.Lookup(s.ID)
 	if err != nil {
 		return nil, err
 	}
-	return s.Build()
+	orgID := s.Org
+	if orgID == "" {
+		orgID = e.DefaultOrg
+	}
+	if !slices.Contains(e.Orgs, orgID) {
+		return nil, fmt.Errorf("schemes: scheme %q does not support organization %q (valid: %s)",
+			s.ID, orgID, strings.Join(e.Orgs, "|"))
+	}
+	org, err := orgReg.Lookup(orgID)
+	if err != nil {
+		return nil, err
+	}
+	if err := schemeReg.CheckOptions(s.ID, e.Options, s.Options); err != nil {
+		return nil, err
+	}
+	scheme, err := e.New(org.Org, s.Options)
+	if err != nil {
+		return nil, fmt.Errorf("schemes: building %q: %w", s.String(), err)
+	}
+	return scheme, nil
 }
 
 // MustNew is New, panicking on error; for specs known at compile time.
@@ -151,58 +75,12 @@ func Build(specs []string) ([]ecc.Scheme, error) {
 	return out, nil
 }
 
-// ParseSpecList splits a comma-separated spec list and builds each entry.
-// Option lists inside a spec also use commas, so list entries that need
-// options must be separated by whitespace instead; both separators are
-// accepted and a comma directly following a key=val option continues the
-// same spec's option list.
+// ParseSpecList splits a comma/whitespace-separated spec list by
+// registry.SplitList's rules and builds each entry.
 func ParseSpecList(list string) ([]ecc.Scheme, error) {
-	specs, err := SplitSpecList(list)
+	specs, err := registry.SplitList(list)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("schemes: %w", err)
 	}
 	return Build(specs)
-}
-
-// SplitSpecList splits a comma/whitespace-separated spec list into its
-// individual spec strings, validating only the syntax of each. It is the
-// wire-format helper for remote submission: a fleet client ships the
-// spec strings and the coordinator and every worker build them against
-// their own registries.
-func SplitSpecList(list string) ([]string, error) {
-	var specs []string
-	for _, f := range strings.FieldsFunc(list, func(r rune) bool { return r == ' ' || r == '\t' }) {
-		specs = append(specs, splitSpecs(f)...)
-	}
-	for _, spec := range specs {
-		if _, err := ParseSpec(spec); err != nil {
-			return nil, err
-		}
-	}
-	return specs, nil
-}
-
-// splitSpecs splits one whitespace-free token into specs on the commas
-// that separate specs (a comma after "key=val" continues an option list;
-// a comma before a token without '=' starts a new spec).
-func splitSpecs(tok string) []string {
-	var out []string
-	parts := strings.Split(tok, ",")
-	cur := ""
-	for _, p := range parts {
-		switch {
-		case cur == "":
-			cur = p
-		case strings.Contains(cur, ":") && strings.Contains(p, "="):
-			// continuing the current spec's option list
-			cur += "," + p
-		default:
-			out = append(out, cur)
-			cur = p
-		}
-	}
-	if cur != "" {
-		out = append(out, cur)
-	}
-	return out
 }

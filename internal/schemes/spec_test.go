@@ -7,49 +7,13 @@ import (
 	"pair/internal/core"
 )
 
-func TestParseSpec(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Spec
-	}{
-		{"pair", Spec{ID: "pair"}},
-		{"pair@ddr5x16", Spec{ID: "pair", Org: "ddr5x16"}},
-		{"pair:spare=3.7", Spec{ID: "pair", Options: map[string]string{"spare": "3.7"}}},
-		{"pair@ddr5x16:exp=4,lat=2.5", Spec{ID: "pair", Org: "ddr5x16", Options: map[string]string{"exp": "4", "lat": "2.5"}}},
-		{"duo-rank@ddr4x8ecc", Spec{ID: "duo-rank", Org: "ddr4x8ecc"}},
-		{"pair:spare=", Spec{ID: "pair", Options: map[string]string{"spare": ""}}},
-	}
-	for _, c := range cases {
-		got, err := ParseSpec(c.in)
-		if err != nil {
-			t.Fatalf("ParseSpec(%q): %v", c.in, err)
-		}
-		if got.ID != c.want.ID || got.Org != c.want.Org || len(got.Options) != len(c.want.Options) {
-			t.Fatalf("ParseSpec(%q) = %+v, want %+v", c.in, got, c.want)
-		}
-		for k, v := range c.want.Options {
-			if got.Options[k] != v {
-				t.Fatalf("ParseSpec(%q) option %s = %q, want %q", c.in, k, got.Options[k], v)
-			}
-		}
-	}
-}
-
+// TestParseSpecErrors rejects malformed specs through New, with the
+// package prefix on the grammar's error.
 func TestParseSpecErrors(t *testing.T) {
-	for _, in := range []string{"", "@ddr4x16", "pair@", "pair:spare", "pair:=3", "pair:a=1,a=2"} {
-		if _, err := ParseSpec(in); err == nil {
-			t.Errorf("ParseSpec(%q) accepted", in)
+	for _, in := range []string{"", "@ddr4x16", "pair@", "pair:spare", "pair:=3", "pair:a=1,a=2", "pair:spare=3:7"} {
+		if _, err := New(in); err == nil || !strings.HasPrefix(err.Error(), "schemes: ") {
+			t.Errorf("New(%q) error %v, want a schemes: error", in, err)
 		}
-	}
-}
-
-func TestSpecCanonicalString(t *testing.T) {
-	s, err := ParseSpec("pair@ddr5x16:lat=2.5,exp=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.String(); got != "pair@ddr5x16:exp=4,lat=2.5" {
-		t.Fatalf("canonical form %q", got)
 	}
 }
 
@@ -58,7 +22,7 @@ func TestNewErrorsEnumerateRegistry(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	for _, id := range IDs() {
+	for _, id := range schemeReg.IDs() {
 		if !strings.Contains(err.Error(), id) {
 			t.Fatalf("unknown-scheme error %q does not enumerate %q", err, id)
 		}
@@ -85,6 +49,12 @@ func TestNewErrorsEnumerateRegistry(t *testing.T) {
 	_, err = New("pair:bogus=1")
 	if err == nil || !strings.Contains(err.Error(), "spare") {
 		t.Fatalf("unknown-option error %q does not enumerate valid keys", err)
+	}
+
+	// compose(...) parses, but no scheme registers under "compose".
+	_, err = New("compose(pair)")
+	if err == nil || !strings.Contains(err.Error(), `unknown scheme "compose"`) {
+		t.Fatalf("compose as a scheme: %v", err)
 	}
 
 	_, err = New("pair:chip=1")
@@ -160,13 +130,20 @@ func TestParseSpecList(t *testing.T) {
 		t.Fatalf("whitespace list: %v (%d schemes)", err, len(got))
 	}
 
+	// A comma before a spec that has its own ':' starts a new spec, as
+	// in a fault list.
+	got, err = ParseSpecList("pair:exp=4,pair:lat=5")
+	if err != nil || len(got) != 2 || got[0].Cost().DecodeLatencyNS == 5 || got[1].Cost().DecodeLatencyNS != 5 {
+		t.Fatalf("two optioned specs: %v (%d schemes)", err, len(got))
+	}
+
 	if _, err := ParseSpecList("pair,quantum"); err == nil {
 		t.Fatal("bad list accepted")
 	}
 }
 
 func TestSetsBuild(t *testing.T) {
-	for _, set := range Sets() {
+	for _, set := range setReg.All() {
 		built := MustBuildSet(set.ID)
 		if len(built) != len(set.Specs) {
 			t.Fatalf("set %s built %d of %d", set.ID, len(built), len(set.Specs))
