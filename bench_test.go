@@ -85,7 +85,7 @@ func BenchmarkF2_SDCVsBER(b *testing.B) {
 // table.
 func BenchmarkT2_FaultCoverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.T2CoverageEnvCtx(context.Background(), experiments.CommoditySchemes(), 800, 1, nil, campaign.Options{})
+		t, err := experiments.T2CoverageEnvCtx(context.Background(), experiments.CommoditySchemes(), 800, nil, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -98,7 +98,7 @@ func BenchmarkT2_FaultCoverage(b *testing.B) {
 // BenchmarkF3_Lifetime regenerates the 7-year mission reliability figure.
 func BenchmarkF3_Lifetime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.F3LifetimeCtx(context.Background(), experiments.CommoditySchemes(), 1500, 1, campaign.Options{})
+		t, err := experiments.F3LifetimeCtx(context.Background(), experiments.CommoditySchemes(), 1500, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func BenchmarkF5_WriteSweep(b *testing.B) {
 // BenchmarkF6_Expandability regenerates the expansion-level sweep.
 func BenchmarkF6_Expandability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.F6ExpandabilityCtx(context.Background(), 1200, 1, campaign.Options{})
+		t, err := experiments.F6ExpandabilityCtx(context.Background(), 1200, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func BenchmarkF6_Expandability(b *testing.B) {
 // BenchmarkF7_Burst regenerates the burst-error figure.
 func BenchmarkF7_Burst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.F7BurstCtx(context.Background(), experiments.CommoditySchemes(), 800, 1, campaign.Options{})
+		t, err := experiments.F7BurstCtx(context.Background(), experiments.CommoditySchemes(), 800, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func BenchmarkT3_Complexity(b *testing.B) {
 // BenchmarkF8_ScrubSweep regenerates the scrub-interval ablation.
 func BenchmarkF8_ScrubSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.F8ScrubSweepCtx(context.Background(), experiments.CommoditySchemes(), 400, 1, campaign.Options{})
+		t, err := experiments.F8ScrubSweepCtx(context.Background(), experiments.CommoditySchemes(), 400, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func BenchmarkF8_ScrubSweep(b *testing.B) {
 // BenchmarkF9_DDR5 regenerates the cross-generation figure.
 func BenchmarkF9_DDR5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.F9DDR5Ctx(context.Background(), 500, 1, campaign.Options{})
+		t, err := experiments.F9DDR5Ctx(context.Background(), 500, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func BenchmarkF9_DDR5(b *testing.B) {
 // BenchmarkF10_Sparing regenerates the pin-sparing figure.
 func BenchmarkF10_Sparing(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.F10SparingCtx(context.Background(), 500, 1, campaign.Options{})
+		t, err := experiments.F10SparingCtx(context.Background(), 500, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -243,7 +243,7 @@ func BenchmarkF11_ScrubTraffic(b *testing.B) {
 // BenchmarkF12_Repair regenerates the post-package-repair figure.
 func BenchmarkF12_Repair(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := experiments.F12RepairCtx(context.Background(), experiments.CommoditySchemes(), 1500, 1, campaign.Options{})
+		t, err := experiments.F12RepairCtx(context.Background(), experiments.CommoditySchemes(), 1500, campaign.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"pair/internal/failpoint"
 	"pair/internal/fleet"
 )
 
@@ -83,12 +82,6 @@ func runCtx(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	warnf := func(format string, args ...any) {
 		fmt.Fprintf(stderr, "pairserve: "+format+"\n", args...)
-	}
-	// Chaos harnesses (the CI chaos-smoke job) arm failpoints in real
-	// pairserve processes through the environment; unset, this is a no-op.
-	if err := failpoint.ArmFromEnv("PAIR_FAILPOINTS"); err != nil {
-		fmt.Fprintln(stderr, "pairserve:", err)
-		return 2
 	}
 
 	if *worker {

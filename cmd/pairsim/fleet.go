@@ -53,7 +53,7 @@ func runFleetExperiments(ctx context.Context, base string, exps []experiments.Ex
 		Schemes:   schemeSpecs,
 		Scenarios: scenarioSpecs,
 		Trials:    sc.Coverage,
-		Seed:      1,
+		Seed:      experiments.CampaignSeed,
 	})
 	if err != nil {
 		fmt.Fprintln(stderr, "pairsim:", err)

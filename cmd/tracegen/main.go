@@ -14,7 +14,7 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -69,13 +69,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	if *arrival != "" {
+	var wl trace.Workload
+	switch {
+	case *arrival != "":
 		arr, err := trace.ParseArrival(*arrival)
 		if err != nil {
 			fmt.Fprintln(stderr, "tracegen:", err)
 			return 1
 		}
-		wl := trace.Traffic(trace.TrafficParams{
+		wl = trace.Traffic(trace.TrafficParams{
 			Name:        *name,
 			Requests:    *requests,
 			Arrival:     arr,
@@ -87,45 +89,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 			HotFraction: 0.3,
 			Seed:        *seed,
 		})
-		writeTrace(stdout, wl)
-		return 0
-	}
-
-	if *suite {
-		for _, wl := range trace.SPECLike(*requests) {
-			path := filepath.Join(*out, wl.Name+".trace")
+	case *suite:
+		for _, w := range trace.SPECLike(*requests) {
+			path := filepath.Join(*out, w.Name+".trace")
 			f, err := os.Create(path)
+			if err == nil {
+				err = errors.Join(w.Write(f), f.Close())
+			}
 			if err != nil {
 				fmt.Fprintln(stderr, "tracegen:", err)
 				return 1
 			}
-			writeTrace(f, wl)
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(stderr, "tracegen:", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "wrote %s (%d requests)\n", path, len(wl.Reqs))
+			fmt.Fprintf(stderr, "wrote %s (%d requests)\n", path, len(w.Reqs))
 		}
 		return 0
+	default:
+		pat, err := parsePattern(*pattern)
+		if err != nil {
+			fmt.Fprintln(stderr, "tracegen:", err)
+			return 1
+		}
+		wl = trace.Generate(trace.Params{
+			Name:        *name,
+			Requests:    *requests,
+			Lines:       1 << 20,
+			Pattern:     pat,
+			ReadFrac:    *reads,
+			MaskedFrac:  *masked,
+			Window:      *window,
+			HotFraction: 0.6,
+			Seed:        *seed,
+		})
 	}
-
-	pat, err := parsePattern(*pattern)
-	if err != nil {
+	if err := wl.Write(stdout); err != nil {
 		fmt.Fprintln(stderr, "tracegen:", err)
 		return 1
 	}
-	wl := trace.Generate(trace.Params{
-		Name:        *name,
-		Requests:    *requests,
-		Lines:       1 << 20,
-		Pattern:     pat,
-		ReadFrac:    *reads,
-		MaskedFrac:  *masked,
-		Window:      *window,
-		HotFraction: 0.6,
-		Seed:        *seed,
-	})
-	writeTrace(stdout, wl)
 	return 0
 }
 
@@ -143,21 +142,5 @@ func parsePattern(s string) (trace.Pattern, error) {
 		return trace.PointerChase, nil
 	default:
 		return 0, fmt.Errorf("unknown pattern %q", s)
-	}
-}
-
-func writeTrace(f io.Writer, wl trace.Workload) {
-	w := bufio.NewWriter(f)
-	defer w.Flush()
-	fmt.Fprintf(w, "# trace %s window=%d requests=%d\n", wl.Name, wl.Window, len(wl.Reqs))
-	for _, r := range wl.Reqs {
-		op := "R"
-		switch r.Op {
-		case trace.Write:
-			op = "W"
-		case trace.MaskedWrite:
-			op = "M"
-		}
-		fmt.Fprintf(w, "%s %x %d\n", op, r.Line, r.Gap)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,6 +96,24 @@ func TestSuiteBadDirFails(t *testing.T) {
 	code, _, stderr := runCLI(t, "-suite", "-requests", "10", "-out", filepath.Join(t.TempDir(), "missing", "nested"))
 	if code != 1 || !strings.Contains(stderr, "tracegen:") {
 		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+}
+
+// failingWriter fails every write, as a full disk or a closed pipe does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+func TestWriteErrorFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-requests", "10"},
+		{"-arrival", "bursty", "-requests", "10"},
+	} {
+		var errb strings.Builder
+		code := run(args, failingWriter{}, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "tracegen: no space left on device") {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 1 and the write error", args, code, errb.String())
+		}
 	}
 }
 

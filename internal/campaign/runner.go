@@ -14,9 +14,9 @@ import (
 	"pair/internal/failpoint"
 )
 
-// Failpoint names the campaign engine evaluates, exported so tests (and
-// operators reproducing a defect) can arm them by name. Disarmed they
-// are zero-cost no-ops; see internal/failpoint.
+// Failpoint names the campaign engine evaluates, exported so tests can
+// arm them by name. Disarmed they are zero-cost no-ops; see
+// internal/failpoint.
 const (
 	// FailpointShard is hit at the start of every shard attempt: an
 	// error action fails the attempt, a panic action crashes it (and is

@@ -26,7 +26,7 @@ func ExtendedSchemes() []ecc.Scheme {
 // permanent ones — as cancellable, checkpointable campaigns; each
 // interval runs under an h=<n> campaign sublabel since the scheme set
 // repeats across intervals.
-func F8ScrubSweepCtx(ctx context.Context, schemes []ecc.Scheme, devices int, seed int64, opts campaign.Options) (*Table, error) {
+func F8ScrubSweepCtx(ctx context.Context, schemes []ecc.Scheme, devices int, opts campaign.Options) (*Table, error) {
 	intervals := []float64{1, 6, 24, 168} // hours
 	t := &Table{
 		Title:  fmt.Sprintf("F8: 7-year failure probability vs scrub interval (%d ranks; transient FIT x20 to expose the knob)", devices),
@@ -51,7 +51,7 @@ func F8ScrubSweepCtx(ctx context.Context, schemes []ecc.Scheme, devices int, see
 				Scheme:     s,
 				Devices:    devices,
 				ScrubHours: h,
-				Seed:       seed,
+				Seed:       CampaignSeed,
 				FITs:       fits,
 			}, opts.Sublabel(fmt.Sprintf("h=%g", h)))
 			if err != nil {
@@ -73,7 +73,7 @@ func F8ScrubSweepCtx(ctx context.Context, schemes []ecc.Scheme, devices int, see
 // cancellable, checkpointable campaigns. The scheme/organization
 // campaign labels already distinguish the four cases (name and burst
 // length differ).
-func F9DDR5Ctx(ctx context.Context, trials int, seed int64, opts campaign.Options) (*Table, error) {
+func F9DDR5Ctx(ctx context.Context, trials int, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  "F9: PAIR across DRAM generations (pin-fault fail rate / inherent 2-cell fail rate)",
 		Header: []string{"device", "code", "t", "pin fault", "2-cell"},
@@ -88,13 +88,13 @@ func F9DDR5Ctx(ctx context.Context, trials int, seed int64, opts campaign.Option
 	}
 	for _, c := range cases {
 		s := schemes.MustNew(c.spec).(*core.Scheme)
-		pin, err := reliability.CoverageCtx(ctx, s, "pin", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
+		pin, err := reliability.CoverageCtx(ctx, s, "pin", trials, CampaignSeed, func(rng *rand.Rand, st *ecc.Stored) {
 			ecc.InjectAccessFault(rng, st, faults.PermanentPin, -1)
 		}, nil, opts)
 		if err != nil {
 			return nil, err
 		}
-		cells, err := reliability.CoverageCtx(ctx, s, "2cell", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
+		cells, err := reliability.CoverageCtx(ctx, s, "2cell", trials, CampaignSeed, func(rng *rand.Rand, st *ecc.Stored) {
 			chip := rng.Intn(st.Org.ChipsPerRank)
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, chip)
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, chip)
@@ -120,7 +120,7 @@ func F9DDR5Ctx(ctx context.Context, trials int, seed int64, opts campaign.Option
 // behind PAIR's focus on x16 (and the abstract's "latest DRAM model").
 // Its campaigns are cancellable and checkpointable (pin counts
 // distinguish the campaign labels).
-func T5WidthsCtx(ctx context.Context, trials int, seed int64, opts campaign.Options) (*Table, error) {
+func T5WidthsCtx(ctx context.Context, trials int, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  "T5: PAIR across device widths (expanded config, t=2)",
 		Header: []string{"device", "chips/rank", "code", "storage ovh", "pin-fault fail", "2-cell fail"},
@@ -135,13 +135,13 @@ func T5WidthsCtx(ctx context.Context, trials int, seed int64, opts campaign.Opti
 	}
 	for _, c := range cases {
 		s := schemes.MustNew(c.spec).(*core.Scheme)
-		pin, err := reliability.CoverageCtx(ctx, s, "pin", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
+		pin, err := reliability.CoverageCtx(ctx, s, "pin", trials, CampaignSeed, func(rng *rand.Rand, st *ecc.Stored) {
 			ecc.InjectAccessFault(rng, st, faults.PermanentPin, -1)
 		}, nil, opts)
 		if err != nil {
 			return nil, err
 		}
-		cells, err := reliability.CoverageCtx(ctx, s, "2cell", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
+		cells, err := reliability.CoverageCtx(ctx, s, "2cell", trials, CampaignSeed, func(rng *rand.Rand, st *ecc.Stored) {
 			chip := rng.Intn(st.Org.ChipsPerRank)
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, chip)
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, chip)
@@ -170,20 +170,20 @@ func T5WidthsCtx(ctx context.Context, trials int, seed int64, opts campaign.Opti
 // campaigns are cancellable and checkpointable; the base and PPR
 // populations run under distinct campaign sublabels since they share
 // scheme, devices and seed.
-func F12RepairCtx(ctx context.Context, schemes []ecc.Scheme, devices int, seed int64, opts campaign.Options) (*Table, error) {
+func F12RepairCtx(ctx context.Context, schemes []ecc.Scheme, devices int, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("F12: 7-year failure probability without / with post-package repair (budget 4; %d ranks)", devices),
 		Header: []string{"scheme", "no repair", "with PPR", "improvement", "repairs used", "residual SDC"},
 	}
 	for _, s := range schemes {
 		base, err := reliability.RunLifetimeCtx(ctx, reliability.LifetimeConfig{
-			Scheme: s, Devices: devices, Seed: seed,
+			Scheme: s, Devices: devices, Seed: CampaignSeed,
 		}, opts.Sublabel("base"))
 		if err != nil {
 			return nil, err
 		}
 		ppr, err := reliability.RunLifetimeCtx(ctx, reliability.LifetimeConfig{
-			Scheme: s, Devices: devices, Seed: seed, RepairBudget: 4,
+			Scheme: s, Devices: devices, Seed: CampaignSeed, RepairBudget: 4,
 		}, opts.Sublabel("ppr"))
 		if err != nil {
 			return nil, err
@@ -208,7 +208,7 @@ func F12RepairCtx(ctx context.Context, schemes []ecc.Scheme, devices int, seed i
 // cancellable and checkpointable; each dead-pin count runs under a
 // dead=<n> campaign sublabel since the schemes and labels repeat across
 // counts.
-func F10SparingCtx(ctx context.Context, trials int, seed int64, opts campaign.Options) (*Table, error) {
+func F10SparingCtx(ctx context.Context, trials int, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  "F10: decode outcome with dead pins, plain vs spared (erasure) decoding, +1 fresh cell",
 		Header: []string{"dead pins", "plain fail", "spared fail"},
@@ -235,11 +235,11 @@ func F10SparingCtx(ctx context.Context, trials int, seed int64, opts campaign.Op
 			ecc.InjectAccessFault(rng, st, faults.PermanentCell, 0)
 		}
 		dOpts := opts.Sublabel(fmt.Sprintf("dead=%d", dead))
-		p, err := reliability.CoverageCtx(ctx, plain, "plain", trials, seed, inject, nil, dOpts)
+		p, err := reliability.CoverageCtx(ctx, plain, "plain", trials, CampaignSeed, inject, nil, dOpts)
 		if err != nil {
 			return nil, err
 		}
-		sp, err := reliability.CoverageCtx(ctx, sparedScheme, "spared", trials, seed, inject, nil, dOpts)
+		sp, err := reliability.CoverageCtx(ctx, sparedScheme, "spared", trials, CampaignSeed, inject, nil, dOpts)
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,7 @@ func TestExtendedSchemesIncludeRankLevel(t *testing.T) {
 }
 
 func TestF8ScrubSweepShape(t *testing.T) {
-	tb, err := F8ScrubSweepCtx(context.Background(), CommoditySchemes()[:2], 150, 1, campaign.Options{})
+	tb, err := F8ScrubSweepCtx(context.Background(), CommoditySchemes()[:2], 150, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestF8ScrubSweepShape(t *testing.T) {
 }
 
 func TestF9DDR5Story(t *testing.T) {
-	tb, err := F9DDR5Ctx(context.Background(), 250, 1, campaign.Options{})
+	tb, err := F9DDR5Ctx(context.Background(), 250, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestF9DDR5Story(t *testing.T) {
 }
 
 func TestF12RepairStory(t *testing.T) {
-	tb, err := F12RepairCtx(context.Background(), CommoditySchemes(), 3000, 1, campaign.Options{})
+	tb, err := F12RepairCtx(context.Background(), CommoditySchemes(), 3000, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestF12RepairStory(t *testing.T) {
 }
 
 func TestF10SparingStory(t *testing.T) {
-	tb, err := F10SparingCtx(context.Background(), 250, 1, campaign.Options{})
+	tb, err := F10SparingCtx(context.Background(), 250, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestF1F2ShapeAndOrdering(t *testing.T) {
 }
 
 func TestT2CoverageShape(t *testing.T) {
-	tb, err := T2CoverageEnvCtx(context.Background(), CommoditySchemes(), 150, 1, nil, campaign.Options{})
+	tb, err := T2CoverageEnvCtx(context.Background(), CommoditySchemes(), 150, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestT2CoverageShape(t *testing.T) {
 }
 
 func TestF3LifetimeSmoke(t *testing.T) {
-	tb, err := F3LifetimeCtx(context.Background(), CommoditySchemes()[:2], 150, 1, campaign.Options{})
+	tb, err := F3LifetimeCtx(context.Background(), CommoditySchemes()[:2], 150, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestF5WriteSweepMonotone(t *testing.T) {
 }
 
 func TestF6ExpandabilityMonotone(t *testing.T) {
-	tb, err := F6ExpandabilityCtx(context.Background(), 400, 1, campaign.Options{})
+	tb, err := F6ExpandabilityCtx(context.Background(), 400, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestF6ExpandabilityMonotone(t *testing.T) {
 }
 
 func TestF7BurstPAIRColumn(t *testing.T) {
-	tb, err := F7BurstCtx(context.Background(), CommoditySchemes(), 200, 1, campaign.Options{})
+	tb, err := F7BurstCtx(context.Background(), CommoditySchemes(), 200, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

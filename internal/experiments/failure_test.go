@@ -19,14 +19,14 @@ import (
 func TestT2CoverageHardeningOptionsPropagate(t *testing.T) {
 	defer failpoint.Reset()
 	schemes := CommoditySchemes()[:2]
-	clean, err := T2CoverageEnvCtx(context.Background(), schemes, 300, 1, nil, campaign.Options{})
+	clean, err := T2CoverageEnvCtx(context.Background(), schemes, 300, nil, campaign.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	failpoint.Arm(campaign.FailpointWrite, failpoint.Action{Err: errors.New("disk gone")})
 	rep := new(campaign.Report)
-	got, err := T2CoverageEnvCtx(context.Background(), schemes, 300, 1, nil, campaign.Options{
+	got, err := T2CoverageEnvCtx(context.Background(), schemes, 300, nil, campaign.Options{
 		CheckpointDir:     t.TempDir(),
 		Report:            rep,
 		CheckpointBackoff: campaign.Backoff{Sleep: func(time.Duration) {}},
@@ -44,7 +44,7 @@ func TestT2CoverageHardeningOptionsPropagate(t *testing.T) {
 
 	failpoint.Arm(campaign.FailpointShard, failpoint.Action{Panic: "t2 crash", Times: 1})
 	rep = new(campaign.Report)
-	got, err = T2CoverageEnvCtx(context.Background(), schemes, 300, 1, nil,
+	got, err = T2CoverageEnvCtx(context.Background(), schemes, 300, nil,
 		campaign.Options{Retries: 2, Report: rep})
 	if err != nil {
 		t.Fatalf("retried t2 run failed: %v", err)

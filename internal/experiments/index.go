@@ -19,6 +19,11 @@ const DefaultProfile = "ddr5-4800"
 // run on it beside Scale.Profile.
 const paperProfile = "ddr4-2400"
 
+// CampaignSeed is the seed every Monte-Carlo campaign of the study
+// derives its shard streams from, the F1/F2 sweeps' default included.
+// pairsim's fleet jobs carry it too, so a fleet F13 matches a local one.
+const CampaignSeed int64 = 1
+
 // Scale sizes one run of the study and carries the overrides every
 // experiment honors.
 type Scale struct {
@@ -123,47 +128,47 @@ var index = []Experiment{
 		run: sweep(func(r *SweepResult) string { return r.RenderF1() + "\n" + r.RenderF2() })},
 	{ID: "t2", Title: "outcome by fault pattern",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(T2CoverageEnvCtx(ctx, sc.set(CommoditySchemes), sc.Coverage, 1, sc.ambient(), opts))
+			return rendered(T2CoverageEnvCtx(ctx, sc.set(CommoditySchemes), sc.Coverage, sc.ambient(), opts))
 		}},
 	{ID: "t2x", Title: "coverage incl. rank-level schemes (secded, duo-rank)", Variant: true,
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(T2CoverageEnvCtx(ctx, sc.set(ExtendedSchemes), sc.Coverage, 1, sc.ambient(), opts))
+			return rendered(T2CoverageEnvCtx(ctx, sc.set(ExtendedSchemes), sc.Coverage, sc.ambient(), opts))
 		}},
 	{ID: "f3", Title: "7-year lifetime failure probability",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(F3LifetimeCtx(ctx, sc.set(CommoditySchemes), sc.Devices, 1, opts))
+			return rendered(F3LifetimeCtx(ctx, sc.set(CommoditySchemes), sc.Devices, opts))
 		}},
 	{ID: "f3x", Title: "lifetime incl. rank-level schemes", Variant: true,
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(F3LifetimeCtx(ctx, sc.set(ExtendedSchemes), sc.Devices, 1, opts))
+			return rendered(F3LifetimeCtx(ctx, sc.set(ExtendedSchemes), sc.Devices, opts))
 		}},
 	{ID: "f4", Title: "performance, SPEC-like suite (with F4b latency, F4c command mix, F4d profiles)", run: runF4},
 	{ID: "f5", Title: "performance vs write ratio", run: runF5},
 	{ID: "f6", Title: "PAIR expansion-level sweep",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(F6ExpandabilityCtx(ctx, sc.Sweep.Trials, 1, opts))
+			return rendered(F6ExpandabilityCtx(ctx, sc.Sweep.Trials, opts))
 		}},
 	{ID: "f7", Title: "burst-error correction",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(F7BurstCtx(ctx, sc.set(CommoditySchemes), sc.Coverage, 1, opts))
+			return rendered(F7BurstCtx(ctx, sc.set(CommoditySchemes), sc.Coverage, opts))
 		}},
 	{ID: "t3", Title: "storage/logic/latency overheads", run: static(T3Complexity)},
 	{ID: "t4", Title: "bus energy proxy (DBI interaction)", run: static(T4BusEnergy)},
 	{ID: "t5", Title: "PAIR design space across device widths (x4/x8/x16/DDR5)",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(T5WidthsCtx(ctx, sc.Coverage, 1, opts))
+			return rendered(T5WidthsCtx(ctx, sc.Coverage, opts))
 		}},
 	{ID: "f8", Title: "failure probability vs scrub interval (ablation)",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(F8ScrubSweepCtx(ctx, sc.set(CommoditySchemes), sc.Devices/4, 1, opts))
+			return rendered(F8ScrubSweepCtx(ctx, sc.set(CommoditySchemes), sc.Devices/4, opts))
 		}},
 	{ID: "f9", Title: "PAIR across DRAM generations (DDR4 BL8 vs DDR5 BL16)",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(F9DDR5Ctx(ctx, sc.Coverage, 1, opts))
+			return rendered(F9DDR5Ctx(ctx, sc.Coverage, opts))
 		}},
 	{ID: "f10", Title: "pin-sparing (erasure) extension",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(F10SparingCtx(ctx, sc.Coverage, 1, opts))
+			return rendered(F10SparingCtx(ctx, sc.Coverage, opts))
 		}},
 	{ID: "f11", Title: "performance vs patrol-scrub rate",
 		run: func(_ context.Context, sc Scale, _ campaign.Options) (string, error) {
@@ -171,11 +176,11 @@ var index = []Experiment{
 		}},
 	{ID: "f12", Title: "lifetime with post-package repair (DUE-only repairability)",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(F12RepairCtx(ctx, sc.set(CommoditySchemes), sc.Devices, 1, opts))
+			return rendered(F12RepairCtx(ctx, sc.set(CommoditySchemes), sc.Devices, opts))
 		}},
 	{ID: "f13", Title: "fault-scenario differential table (scenarios x schemes)",
 		run: func(ctx context.Context, sc Scale, opts campaign.Options) (string, error) {
-			return rendered(F13ScenariosCtx(ctx, sc.set(CommoditySchemes), sc.scenarios(), sc.Coverage, 1, opts))
+			return rendered(F13ScenariosCtx(ctx, sc.set(CommoditySchemes), sc.scenarios(), sc.Coverage, opts))
 		}},
 	{ID: "f14", Title: "tail read latency vs offered load (open-loop traffic, -profile)",
 		run: func(_ context.Context, sc Scale, _ campaign.Options) (string, error) {

@@ -67,12 +67,12 @@ type SweepSettings struct {
 
 // DefaultSweep returns publication-scale settings.
 func DefaultSweep() SweepSettings {
-	return SweepSettings{Trials: 20000, MaxK: 12, BERLo: 1e-8, BERHi: 1e-4, Points: 9, Seed: 1}
+	return SweepSettings{Trials: 20000, MaxK: 12, BERLo: 1e-8, BERHi: 1e-4, Points: 9, Seed: CampaignSeed}
 }
 
 // QuickSweep returns bench/CI-scale settings.
 func QuickSweep() SweepSettings {
-	return SweepSettings{Trials: 2500, MaxK: 8, BERLo: 1e-8, BERHi: 1e-4, Points: 5, Seed: 1}
+	return SweepSettings{Trials: 2500, MaxK: 8, BERLo: 1e-8, BERHi: 1e-4, Points: 5, Seed: CampaignSeed}
 }
 
 // SweepResult holds the F1/F2 series for a scheme set.
@@ -179,7 +179,7 @@ func (r *SweepResult) headline() []string {
 // trial on top of each row's pattern. A nil env reproduces the frozen
 // default table (same campaign labels and checkpoints); a non-nil env
 // tags the title with its canonical spec.
-func T2CoverageEnvCtx(ctx context.Context, schemes []ecc.Scheme, trials int, seed int64, env faults.Scenario, opts campaign.Options) (*Table, error) {
+func T2CoverageEnvCtx(ctx context.Context, schemes []ecc.Scheme, trials int, env faults.Scenario, opts campaign.Options) (*Table, error) {
 	title := fmt.Sprintf("T2: outcome by injected fault pattern (%d trials each; CE/DUE/SDC shares)", trials)
 	if env != nil {
 		title = fmt.Sprintf("T2: outcome by injected fault pattern under ambient %s (%d trials each; CE/DUE/SDC shares)", env.Spec(), trials)
@@ -194,7 +194,7 @@ func T2CoverageEnvCtx(ctx context.Context, schemes []ecc.Scheme, trials int, see
 	for _, l := range reliability.StandardCoverageLabels() {
 		row := []string{l.Label}
 		for _, s := range schemes {
-			r, err := reliability.CoverageCtx(ctx, s, l.Label, trials, seed, l.Inject, env, opts)
+			r, err := reliability.CoverageCtx(ctx, s, l.Label, trials, CampaignSeed, l.Inject, env, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -209,7 +209,7 @@ func T2CoverageEnvCtx(ctx context.Context, schemes []ecc.Scheme, trials int, see
 // F3LifetimeCtx runs the lifetime Monte-Carlo for each scheme as
 // cancellable, checkpointable campaigns (one per scheme) and renders the
 // 7-year failure and SDC probabilities plus the yearly CDF.
-func F3LifetimeCtx(ctx context.Context, schemes []ecc.Scheme, devices int, seed int64, opts campaign.Options) (*Table, error) {
+func F3LifetimeCtx(ctx context.Context, schemes []ecc.Scheme, devices int, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  fmt.Sprintf("F3: 7-year mission failure probability, field FIT rates, %d ranks, 24h scrub", devices),
 		Header: []string{"scheme", "P(fail)", "P(SDC)", "P(DUE)", "yearly CDF"},
@@ -218,7 +218,7 @@ func F3LifetimeCtx(ctx context.Context, schemes []ecc.Scheme, devices int, seed 
 		r, err := reliability.RunLifetimeCtx(ctx, reliability.LifetimeConfig{
 			Scheme:  s,
 			Devices: devices,
-			Seed:    seed,
+			Seed:    CampaignSeed,
 		}, opts)
 		if err != nil {
 			return nil, err
@@ -243,7 +243,7 @@ func F3LifetimeCtx(ctx context.Context, schemes []ecc.Scheme, devices int, seed 
 // BER as cancellable, checkpointable campaigns. Expansion levels 1..4 all
 // report the scheme name "pair", so each level runs under an exp=<n>
 // campaign sublabel.
-func F6ExpandabilityCtx(ctx context.Context, trials int, seed int64, opts campaign.Options) (*Table, error) {
+func F6ExpandabilityCtx(ctx context.Context, trials int, opts campaign.Options) (*Table, error) {
 	const ber = 1e-5
 	t := &Table{
 		Title:  fmt.Sprintf("F6: PAIR reliability vs expansion level (inherent BER %.0e)", ber),
@@ -251,7 +251,7 @@ func F6ExpandabilityCtx(ctx context.Context, trials int, seed int64, opts campai
 	}
 	for exp := 0; exp <= 4; exp++ {
 		s := schemes.MustNew(fmt.Sprintf("pair:exp=%d", exp)).(*core.Scheme)
-		prof, err := reliability.BuildProfileCtx(ctx, s, reliability.SweepConfig{MaxK: 8, Trials: trials, Seed: seed},
+		prof, err := reliability.BuildProfileCtx(ctx, s, reliability.SweepConfig{MaxK: 8, Trials: trials, Seed: CampaignSeed},
 			opts.Sublabel(fmt.Sprintf("exp=%d", exp)))
 		if err != nil {
 			return nil, err
@@ -275,7 +275,7 @@ func F6ExpandabilityCtx(ctx context.Context, trials int, seed int64, opts campai
 // cancellable, checkpointable campaigns; each burst length runs under a
 // b=<n> campaign sublabel since the coverage labels repeat across
 // lengths.
-func F7BurstCtx(ctx context.Context, schemes []ecc.Scheme, trials int, seed int64, opts campaign.Options) (*Table, error) {
+func F7BurstCtx(ctx context.Context, schemes []ecc.Scheme, trials int, opts campaign.Options) (*Table, error) {
 	t := &Table{
 		Title:  "F7: failure rate under burst errors (along-pin b@1pin / across-pin b@1beat)",
 		Header: []string{"burst len"},
@@ -288,13 +288,13 @@ func F7BurstCtx(ctx context.Context, schemes []ecc.Scheme, trials int, seed int6
 		bOpts := opts.Sublabel(fmt.Sprintf("b=%d", b))
 		for _, s := range schemes {
 			blen := b
-			along, err := reliability.CoverageCtx(ctx, s, "pin-burst", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
+			along, err := reliability.CoverageCtx(ctx, s, "pin-burst", trials, CampaignSeed, func(rng *rand.Rand, st *ecc.Stored) {
 				faults.InjectPinBurst(rng, st.Chips[rng.Intn(st.Org.ChipsPerRank)].Data, blen)
 			}, nil, bOpts)
 			if err != nil {
 				return nil, err
 			}
-			across, err := reliability.CoverageCtx(ctx, s, "beat-burst", trials, seed, func(rng *rand.Rand, st *ecc.Stored) {
+			across, err := reliability.CoverageCtx(ctx, s, "beat-burst", trials, CampaignSeed, func(rng *rand.Rand, st *ecc.Stored) {
 				faults.InjectBeatBurst(rng, st.Chips[rng.Intn(st.Org.ChipsPerRank)].Data, blen)
 			}, nil, bOpts)
 			if err != nil {

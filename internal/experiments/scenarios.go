@@ -15,9 +15,9 @@ import (
 // (scenario, scheme) cell, labelled by the scenario's canonical spec.
 // This is the strength/weakness matrix: each scheme's niche shows up as
 // a column of 100/0/0 cells on the scenario family its geometry covers.
-func F13ScenariosCtx(ctx context.Context, schemes []ecc.Scheme, scenarios []faults.Scenario, trials int, seed int64, opts campaign.Options) (*Table, error) {
+func F13ScenariosCtx(ctx context.Context, schemes []ecc.Scheme, scenarios []faults.Scenario, trials int, opts campaign.Options) (*Table, error) {
 	return F13ScenariosCells(schemes, scenarios, trials, func(s ecc.Scheme, sc faults.Scenario) (reliability.OutcomeRates, error) {
-		r, err := reliability.ScenarioCoverageCtx(ctx, s, sc, trials, seed, opts)
+		r, err := reliability.ScenarioCoverageCtx(ctx, s, sc, trials, CampaignSeed, opts)
 		if err != nil {
 			return reliability.OutcomeRates{}, err
 		}

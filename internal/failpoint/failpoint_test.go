@@ -2,7 +2,6 @@ package failpoint
 
 import (
 	"errors"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -50,7 +49,7 @@ func TestErrorEveryHitUntilDisarmed(t *testing.T) {
 			t.Fatalf("hit %d: %v", i, err)
 		}
 	}
-	Disarm("p")
+	Reset()
 	if err := Hit("p"); err != nil {
 		t.Fatalf("disarmed Hit returned %v", err)
 	}
@@ -101,102 +100,6 @@ func TestRearmReplacesActionAndCounters(t *testing.T) {
 	}
 	if err := Hit("p"); err == nil || err.Error() != "b" {
 		t.Fatalf("re-armed action returned %v", err)
-	}
-}
-
-func TestSkipDefersTrigger(t *testing.T) {
-	defer Reset()
-	boom := errors.New("boom")
-	Arm("p", Action{Err: boom, Skip: 2, Times: 1})
-	for i := 0; i < 2; i++ {
-		if err := Hit("p"); err != nil {
-			t.Fatalf("hit %d inside skip window returned %v, want nil", i, err)
-		}
-	}
-	if err := Hit("p"); !errors.Is(err, boom) {
-		t.Fatalf("3rd hit returned %v, want boom", err)
-	}
-	if err := Hit("p"); err != nil {
-		t.Fatalf("hit past budget returned %v, want nil", err)
-	}
-	if Hits("p") != 4 || Fired("p") != 1 {
-		t.Fatalf("hits=%d fired=%d, want 4/1", Hits("p"), Fired("p"))
-	}
-}
-
-func TestExitAction(t *testing.T) {
-	defer Reset()
-	exited := -1
-	osExit = func(code int) { exited = code; panic("unwound") }
-	defer func() { osExit = os.Exit }()
-	Arm("p", Action{Exit: true, ExitCode: 7, Skip: 1, Times: 1})
-	if err := Hit("p"); err != nil || exited != -1 {
-		t.Fatalf("skipped hit: err=%v exited=%d", err, exited)
-	}
-	func() {
-		defer func() { recover() }()
-		Hit("p")
-	}()
-	if exited != 7 {
-		t.Fatalf("exit code = %d, want 7", exited)
-	}
-}
-
-func TestArmFromSpec(t *testing.T) {
-	defer Reset()
-	spec := "a=error:disk full,times=2; b=delay:15ms; c=exit:9,skip=3,times=1; d=panic"
-	if err := ArmFromSpec(spec); err != nil {
-		t.Fatalf("ArmFromSpec(%q): %v", spec, err)
-	}
-	if err := Hit("a"); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("a: %v, want disk full", err)
-	}
-	start := time.Now()
-	if err := Hit("b"); err != nil {
-		t.Fatalf("b: %v", err)
-	}
-	if d := time.Since(start); d < 15*time.Millisecond {
-		t.Fatalf("b returned after %v, want >= 15ms", d)
-	}
-	for i := 0; i < 3; i++ { // inside c's skip window: no exit
-		if err := Hit("c"); err != nil {
-			t.Fatalf("c hit %d: %v", i, err)
-		}
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("d did not panic")
-			}
-		}()
-		Hit("d")
-	}()
-
-	for _, bad := range []string{
-		"noequals", "x=", "x=unknownkind", "x=delay", "x=delay:zzz",
-		"x=exit:NaN", "x=error,weird=1", "x=error,times=-1", "x=error,times",
-	} {
-		if err := ArmFromSpec(bad); err == nil {
-			t.Errorf("ArmFromSpec(%q) succeeded, want error", bad)
-		}
-	}
-	if err := ArmFromSpec(""); err != nil {
-		t.Errorf("empty spec: %v", err)
-	}
-}
-
-func TestArmFromEnv(t *testing.T) {
-	defer Reset()
-	t.Setenv("PAIR_TEST_FAILPOINTS", "env/point=error:from env")
-	if err := ArmFromEnv("PAIR_TEST_FAILPOINTS"); err != nil {
-		t.Fatal(err)
-	}
-	if err := Hit("env/point"); err == nil || !strings.Contains(err.Error(), "from env") {
-		t.Fatalf("env-armed point returned %v", err)
-	}
-	t.Setenv("PAIR_TEST_FAILPOINTS", "")
-	if err := ArmFromEnv("PAIR_TEST_FAILPOINTS"); err != nil {
-		t.Fatalf("unset env: %v", err)
 	}
 }
 

@@ -34,8 +34,7 @@ import (
 	"time"
 )
 
-// Failpoint names the fleet evaluates, exported so chaos tests (and
-// operators reproducing a defect, via failpoint.ArmFromEnv) can arm
+// Failpoint names the fleet evaluates, exported so chaos tests can arm
 // them by name. Disarmed they are zero-cost no-ops.
 const (
 	// FailpointWorkerLease is hit by a worker immediately after it is

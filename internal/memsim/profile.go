@@ -61,8 +61,7 @@ func (m RefreshMode) String() string {
 // grammar of internal/registry (see profilespec.go).
 type Profile struct {
 	// ID is the registered base profile identifier, e.g. "ddr5-4800".
-	ID          string
-	Description string
+	ID string
 
 	// Org is the per-(sub)channel device organization. Its BurstLen
 	// drives the data-bus occupancy of every access.
@@ -174,7 +173,6 @@ func init() {
 		New: func() Profile {
 			return Profile{
 				ID:          "ddr4-2400",
-				Description: "DDR4-2400 64-bit channel, BL8, REFab",
 				Org:         dram.DDR4x16(),
 				Timing:      DDR4_2400(),
 				Channels:    1,
@@ -190,7 +188,6 @@ func init() {
 		New: func() Profile {
 			return Profile{
 				ID:          "ddr5-4800",
-				Description: "DDR5-4800 2x32-bit subchannels, BL16, REFsb",
 				Org:         dram.DDR5x16(),
 				Timing:      DDR5_4800(),
 				Channels:    1,
@@ -206,7 +203,6 @@ func init() {
 		New: func() Profile {
 			return Profile{
 				ID:          "lpddr5-6400",
-				Description: "LPDDR5-6400 2x16-bit channels, BL16, per-bank refresh, closed page",
 				Org:         dram.LPDDR5x16(),
 				Timing:      LPDDR5_6400(),
 				Channels:    2,

@@ -11,6 +11,8 @@
 //	stored := pair.Encode(scheme, line)        // protect a 64B cache line
 //	data, claim := pair.Decode(scheme, stored) // recover it
 //
+// The baselines are built by spec, e.g. pair.SchemeBySpec("xed").
+//
 // Every scheme implements one codec contract (see Scheme): batches of
 // caller-owned images encoded and decoded one image at a time, width 1
 // being the scalar case. Encode and Decode are its allocating
@@ -72,10 +74,6 @@ type Organization = dram.Organization
 // DDR4x16 returns the study's commodity organization (4 x16 chips, BL8).
 func DDR4x16() Organization { return dram.DDR4x16() }
 
-// DDR4x8ECC returns the 9-chip x8 ECC-DIMM organization used by the
-// rank-level SECDED baseline.
-func DDR4x8ECC() Organization { return dram.DDR4x8ECC() }
-
 // DDR5x16 returns a DDR5 32-bit subchannel (2 x16 chips, BL16) — each
 // pin carries two PAIR symbols per burst.
 func DDR5x16() Organization { return dram.DDR5x16() }
@@ -93,30 +91,6 @@ func NewPAIRBase() *core.Scheme { return core.MustNew(dram.DDR4x16(), core.BaseC
 
 // NewPAIRWith returns PAIR at an arbitrary operating point.
 func NewPAIRWith(org Organization, cfg PAIRConfig) (*core.Scheme, error) { return core.New(org, cfg) }
-
-// NewNone returns the unprotected baseline.
-func NewNone() Scheme { return ecc.NewNone(dram.DDR4x16()) }
-
-// NewIECC returns conventional in-DRAM ECC: a (136,128) SEC Hamming code
-// per chip access.
-func NewIECC() Scheme { return ecc.NewIECC(dram.DDR4x16()) }
-
-// NewXED returns the XED baseline (on-die detection + rank-XOR
-// correction), adapted to the commodity organization as described in
-// DESIGN.md.
-func NewXED() Scheme { return ecc.NewXED(dram.DDR4x16()) }
-
-// NewDUO returns the DUO baseline (on-die redundancy forwarded to a
-// controller-side RS(18,16) over beat-aligned symbols).
-func NewDUO() Scheme { return ecc.NewDUO(dram.DDR4x16()) }
-
-// NewDUORank returns the original nine-chip ECC-DIMM DUO (rank-level
-// RS(81,64), t=8, chip-erasure retry) on the DDR4x8ECC organization.
-func NewDUORank() Scheme { return ecc.NewDUORank(dram.DDR4x8ECC()) }
-
-// NewSECDED returns the rank-level (72,64) Hsiao baseline on the 9-chip
-// ECC-DIMM organization.
-func NewSECDED() Scheme { return ecc.NewSECDED(dram.DDR4x8ECC()) }
 
 // AllSchemes returns the evaluation set of the study, in presentation
 // order: none, iecc, xed, duo, pair-base, pair. The composition lives in

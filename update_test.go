@@ -80,8 +80,16 @@ func TestUpdateRefusesUncorrectable(t *testing.T) {
 func TestUpdateRejectsForeignImage(t *testing.T) {
 	// An IECC image has no transferred redundancy for DUO to decode: the
 	// shape mismatch is an error, not a nil dereference.
-	st := pair.Encode(pair.NewIECC(), make([]byte, 64))
-	_, err := pair.Update(pair.NewDUO(), st, 0, []byte{1})
+	iecc, err := pair.SchemeBySpec("iecc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	duo, err := pair.SchemeBySpec("duo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := pair.Encode(iecc, make([]byte, 64))
+	_, err = pair.Update(duo, st, 0, []byte{1})
 	if err == nil || !strings.Contains(err.Error(), "chip 0 is shaped") {
 		t.Fatalf("DUO update of an IECC image: err = %v", err)
 	}
