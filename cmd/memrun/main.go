@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -56,16 +57,25 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Output that cannot be written (a full disk, a closed pipe) fails
+	// the run.
+	out := bufio.NewWriter(stdout)
+	defer func() {
+		if err := out.Flush(); err != nil && code == 0 {
+			fmt.Fprintln(stderr, "memrun: stdout:", err)
+			code = 1
+		}
+	}()
 	if *listSchs {
-		fmt.Fprint(stdout, pair.SchemeSpecHelp())
+		fmt.Fprint(out, pair.SchemeSpecHelp())
 		return 0
 	}
 	if *listFaults {
-		fmt.Fprint(stdout, pair.FaultSpecHelp())
+		fmt.Fprint(out, pair.FaultSpecHelp())
 		return 0
 	}
 	if *listProfs {
-		fmt.Fprint(stdout, pair.ProfileSpecHelp())
+		fmt.Fprint(out, pair.ProfileSpecHelp())
 		return 0
 	}
 	var profile *memsim.Profile
@@ -113,21 +123,34 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 	var traceW io.Writer
 	if *cmdtrace != "" {
 		if *cmdtrace == "-" {
-			traceW = stdout
+			traceW = out
 		} else {
 			f, err := os.Create(*cmdtrace)
 			if err != nil {
 				fmt.Fprintln(stderr, "memrun:", err)
 				return 1
 			}
-			defer f.Close()
-			traceW = f
+			// One write per command would be one syscall per command.
+			tw := bufio.NewWriter(f)
+			traceW = tw
+			defer func() {
+				err := tw.Flush()
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					fmt.Fprintln(stderr, "memrun: command trace:", err)
+					if code == 0 {
+						code = 1
+					}
+				}
+			}()
 		}
 	}
 	s := wl.Stats()
-	fmt.Fprintf(stdout, "trace %s: %d reads, %d writes (%d masked), window %d\n\n",
+	fmt.Fprintf(out, "trace %s: %d reads, %d writes (%d masked), window %d\n\n",
 		wl.Name, s.Reads, s.Writes+s.MaskedWrites, s.MaskedWrites, wl.Window)
-	fmt.Fprintf(stdout, "%-10s %12s %12s %11s %11s %12s %9s %7s\n",
+	fmt.Fprintf(out, "%-10s %12s %12s %11s %11s %12s %9s %7s\n",
 		"scheme", "cycles", "exec ms", "extra rds", "extra wrs", "read lat ns", "row hit%", "bus%")
 
 	names := []string{*schemeName}
@@ -169,7 +192,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 			fmt.Fprintln(stderr, "memrun:", err)
 			return 1
 		}
-		fmt.Fprintf(stdout, "%-10s %12d %12.3f %11d %11d %12.1f %9.1f %7.1f\n",
+		fmt.Fprintf(out, "%-10s %12d %12.3f %11d %11d %12.1f %9.1f %7.1f\n",
 			scheme.Name(), res.Cycles, res.ExecSeconds(prof.Timing)*1e3,
 			res.ExtraReads, res.ExtraWrites, res.AvgReadLatencyNS(prof.Timing),
 			res.RowHitRate()*100, res.BusUtilization()*100)
@@ -181,7 +204,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) (code int) {
 				}
 				exit = 1
 			} else {
-				fmt.Fprintf(stdout, "check: %s clean (%d commands, 0 violations)\n",
+				fmt.Fprintf(out, "check: %s clean (%d commands, 0 violations)\n",
 					scheme.Name(), chk.Commands())
 			}
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -105,6 +106,59 @@ func TestCmdTraceToStdout(t *testing.T) {
 	}
 	if !strings.Contains(out, " ACT ") || !strings.Contains(out, "# scheme none") {
 		t.Fatalf("stdout command trace missing:\n%s", out)
+	}
+}
+
+// failingWriter fails every write, as a full disk or a closed pipe does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+func TestStdoutWriteErrorFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-list-schemes"},
+		{"-scheme", "pair", "-compare", "xed", writeTraceFile(t)},
+		{"-scheme", "pair", "-cmdtrace", "-", writeTraceFile(t)},
+	} {
+		var errb strings.Builder
+		code := run(args, strings.NewReader(""), failingWriter{}, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "memrun: stdout: no space left on device") {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 1 and the write error", args, code, errb.String())
+		}
+	}
+}
+
+func TestCmdTraceWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail writes:", err)
+	}
+	code, _, stderr := runCLI(t, "", "-scheme", "pair", "-cmdtrace", "/dev/full", writeTraceFile(t))
+	if code != 1 || !strings.Contains(stderr, "memrun: command trace:") || !strings.Contains(stderr, "no space left on device") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 and the write error", code, stderr)
+	}
+}
+
+// TestCmdTraceFileMatchesStdoutTrace compares the command trace written
+// to a file with the one written to stdout, where it precedes each
+// scheme's row.
+func TestCmdTraceFileMatchesStdoutTrace(t *testing.T) {
+	tr := writeTraceFile(t)
+	path := filepath.Join(t.TempDir(), "cmds.trace")
+	if code, _, stderr := runCLI(t, "", "-scheme", "pair", "-cmdtrace", path, tr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	code, out, stderr := runCLI(t, "", "-scheme", "pair", "-cmdtrace", "-", tr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stdout: two header lines and a blank, the trace, then the row.
+	lines := strings.SplitAfter(out, "\n")
+	if got := strings.Join(lines[3:len(lines)-2], ""); len(data) == 0 || got != string(data) {
+		t.Fatalf("stdout trace differs from the file trace:\n%s\nfile:\n%s", got, data)
 	}
 }
 

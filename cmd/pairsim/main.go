@@ -35,6 +35,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -91,20 +92,29 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Stdout is buffered and flushed after each experiment; output that
+	// cannot be written (a full disk, a closed pipe) fails the run.
+	out := bufio.NewWriter(stdout)
+	defer func() {
+		if err := out.Flush(); err != nil && code == 0 {
+			fmt.Fprintln(stderr, "pairsim: stdout:", err)
+			code = 1
+		}
+	}()
 	if *list {
-		fmt.Fprint(stdout, experiments.ListText())
+		fmt.Fprint(out, experiments.ListText())
 		return 0
 	}
 	if *listSchs {
-		fmt.Fprint(stdout, schemes.ListText())
+		fmt.Fprint(out, schemes.ListText())
 		return 0
 	}
 	if *listFaults {
-		fmt.Fprint(stdout, faults.ListFaultsText())
+		fmt.Fprint(out, faults.ListFaultsText())
 		return 0
 	}
 	if *listProfs {
-		fmt.Fprint(stdout, memsim.ListProfilesText())
+		fmt.Fprint(out, memsim.ListProfilesText())
 		return 0
 	}
 	sc := experiments.ScaleFor(*quick, *trials, *devices, *requests)
@@ -148,15 +158,28 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	sc.Sim.Check = *checkFlag
 	if *cmdtrace == "-" {
-		sc.Sim.CmdTrace = stdout
+		sc.Sim.CmdTrace = out
 	} else if *cmdtrace != "" {
 		f, err := os.Create(*cmdtrace)
 		if err != nil {
 			fmt.Fprintln(stderr, "pairsim:", err)
 			return 1
 		}
-		defer f.Close()
-		sc.Sim.CmdTrace = f
+		// One write per command would be one syscall per command.
+		tw := bufio.NewWriter(f)
+		sc.Sim.CmdTrace = tw
+		defer func() {
+			err := tw.Flush()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintln(stderr, "pairsim: command trace:", err)
+				if code == 0 {
+					code = 1
+				}
+			}
+		}()
 	}
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -203,11 +226,11 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	}
 
 	if *fleetURL != "" {
-		return runFleetExperiments(ctx, *fleetURL, exps, *schemeList, *faultList, sc, *progress, stdout, stderr)
+		return runFleetExperiments(ctx, *fleetURL, exps, *schemeList, *faultList, sc, *progress, out, stderr)
 	}
 	for _, e := range exps {
 		start := time.Now()
-		out, err := e.Run(ctx, sc, opts)
+		res, err := e.Run(ctx, sc, opts)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				msg := "pairsim: interrupted"
@@ -221,8 +244,12 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			printDefects(stderr, report)
 			return 1
 		}
-		fmt.Fprintln(stdout, out)
-		fmt.Fprintf(stdout, "[%s done in %v]\n\n", strings.ToUpper(e.ID), time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(out, res)
+		fmt.Fprintf(out, "[%s done in %v]\n\n", strings.ToUpper(e.ID), time.Since(start).Round(time.Millisecond))
+		if err := out.Flush(); err != nil {
+			fmt.Fprintln(stderr, "pairsim: stdout:", err)
+			return 1
+		}
 	}
 	printDefects(stderr, report)
 	return 0

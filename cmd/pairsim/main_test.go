@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,6 +99,67 @@ func TestCmdTraceFlagWritesFile(t *testing.T) {
 	got := string(data)
 	if !strings.Contains(got, "# sim scrub-off") || !strings.Contains(got, " ACT ") {
 		t.Fatalf("command trace incomplete:\n%.300s", got)
+	}
+}
+
+// TestCmdTraceFileMatchesStdoutTrace runs f11 twice, with the command
+// trace in a file and on stdout: the file must hold exactly the lines
+// that precede the table on stdout, which is otherwise the untraced
+// output.
+func TestCmdTraceFileMatchesStdoutTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cmds.trace")
+	args := []string{"-exp", "f11", "-requests", "200"}
+	code, plain, stderr := runCLI(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if code, _, stderr = runCLI(t, append(args, "-cmdtrace", path)...); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	code, traced, stderr := runCLI(t, append(args, "-cmdtrace", "-")...)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, ok := strings.CutPrefix(traced, string(data))
+	if !ok || len(data) == 0 {
+		t.Fatalf("the trace file (%d bytes) is not the start of the traced stdout", len(data))
+	}
+	if stripTimings(rest) != stripTimings(plain) {
+		t.Fatalf("traced stdout after the trace differs from the untraced run:\n%s", rest)
+	}
+}
+
+// failingWriter fails every write, as a full disk or a closed pipe does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+func TestStdoutWriteErrorFails(t *testing.T) {
+	for _, args := range [][]string{
+		{"-list"},
+		{"-list-profiles"},
+		{"-exp", "t1"},
+		{"-exp", "f11", "-requests", "200", "-cmdtrace", "-"},
+	} {
+		var errb strings.Builder
+		code := run(args, failingWriter{}, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "pairsim: stdout: no space left on device") {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 1 and the write error", args, code, errb.String())
+		}
+	}
+}
+
+func TestCmdTraceWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail writes:", err)
+	}
+	code, _, stderr := runCLI(t, "-exp", "f11", "-requests", "200", "-cmdtrace", "/dev/full")
+	if code != 1 || !strings.Contains(stderr, "pairsim: command trace:") || !strings.Contains(stderr, "no space left on device") {
+		t.Fatalf("exit %d, stderr %q; want exit 1 and the write error", code, stderr)
 	}
 }
 

@@ -56,16 +56,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *listSchs {
-		fmt.Fprint(stdout, schemes.ListText())
-		return 0
+	var list string
+	switch {
+	case *listSchs:
+		list = schemes.ListText()
+	case *listFaults:
+		list = faults.ListFaultsText()
+	case *listProfs:
+		list = memsim.ListProfilesText()
 	}
-	if *listFaults {
-		fmt.Fprint(stdout, faults.ListFaultsText())
-		return 0
-	}
-	if *listProfs {
-		fmt.Fprint(stdout, memsim.ListProfilesText())
+	if list != "" {
+		if _, err := io.WriteString(stdout, list); err != nil {
+			fmt.Fprintln(stderr, "tracegen:", err)
+			return 1
+		}
 		return 0
 	}
 

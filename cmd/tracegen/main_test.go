@@ -117,6 +117,16 @@ func TestWriteErrorFails(t *testing.T) {
 	}
 }
 
+func TestListWriteErrorFails(t *testing.T) {
+	for _, mode := range []string{"-list-schemes", "-list-faults", "-list-profiles"} {
+		var errb strings.Builder
+		code := run([]string{mode}, failingWriter{}, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "tracegen: no space left on device") {
+			t.Fatalf("%s: exit %d, stderr %q; want exit 1 and the write error", mode, code, errb.String())
+		}
+	}
+}
+
 func TestUnknownPattern(t *testing.T) {
 	code, _, stderr := runCLI(t, "-pattern", "zigzag")
 	if code != 1 || !strings.Contains(stderr, "unknown pattern") {

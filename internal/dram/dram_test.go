@@ -300,7 +300,8 @@ func TestAddressMapperRoundTripUniqueness(t *testing.T) {
 	}
 	seen := make(map[Address]uint64)
 	for line := uint64(0); line < m.Capacity(); line++ {
-		a := m.Map(line)
+		var a Address
+		m.Map(line, &a)
 		if a.Rank < 0 || a.Rank >= 2 || a.Group < 0 || a.Group >= org.BankGroups ||
 			a.Bank < 0 || a.Bank >= org.BanksPerGrp || a.Row < 0 || a.Row >= org.Rows ||
 			a.Col < 0 || a.Col >= org.Cols {
@@ -316,35 +317,101 @@ func TestAddressMapperRoundTripUniqueness(t *testing.T) {
 	}
 }
 
+// mapByDivision is the division form of AddressMapper.Map, the only form
+// before power-of-two geometries took shifts and masks, with the flat
+// bank FlatBank gave.
+func mapByDivision(m *AddressMapper, line uint64) (Address, int) {
+	o := m.Org
+	col := int(line % uint64(o.Cols))
+	line /= uint64(o.Cols)
+	rank := int(line % uint64(m.Ranks))
+	line /= uint64(m.Ranks)
+	bank := int(line % uint64(o.BanksPerGrp))
+	line /= uint64(o.BanksPerGrp)
+	group := int(line % uint64(o.BankGroups))
+	line /= uint64(o.BankGroups)
+	row := int(line % uint64(o.Rows))
+	group ^= col & (o.BankGroups - 1)
+	return Address{Rank: rank, Group: group, Bank: bank, Row: row, Col: col},
+		(rank*o.BankGroups+group)*o.BanksPerGrp + bank
+}
+
+// TestAddressMapperMatchesDivision maps every line of small geometries,
+// and the lines of a second pass beyond Capacity, and requires the
+// address the division form gives: on a power-of-two geometry (the
+// shift path), and with three ranks, a column count or a row count that
+// is not a power of two (the division path).
+func TestAddressMapperMatchesDivision(t *testing.T) {
+	small := DDR4x16()
+	small.Rows, small.Cols = 16, 8
+	oddCols := DDR5x16()
+	oddCols.Rows, oddCols.Cols = 8, 6
+	oddRows := small
+	oddRows.Rows = 5
+	for _, tc := range []struct {
+		name  string
+		org   Organization
+		ranks int
+		pow2  bool
+	}{
+		{"pow2", small, 2, true},
+		{"ranks3", small, 3, false},
+		{"cols6", oddCols, 1, false},
+		{"rows5", oddRows, 1, false},
+	} {
+		m, err := NewAddressMapper(tc.org, tc.ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.pow2 != tc.pow2 {
+			t.Fatalf("%s: shift path %v, want %v", tc.name, m.pow2, tc.pow2)
+		}
+		for line := uint64(0); line < 2*m.Capacity(); line++ {
+			var got Address
+			gotFB := m.Map(line, &got)
+			if want, wantFB := mapByDivision(m, line); got != want || gotFB != wantFB {
+				t.Fatalf("%s: line %d maps to %v in flat bank %d, division form %v in %d",
+					tc.name, line, got, gotFB, want, wantFB)
+			}
+		}
+	}
+}
+
 func TestAddressMapperSpreadsBankGroups(t *testing.T) {
 	// Consecutive lines must not all hit the same bank group (the XOR
 	// permutation's purpose).
 	m, _ := NewAddressMapper(DDR4x16(), 1)
 	groups := make(map[int]bool)
 	for line := uint64(0); line < 8; line++ {
-		groups[m.Map(line).Group] = true
+		var a Address
+		m.Map(line, &a)
+		groups[a.Group] = true
 	}
 	if len(groups) < 2 {
 		t.Fatal("consecutive lines all in one bank group")
 	}
 }
 
+// TestFlatBankDense maps every line of a small two-rank geometry and
+// requires the flat bank Map returns to name each (rank, group, bank)
+// triple with its own index in [0, NumFlatBanks), every index used.
 func TestFlatBankDense(t *testing.T) {
-	m, _ := NewAddressMapper(DDR4x16(), 2)
-	seen := make(map[int]bool)
-	for r := 0; r < 2; r++ {
-		for g := 0; g < 2; g++ {
-			for b := 0; b < 4; b++ {
-				fb := m.FlatBank(Address{Rank: r, Group: g, Bank: b})
-				if fb < 0 || fb >= m.NumFlatBanks() {
-					t.Fatalf("flat bank %d out of range", fb)
-				}
-				if seen[fb] {
-					t.Fatalf("flat bank %d duplicated", fb)
-				}
-				seen[fb] = true
-			}
+	org := DDR4x16()
+	org.Rows, org.Cols = 4, 8
+	m, _ := NewAddressMapper(org, 2)
+	type triple struct{ rank, group, bank int }
+	seen := make(map[int]triple)
+	for line := uint64(0); line < m.Capacity(); line++ {
+		var a Address
+		fb := m.Map(line, &a)
+		if fb < 0 || fb >= m.NumFlatBanks() {
+			t.Fatalf("flat bank %d out of range", fb)
 		}
+		tr := triple{a.Rank, a.Group, a.Bank}
+		if prev, ok := seen[fb]; ok && prev != tr {
+			t.Fatalf("flat bank %d duplicated: %v and %v", fb, prev, tr)
+		}
+		seen[fb] = tr
 	}
 	if len(seen) != m.NumFlatBanks() {
 		t.Fatal("flat bank indices not dense")

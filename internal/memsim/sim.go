@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -139,11 +140,20 @@ type op struct {
 }
 
 type bankState struct {
-	openRow  int
-	actOK    uint64 // earliest next ACT (tRC)
-	casOK    uint64 // earliest next CAS after ACT (tRCD met)
-	preOK    uint64 // earliest next PRE
-	lastBeat uint64 // end of last data transfer on this bank
+	openRow int
+	actOK   uint64 // earliest next ACT (tRC)
+	casOK   uint64 // earliest next CAS after ACT (tRCD met)
+	preOK   uint64 // earliest next PRE
+}
+
+// queued is one pending op as pick's scan reads it: its bank's state,
+// its row and its admission time sit in the entry, so a scan step never
+// loads the op itself.
+type queued struct {
+	bank *bankState
+	row  int
+	enq  uint64
+	o    *op
 }
 
 type completionEvent struct {
@@ -212,22 +222,56 @@ type busState struct {
 	lastACTGrp  [][]uint64 // per rank per bank group, last ACT time (tRRD_L)
 }
 
+// refreshWindow is the refresh period holding the last time looked up:
+// a tREFI interval in all-bank mode, a REFsb slot in same-bank mode.
+// Commands land close to the clock, so most lookups fall in it and skip
+// the division.
+type refreshWindow struct {
+	sameBank bool
+	period   uint64 // tREFI, or the REFsb slot period
+	blackout uint64 // tRFC, or tRFCsb
+	banks    uint64 // device banks, the REFsb rotation
+	idx      uint64 // the window is [start, start+period), start = idx*period
+	start    uint64
+	slotBank uint64 // idx % banks: the bank REFsb slot idx refreshes
+}
+
+// seek makes the window the one holding x.
+func (w *refreshWindow) seek(x uint64) {
+	if x-w.start >= w.period { // also true when x < start
+		w.idx = x / w.period
+		w.start = w.idx * w.period
+		w.slotBank = w.idx % w.banks
+	}
+}
+
 // simulator carries the run state.
 type simulator struct {
 	cfg    Config
 	prof   *Profile
+	t      *Timing // &prof.Timing
 	mapper *dram.AddressMapper
 	rng    *rand.Rand
 
-	now         uint64
-	buses       []busState
-	nBuses      uint64
-	totalCap    uint64 // addressable lines across all buses
+	now      uint64
+	buses    []busState
+	nBuses   uint64
+	busShift uint8  // log2(nBuses), when busPow2
+	busPow2  bool   // nBuses is a power of two: bus = line & (nBuses-1)
+	totalCap uint64 // addressable lines across all buses
+	capPow2  bool   // totalCap is a power of two: wrap masks
+
+	// Per-run constants.
+	burst        [2]uint64 // data-bus cycles of a read and a write burst, extra beats included
+	decodeCycles uint64    // read decode latency
+
+	refresh     refreshWindow
 	lastRefresh uint64 // last REFab boundary or REFsb slot observed
 
-	evbuf []Command // per-schedule event batch, sorted before delivery
-	held  []Command // future-time events (closed-page auto-PRE)
-	free  []*op     // completed ops, reused by newOp
+	queue [2][]queued // pending ops of each kind (indexed by opKind), in admission order
+	evbuf []Command   // per-schedule event batch, sorted before delivery
+	held  []Command   // future-time events (closed-page auto-PRE)
+	free  []*op       // completed ops, reused by newOp
 
 	res Result
 }
@@ -237,32 +281,62 @@ type simulator struct {
 // A nil or invalid Profile and an invalid rank count are reported as
 // errors (the zero Ranks defaults to 1).
 func Run(cfg Config, wl trace.Workload) (Result, error) {
+	s, err := newSimulator(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	s.run(wl)
+	return s.res, nil
+}
+
+// newSimulator validates the configuration and sets up a run's state
+// and per-run constants.
+func newSimulator(cfg Config) (*simulator, error) {
 	prof := cfg.Profile
 	if prof == nil {
-		return Result{}, errors.New("memsim: nil Profile")
+		return nil, errors.New("memsim: nil Profile")
 	}
 	if cfg.Ranks == 0 {
 		cfg.Ranks = 1
 	}
 	if cfg.Ranks < 0 {
-		return Result{}, fmt.Errorf("memsim: invalid rank count %d", cfg.Ranks)
+		return nil, fmt.Errorf("memsim: invalid rank count %d", cfg.Ranks)
 	}
 	if err := prof.Validate(); err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	mapper, err := dram.NewAddressMapper(prof.Org, cfg.Ranks)
 	if err != nil {
-		return Result{}, fmt.Errorf("memsim: %w", err)
+		return nil, fmt.Errorf("memsim: %w", err)
 	}
 	s := &simulator{
 		cfg:    cfg,
 		prof:   prof,
+		t:      &prof.Timing,
 		mapper: mapper,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	s.res.ReadLatency = stats.NewHistogram()
 	s.nBuses = uint64(prof.Buses())
+	s.busShift = uint8(bits.TrailingZeros64(s.nBuses))
+	s.busPow2 = s.nBuses&(s.nBuses-1) == 0
 	s.totalCap = mapper.Capacity() * s.nBuses
+	s.capPow2 = s.totalCap&(s.totalCap-1) == 0
+	s.burst = [2]uint64{
+		opRead:  uint64(prof.BurstCycles(cfg.Cost.ExtraReadBeats)),
+		opWrite: uint64(prof.BurstCycles(cfg.Cost.ExtraWriteBeats)),
+	}
+	s.decodeCycles = prof.Timing.NSToCycles(cfg.Cost.DecodeLatencyNS)
+	s.refresh = refreshWindow{
+		period:   uint64(prof.Timing.TREFI),
+		blackout: uint64(prof.Timing.TRFC),
+		banks:    uint64(prof.NumBanks()),
+	}
+	if prof.Refresh == RefreshSameBank {
+		s.refresh.sameBank = true
+		s.refresh.period = prof.RefSlotPeriod()
+		s.refresh.blackout = uint64(prof.Timing.TRFCSB)
+	}
 	s.buses = make([]busState, s.nBuses)
 	for bi := range s.buses {
 		bus := &s.buses[bi]
@@ -279,8 +353,7 @@ func Run(cfg Config, wl trace.Workload) (Result, error) {
 			bus.lastACTGrp[i] = make([]uint64, prof.Org.BankGroups)
 		}
 	}
-	s.run(wl)
-	return s.res, nil
+	return s, nil
 }
 
 // MustRun is Run for configurations known to be valid; it panics on a
@@ -304,13 +377,29 @@ func (s *simulator) newOp(kind opKind, line uint64, reqIdx int) *op {
 		o = new(op)
 	}
 	*o = op{kind: kind, line: line, enq: s.now, reqIdx: reqIdx}
-	if s.nBuses == 1 {
-		o.addr = s.mapper.Map(line)
+	var rest uint64
+	if s.busPow2 {
+		o.bus, rest = int(line&(s.nBuses-1)), line>>s.busShift
 	} else {
-		o.bus, o.addr = int(line%s.nBuses), s.mapper.Map(line/s.nBuses)
+		o.bus, rest = int(line%s.nBuses), line/s.nBuses
 	}
-	o.fb = s.mapper.FlatBank(o.addr)
+	o.fb = s.mapper.Map(rest, &o.addr)
 	return o
+}
+
+// enqueue appends an admitted op to its kind's queue.
+func (s *simulator) enqueue(o *op) {
+	s.queue[o.kind] = append(s.queue[o.kind], queued{
+		bank: &s.buses[o.bus].banks[o.fb], row: o.addr.Row, enq: o.enq, o: o,
+	})
+}
+
+// wrap folds a line index into the addressable lines.
+func (s *simulator) wrap(line uint64) uint64 {
+	if s.capPow2 {
+		return line & (s.totalCap - 1)
+	}
+	return line % s.totalCap
 }
 
 func (s *simulator) run(wl trace.Workload) {
@@ -318,10 +407,12 @@ func (s *simulator) run(wl trace.Workload) {
 	if window <= 0 {
 		window = 8
 	}
-	cap64 := s.totalCap
-
+	// A request queues at most two ops of each kind, so the queues
+	// rarely outgrow these.
+	for k := range s.queue {
+		s.queue[k] = make([]queued, 0, 2*window)
+	}
 	var (
-		pending     []*op // admitted and schedulable
 		completions completionQueue
 		outstanding int
 		traceIdx    int
@@ -336,7 +427,7 @@ func (s *simulator) run(wl trace.Workload) {
 	admit := func() {
 		for traceIdx < len(wl.Reqs) && arrive <= s.now && outstanding < window {
 			r := wl.Reqs[traceIdx]
-			pending = s.expand(pending, r, r.Line%cap64, traceIdx)
+			s.expand(r, s.wrap(r.Line), traceIdx)
 			outstanding++
 			traceIdx++
 			if traceIdx < len(wl.Reqs) {
@@ -356,7 +447,7 @@ func (s *simulator) run(wl trace.Workload) {
 				outstanding--
 			}
 			if dep := ev.o.dependent; dep != nil {
-				pending = append(pending, dep)
+				s.enqueue(dep)
 			}
 			s.free = append(s.free, ev.o)
 		}
@@ -365,17 +456,17 @@ func (s *simulator) run(wl trace.Workload) {
 		// scheduled time so a multi-period jump of the clock catches up
 		// without compressing the ScrubReads accounting.
 		for s.cfg.ScrubPeriod > 0 && s.now >= nextScrub {
-			o := s.newOp(opRead, scrubLine%cap64, -1)
+			o := s.newOp(opRead, s.wrap(scrubLine), -1)
 			o.enq = nextScrub
-			pending = append(pending, o)
+			s.enqueue(o)
 			s.res.ScrubReads++
 			scrubLine += 64 // stride across rows over time
 			nextScrub += s.cfg.ScrubPeriod
 		}
 
 		// Pick the next operation: FR-FCFS with write draining.
-		idx := s.pick(pending)
-		if idx < 0 {
+		o := s.pick()
+		if o == nil {
 			// Nothing pending: advance time to the next event.
 			next := uint64(math.MaxUint64)
 			if len(completions) > 0 {
@@ -396,15 +487,13 @@ func (s *simulator) run(wl trace.Workload) {
 			s.now = next
 			continue
 		}
-		o := pending[idx]
-		pending = append(pending[:idx], pending[idx+1:]...)
 		finish := s.schedule(o)
 		if finish > lastFinish {
 			lastFinish = finish
 		}
 		if o.isRead {
 			s.res.ReadLatencySum += finish - o.enq
-			s.res.ReadLatency.Observe(float64(finish - o.enq))
+			s.res.ReadLatency.Observe(finish - o.enq)
 		}
 		reqIdx := -1
 		if o.last {
@@ -416,19 +505,19 @@ func (s *simulator) run(wl trace.Workload) {
 	s.res.Cycles = lastFinish
 }
 
-// expand appends a trace request's bus operations to pending, applying
-// the ECC cost model.
-func (s *simulator) expand(pending []*op, r trace.Request, line uint64, idx int) []*op {
+// expand queues a trace request's bus operations, applying the ECC cost
+// model.
+func (s *simulator) expand(r trace.Request, line uint64, idx int) {
 	cost := s.cfg.Cost
 	switch r.Op {
 	case trace.Read:
 		s.res.Reads++
 		rd := s.newOp(opRead, line, idx)
 		rd.last, rd.isRead = true, true
-		pending = append(pending, rd)
+		s.enqueue(rd)
 		if cost.DetectionRereadRate > 0 && s.rng.Float64() < cost.DetectionRereadRate {
 			s.res.ExtraReads++
-			pending = append(pending, s.newOp(opRead, line, -1))
+			s.enqueue(s.newOp(opRead, line, -1))
 		}
 	case trace.Write, trace.MaskedWrite:
 		s.res.Writes++
@@ -441,109 +530,92 @@ func (s *simulator) expand(pending []*op, r trace.Request, line uint64, idx int)
 				s.res.ExtraReads++
 				rd := s.newOp(opRead, line, idx)
 				rd.dependent = w
-				pending = append(pending, rd)
+				s.enqueue(rd)
 				w = nil // released on read completion
 			}
 		}
 		if w != nil {
-			pending = append(pending, w)
+			s.enqueue(w)
 		}
 		if cost.ExtraWritesPerWrite > 0 && s.rng.Float64() < cost.ExtraWritesPerWrite {
 			// Companion parity-image write (posted; separate region).
 			s.res.ExtraWrites++
-			pline := (line + s.totalCap/2) % s.totalCap
-			pending = append(pending, s.newOp(opWrite, pline, -1))
+			s.enqueue(s.newOp(opWrite, s.wrap(line+s.totalCap/2), -1))
 		}
 		if cost.ExtraReadsPerWrite > 0 && s.rng.Float64() < cost.ExtraReadsPerWrite {
 			s.res.ExtraReads++
-			pending = append(pending, s.newOp(opRead, line, -1))
+			s.enqueue(s.newOp(opRead, line, -1))
 		}
 	}
-	return pending
 }
 
-// pick chooses the next operation index, or -1 if pending is empty: every
-// pending op is ready, because it enters the queue at or before the
+// pick removes and returns the next op, or nil if none is pending: every
+// queued op is ready, because it enters the queue at or before the
 // current cycle. Policy: FR-FCFS — row hits first, then oldest, then
-// first in pending — with reads prioritized over writes unless the write
-// backlog exceeds the drain threshold. One pass counts the ready ops of
-// each kind and keeps the best of each.
-func (s *simulator) pick(pending []*op) int {
+// first in the queue — with reads prioritized over writes unless the
+// write backlog exceeds the drain threshold. Reads and writes queue
+// apart, each in admission order, so the queue lengths are the ready
+// counts and one pass over the served kind's queue finds its best op.
+func (s *simulator) pick() *op {
 	const drainThreshold = 12
-	var ready [2]int // indexed by opKind
-	best := [2]int{-1, -1}
-	var bestHit [2]bool
-	var bestEnq [2]uint64
-	for i, o := range pending {
-		k := o.kind
-		ready[k]++
-		hit := s.buses[o.bus].banks[o.fb].openRow == o.addr.Row
-		if best[k] < 0 || (hit && !bestHit[k]) || (hit == bestHit[k] && o.enq < bestEnq[k]) {
-			best[k], bestHit[k], bestEnq[k] = i, hit, o.enq
+	k := opRead
+	if len(s.queue[opWrite]) > drainThreshold || len(s.queue[opRead]) == 0 {
+		k = opWrite
+	}
+	q := s.queue[k]
+	if len(q) == 0 {
+		return nil
+	}
+	best, bestHit, bestEnq := 0, q[0].bank.openRow == q[0].row, q[0].enq
+	for i := 1; i < len(q); i++ {
+		e := &q[i]
+		hit := e.bank.openRow == e.row
+		if (hit && !bestHit) || (hit == bestHit && e.enq < bestEnq) {
+			best, bestHit, bestEnq = i, hit, e.enq
 		}
 	}
-	if ready[opWrite] > drainThreshold || ready[opRead] == 0 {
-		return best[opWrite]
-	}
-	return best[opRead]
+	o := q[best].o
+	s.queue[k] = append(q[:best], q[best+1:]...)
+	return o
 }
 
 // refreshDefer pushes a command time out of the refresh blackout window.
 // All-bank mode: a refresh starts at every multiple of tREFI (absolute
 // time) and blocks every bank for tRFC. Same-bank mode: REFsb slots fire
-// every tREFI/banks cycles rotating through the banks, and only commands
-// to the refreshing bank stall, for tRFCsb. The windows elapse in the
-// background; only commands landing inside them are deferred.
+// every tREFI/banks cycles rotating through the banks (slot g refreshes
+// bank g mod banks), and only commands to the refreshing bank stall, for
+// tRFCsb. The windows elapse in the background; only commands landing
+// inside them are deferred. Slot 0 and refresh 0 never fire.
 func (s *simulator) refreshDefer(x uint64, bankIdx int) uint64 {
-	t := s.prof.Timing
-	if s.prof.Refresh == RefreshSameBank {
-		period := s.prof.RefSlotPeriod()
-		nb := uint64(s.prof.NumBanks())
-		g := x / period
-		if g < uint64(bankIdx) {
+	w := &s.refresh
+	w.seek(x)
+	start := w.start
+	if w.sameBank {
+		// The bank's last refresh at or before x was d slots back.
+		bank := uint64(bankIdx)
+		if w.idx < bank {
 			return x
 		}
-		g -= (g - uint64(bankIdx)) % nb
-		if g == 0 {
+		d := w.slotBank + w.banks - bank
+		if d >= w.banks {
+			d -= w.banks
+		}
+		if d == w.idx {
 			return x
 		}
-		if start := g * period; x < start+uint64(t.TRFCSB) {
-			return start + uint64(t.TRFCSB)
-		}
+		start -= d * w.period
+	} else if w.idx == 0 {
 		return x
 	}
-	idx := x / uint64(t.TREFI)
-	if idx == 0 {
-		return x
-	}
-	if start := idx * uint64(t.TREFI); x < start+uint64(t.TRFC) {
-		return start + uint64(t.TRFC)
+	if end := start + w.blackout; x < end {
+		return end
 	}
 	return x
-}
-
-// emit queues a command event for this scheduling step (no-op without an
-// observer).
-func (s *simulator) emit(c Command) {
-	if s.cfg.Observer != nil {
-		s.evbuf = append(s.evbuf, c)
-	}
-}
-
-// emitHeld queues a future-time command (closed-page auto-precharge) that
-// must not be delivered until the clock passes it.
-func (s *simulator) emitHeld(c Command) {
-	if s.cfg.Observer != nil {
-		s.held = append(s.held, c)
-	}
 }
 
 // flushEvents delivers the step's events in time order, merging in any
 // held events the clock has passed.
 func (s *simulator) flushEvents() {
-	if s.cfg.Observer == nil {
-		return
-	}
 	if len(s.held) > 0 {
 		kept := s.held[:0]
 		for _, c := range s.held {
@@ -568,7 +640,7 @@ func (s *simulator) flushEvents() {
 // drainHeld delivers any still-held events at the end of the run; they
 // all lie at or beyond the final clock, so time order is preserved.
 func (s *simulator) drainHeld() {
-	if s.cfg.Observer == nil || len(s.held) == 0 {
+	if len(s.held) == 0 {
 		return
 	}
 	s.evbuf = append(s.evbuf, s.held...)
@@ -583,9 +655,10 @@ func (s *simulator) drainHeld() {
 // schedule issues the operation, advancing bank/bus state, and returns its
 // completion cycle. Command times are planned first (every JEDEC floor is
 // a lower bound, so each constraint only moves commands later), then
-// committed and emitted to the observer in time order.
+// committed and, with an observer, emitted in time order. Without one no
+// Command is built.
 func (s *simulator) schedule(o *op) uint64 {
-	t := s.prof.Timing
+	t := s.t
 	busIdx, a, fb := o.bus, o.addr, o.fb
 	bus := &s.buses[busIdx]
 	b := &bus.banks[fb]
@@ -640,13 +713,11 @@ func (s *simulator) schedule(o *op) uint64 {
 
 	// Data-bus occupancy: the burst length is profile-derived (BL8 = 4
 	// cycles, BL16 = 8), extended by the scheme's extra beats.
-	extra := s.cfg.Cost.ExtraReadBeats
 	casToData := uint64(t.CL)
 	if isWrite {
-		extra = s.cfg.Cost.ExtraWriteBeats
 		casToData = uint64(t.CWL)
 	}
-	burst := uint64(s.prof.BurstCycles(extra))
+	burst := s.burst[o.kind]
 	if bus.busFreeAt > casAt+casToData {
 		casAt = bus.busFreeAt - casToData
 	}
@@ -658,36 +729,31 @@ func (s *simulator) schedule(o *op) uint64 {
 	// Refresh accounting: count every refresh boundary (tREFI in all-bank
 	// mode, REFsb slot in same-bank mode) the command clock crossed since
 	// the last one observed.
-	if s.prof.Refresh == RefreshSameBank {
-		period := s.prof.RefSlotPeriod()
-		nb := uint64(s.prof.NumBanks())
-		if slot := casAt / period; slot > s.lastRefresh {
-			for g := s.lastRefresh + 1; g <= slot; g++ {
-				bank := int(g % nb)
-				s.emit(Command{Kind: CmdREFSB, At: g * period, FlatBank: -1, Channel: -1,
-					Addr: dram.Address{Group: bank / s.prof.Org.BanksPerGrp, Bank: bank % s.prof.Org.BanksPerGrp}})
+	observed := s.cfg.Observer != nil
+	w := &s.refresh
+	w.seek(casAt)
+	if w.idx > s.lastRefresh {
+		if observed {
+			for g := s.lastRefresh + 1; g <= w.idx; g++ {
+				if !w.sameBank {
+					s.evbuf = append(s.evbuf, Command{Kind: CmdREF, At: g * w.period, FlatBank: -1})
+					continue
+				}
+				bank, bpg := int(g%w.banks), s.prof.Org.BanksPerGrp
+				s.evbuf = append(s.evbuf, Command{Kind: CmdREFSB, At: g * w.period, FlatBank: -1, Channel: -1,
+					Addr: dram.Address{Group: bank / bpg, Bank: bank % bpg}})
 			}
-			s.res.Refreshes += slot - s.lastRefresh
-			s.res.Cmds.REF += slot - s.lastRefresh
-			s.lastRefresh = slot
 		}
-	} else if refIdx := casAt / uint64(t.TREFI); refIdx > s.lastRefresh {
-		for k := s.lastRefresh + 1; k <= refIdx; k++ {
-			s.emit(Command{Kind: CmdREF, At: k * uint64(t.TREFI), FlatBank: -1})
-		}
-		s.res.Refreshes += refIdx - s.lastRefresh
-		s.res.Cmds.REF += refIdx - s.lastRefresh
-		s.lastRefresh = refIdx
+		s.res.Refreshes += w.idx - s.lastRefresh
+		s.res.Cmds.REF += w.idx - s.lastRefresh
+		s.lastRefresh = w.idx
 	}
 
 	// Commit state.
+	closedRow := b.openRow
 	if miss {
 		s.res.RowMisses++
 		if needPRE {
-			closed := a
-			closed.Row = b.openRow
-			closed.Col = 0
-			s.emit(Command{Kind: CmdPRE, At: preAt, Addr: closed, FlatBank: fb, Channel: busIdx})
 			s.res.Cmds.PRE++
 		}
 		ring := bus.fawRing[a.Rank]
@@ -699,9 +765,6 @@ func (s *simulator) schedule(o *op) uint64 {
 		b.casOK = actAt + uint64(t.TRCD)
 		b.preOK = actAt + uint64(t.TRAS)
 		b.openRow = a.Row
-		opened := a
-		opened.Col = 0
-		s.emit(Command{Kind: CmdACT, At: actAt, Addr: opened, FlatBank: fb, Channel: busIdx})
 		s.res.Cmds.ACT++
 	} else {
 		s.res.RowHits++
@@ -714,37 +777,55 @@ func (s *simulator) schedule(o *op) uint64 {
 	bus.lastDataEnd = dataEnd
 	bus.busFreeAt = dataEnd
 	b.casOK = maxU(b.casOK, casAt+uint64(t.TCCDL))
-	kind := CmdRD
 	if isWrite {
-		kind = CmdWR
 		b.preOK = maxU(b.preOK, dataEnd+uint64(t.TWR))
 		s.res.Cmds.WR++
 	} else {
 		b.preOK = maxU(b.preOK, casAt+uint64(t.TRTP))
 		s.res.Cmds.RD++
 	}
-	b.lastBeat = dataEnd
 	s.res.BusBusyCycles += burst
-	s.emit(Command{Kind: kind, At: casAt, Addr: a, FlatBank: fb, Channel: busIdx, Line: o.line, DataStart: dataStart, DataEnd: dataEnd})
 
-	if s.prof.Policy == ClosedPage {
+	closedPage := s.prof.Policy == ClosedPage
+	var autoPRE uint64
+	if closedPage {
 		// Auto-precharge (RDA/WRA): close the row as soon as tRAS, tRTP
 		// (reads) and tWR (writes) allow — preOK already carries all three
-		// floors — and gate the bank's next ACT on tRP after it. The PRE
-		// event lies in the future, so it is held until the clock passes.
-		preAt := s.refreshDefer(b.preOK, bankIdx)
-		closed := a
-		closed.Col = 0
-		s.emitHeld(Command{Kind: CmdPRE, At: preAt, Addr: closed, FlatBank: fb, Channel: busIdx})
+		// floors — and gate the bank's next ACT on tRP after it.
+		autoPRE = s.refreshDefer(b.preOK, bankIdx)
 		s.res.Cmds.PRE++
 		b.openRow = -1
-		b.actOK = maxU(b.actOK, preAt+uint64(t.TRP))
+		b.actOK = maxU(b.actOK, autoPRE+uint64(t.TRP))
 	}
-	s.flushEvents()
+
+	if observed {
+		row := a // the bank's row, column 0, as PRE and ACT address it
+		row.Col = 0
+		if needPRE {
+			closed := row
+			closed.Row = closedRow
+			s.evbuf = append(s.evbuf, Command{Kind: CmdPRE, At: preAt, Addr: closed, FlatBank: fb, Channel: busIdx})
+		}
+		if miss {
+			s.evbuf = append(s.evbuf, Command{Kind: CmdACT, At: actAt, Addr: row, FlatBank: fb, Channel: busIdx})
+		}
+		kind := CmdRD
+		if isWrite {
+			kind = CmdWR
+		}
+		s.evbuf = append(s.evbuf, Command{Kind: kind, At: casAt, Addr: a, FlatBank: fb, Channel: busIdx,
+			Line: o.line, DataStart: dataStart, DataEnd: dataEnd})
+		if closedPage {
+			// The auto-PRE lies in the future, so it is held until the
+			// clock passes it.
+			s.held = append(s.held, Command{Kind: CmdPRE, At: autoPRE, Addr: row, FlatBank: fb, Channel: busIdx})
+		}
+		s.flushEvents()
+	}
 
 	finish := dataEnd
 	if !isWrite {
-		finish += s.prof.Timing.NSToCycles(s.cfg.Cost.DecodeLatencyNS)
+		finish += s.decodeCycles
 	}
 	return finish
 }

@@ -3,41 +3,39 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
-// Histogram collects float64 samples for percentile queries. It stores
-// samples exactly (the experiment scales here are small enough) and sorts
-// lazily.
+// Histogram collects integer samples (latencies in cycles) for
+// percentile queries. It stores samples exactly (the experiment scales
+// here are small enough) and answers each percentile by selecting the
+// sample of that rank in place, without sorting.
 type Histogram struct {
-	samples []float64
-	sorted  bool
+	samples []uint64
+	sum     uint64
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v float64) {
+func (h *Histogram) Observe(v uint64) {
 	h.samples = append(h.samples, v)
-	h.sorted = false
+	h.sum += v
 }
 
 // Count returns the number of samples.
 func (h *Histogram) Count() int { return len(h.samples) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) by nearest-rank,
-// or NaN when empty.
+// or NaN when empty. It reorders the samples.
 func (h *Histogram) Percentile(p float64) float64 {
 	if len(h.samples) == 0 {
 		return math.NaN()
 	}
 	if math.IsNaN(p) || p < 0 || p > 100 {
 		panic(fmt.Sprintf("stats: invalid percentile %v", p))
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
 	}
 	rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
 	// Clamp both ends: p=0 maps to the first sample, and float rounding
@@ -48,16 +46,70 @@ func (h *Histogram) Percentile(p float64) float64 {
 	if rank > len(h.samples) {
 		rank = len(h.samples)
 	}
-	return h.samples[rank-1]
+	return float64(selectRank(h.samples, rank-1))
 }
 
-// Mean returns the arithmetic mean (NaN when empty).
+// Mean returns the arithmetic mean (NaN when empty). It equals the mean
+// of the samples as floats while their sum stays below 2^53.
 func (h *Histogram) Mean() float64 {
 	if len(h.samples) == 0 {
 		return math.NaN()
 	}
-	return Mean(h.samples)
+	return float64(h.sum) / float64(len(h.samples))
 }
 
 // Max returns the largest sample (NaN when empty).
 func (h *Histogram) Max() float64 { return h.Percentile(100) }
+
+// selectRank reorders a so that a[k] holds the value sorting would put
+// there, and returns it: a quickselect with a median-of-three pivot and
+// a three-way partition, so runs of equal latencies end the search
+// early. A search that has not converged after 2·log2(n) partitions
+// sorts what is left.
+func selectRank(a []uint64, k int) uint64 {
+	lo, hi := 0, len(a) // a[k] lies in a[lo:hi]
+	for budget := 2 * bits.Len(uint(len(a))); hi-lo > 1; budget-- {
+		if budget == 0 {
+			slices.Sort(a[lo:hi])
+			break
+		}
+		p := median3(a[lo], a[lo+(hi-lo)/2], a[hi-1])
+		// a[lo:lt] < p, a[lt:i] == p, a[gt:hi] > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				a[gt], a[i] = v, a[gt]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return p
+		}
+	}
+	return a[k]
+}
+
+func median3(a, b, c uint64) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
+}

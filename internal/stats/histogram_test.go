@@ -2,13 +2,15 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
 func TestHistogramPercentiles(t *testing.T) {
 	h := NewHistogram()
-	for i := 100; i >= 1; i-- { // reverse order: sorting must handle it
-		h.Observe(float64(i))
+	for i := 100; i >= 1; i-- { // reverse order: selection must handle it
+		h.Observe(uint64(i))
 	}
 	if h.Count() != 100 {
 		t.Fatalf("count %d", h.Count())
@@ -28,10 +30,10 @@ func TestHistogramPercentiles(t *testing.T) {
 	if h.Mean() != 50.5 {
 		t.Fatalf("mean = %v", h.Mean())
 	}
-	// Observing after a query must re-sort.
+	// Observing after a query must count in the next one.
 	h.Observe(1000)
 	if h.Max() != 1000 {
-		t.Fatal("lazy sort stale after Observe")
+		t.Fatal("max stale after Observe")
 	}
 }
 
@@ -60,7 +62,7 @@ func TestHistogramPercentileEdges(t *testing.T) {
 	for _, n := range []int{2, 3, 10, 999, 1000, 1001} {
 		h := NewHistogram()
 		for i := 1; i <= n; i++ {
-			h.Observe(float64(i))
+			h.Observe(uint64(i))
 		}
 		if got := h.Percentile(100); got != float64(n) {
 			t.Fatalf("n=%d p100 = %v", n, got)
@@ -94,4 +96,55 @@ func TestHistogramEmptyAndInvalid(t *testing.T) {
 	}()
 	h.Observe(1)
 	h.Percentile(101)
+}
+
+// floatPercentile is the nearest-rank percentile over float samples
+// sorted with sort.Float64s, the form Histogram answered with before it
+// held integers.
+func floatPercentile(samples []float64, p float64) float64 {
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
+	rank = max(1, min(rank, len(sorted)))
+	return sorted[rank-1]
+}
+
+// TestHistogramMatchesSortedFloats draws random integer samples — narrow
+// ranges full of ties, wide ranges (sums below 2^53, where a float sum
+// is exact) and a latency-like long tail — and
+// requires every percentile the simulator and the tests ask for, the
+// mean and the max to equal the sorted-float reference, including after
+// more samples arrive between queries.
+func TestHistogramMatchesSortedFloats(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	draws := map[string]func() uint64{
+		"ties":  func() uint64 { return uint64(rng.Intn(4)) },
+		"wide":  func() uint64 { return rng.Uint64() >> 24 },
+		"tail":  func() uint64 { return 40 + uint64(rng.ExpFloat64()*60) },
+		"equal": func() uint64 { return 9 },
+	}
+	for name, draw := range draws {
+		for _, n := range []int{1, 2, 3, 10, 999, 1000, 1001, 2800} {
+			h := NewHistogram()
+			var ref []float64
+			for round := 0; round < 2; round++ {
+				for i := 0; i < n; i++ {
+					v := draw()
+					h.Observe(v)
+					ref = append(ref, float64(v))
+				}
+				for _, p := range []float64{0, 50, 99, 99.9, 100} {
+					if got, want := h.Percentile(p), floatPercentile(ref, p); got != want {
+						t.Fatalf("%s n=%d round %d: p%v = %v, want %v", name, n, round, p, got, want)
+					}
+				}
+				if got, want := h.Mean(), Mean(ref); got != want {
+					t.Fatalf("%s n=%d round %d: mean %v, want %v", name, n, round, got, want)
+				}
+				if got, want := h.Max(), floatPercentile(ref, 100); got != want {
+					t.Fatalf("%s n=%d round %d: max %v, want %v", name, n, round, got, want)
+				}
+			}
+		}
+	}
 }
