@@ -83,7 +83,7 @@ func main() {
 // run is the testable entry point: it parses args, runs the benchmarks
 // through runGoTest and writes the BENCH_<n>.json file, returning the
 // exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	bench := fs.String("bench", "^Benchmark(GF256|RS|Expandable|Hamming|SchemeEncodeDecode|SchemeBatchDecode|SimThroughput)", "benchmark regex passed to go test -bench")
@@ -100,16 +100,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Output that cannot be written (a full disk, a closed pipe) fails
+	// the run.
+	w := bufio.NewWriter(stdout)
+	defer func() {
+		if err := w.Flush(); err != nil && code == 0 {
+			fmt.Fprintln(stderr, "benchjson: stdout:", err)
+			code = 1
+		}
+	}()
 	if *listSchs {
-		fmt.Fprint(stdout, schemes.ListText())
+		fmt.Fprint(w, schemes.ListText())
 		return 0
 	}
 	if *listFaults {
-		fmt.Fprint(stdout, faults.ListFaultsText())
+		fmt.Fprint(w, faults.ListFaultsText())
 		return 0
 	}
 	if *listProfs {
-		fmt.Fprint(stdout, memsim.ListProfilesText())
+		fmt.Fprint(w, memsim.ListProfilesText())
 		return 0
 	}
 
@@ -143,11 +152,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "benchjson: parse %s: %v\n", *compare, err)
 			return 1
 		}
-		if n := regressions(base.Benchmarks, results, *threshold, stdout); n > 0 {
+		if n := regressions(base.Benchmarks, results, *threshold, w); n > 0 {
 			fmt.Fprintf(stderr, "benchjson: %d regression(s) vs %s\n", n, *compare)
 			return 1
 		}
-		fmt.Fprintf(stdout, "no regressions vs %s (threshold %.2gx)\n", *compare, *threshold)
+		fmt.Fprintf(w, "no regressions vs %s (threshold %.2gx)\n", *compare, *threshold)
 		if *out == "" {
 			return 0
 		}
@@ -176,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "benchjson: write %s: %v\n", path, err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "wrote %s (%d benchmarks)\n", path, len(results))
+	fmt.Fprintf(w, "wrote %s (%d benchmarks)\n", path, len(results))
 	return 0
 }
 

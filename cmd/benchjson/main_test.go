@@ -281,3 +281,24 @@ func TestListProfiles(t *testing.T) {
 		t.Fatalf("-list-profiles output wrong:\n%s", out)
 	}
 }
+
+// failingWriter fails every write, as a full disk or a closed pipe does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+func TestStdoutWriteErrorFails(t *testing.T) {
+	withStubRunner(t, cannedBench, nil)
+	for _, args := range [][]string{
+		{"-list-schemes"},
+		{"-list-faults"},
+		{"-list-profiles"},
+		{"-out", filepath.Join(t.TempDir(), "bench.json")},
+	} {
+		var errb strings.Builder
+		code := run(args, failingWriter{}, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "benchjson: stdout: no space left on device") {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 1 and the write error", args, code, errb.String())
+		}
+	}
+}

@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -46,7 +47,7 @@ func main() {
 
 // run is the testable entry point: it parses args and renders the fault
 // map to stdout, returning the exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("faultmap", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -62,16 +63,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Output that cannot be written (a full disk, a closed pipe) fails
+	// the run.
+	out := bufio.NewWriter(stdout)
+	defer func() {
+		if err := out.Flush(); err != nil && code == 0 {
+			fmt.Fprintln(stderr, "faultmap: stdout:", err)
+			code = 1
+		}
+	}()
 	if *listSchs {
-		fmt.Fprint(stdout, schemes.ListText())
+		fmt.Fprint(out, schemes.ListText())
 		return 0
 	}
 	if *listFaults {
-		fmt.Fprint(stdout, faults.ListFaultsText())
+		fmt.Fprint(out, faults.ListFaultsText())
 		return 0
 	}
 	if *listProfs {
-		fmt.Fprint(stdout, memsim.ListProfilesText())
+		fmt.Fprint(out, memsim.ListProfilesText())
 		return 0
 	}
 
@@ -93,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "faultmap:", err)
 			return 1
 		}
-		return runScenarioMap(stdout, sc, org, pairT, rng)
+		return runScenarioMap(out, sc, org, pairT, rng)
 	}
 
 	chip := dram.Chip{Data: dram.NewRegion(org.Pins, org.BurstLen)}
@@ -120,13 +130,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	fmt.Fprintf(stdout, "fault %q on a x%d BL%d chip access (%d bits flipped)\n\n", *kind, org.Pins, org.BurstLen, flips)
-	fmt.Fprintf(stdout, "        beats 0..%-2d       PAIR symbol (pin-aligned)\n", org.BurstLen-1)
-	renderGrid(stdout, mask, org)
+	fmt.Fprintf(out, "fault %q on a x%d BL%d chip access (%d bits flipped)\n\n", *kind, org.Pins, org.BurstLen, flips)
+	fmt.Fprintf(out, "        beats 0..%-2d       PAIR symbol (pin-aligned)\n", org.BurstLen-1)
+	renderGrid(out, mask, org)
 
 	pairSyms, duoSyms := countSyms(mask, org)
-	fmt.Fprintf(stdout, "\nsymbols corrupted:  PAIR (pin-aligned) = %d   DUO (beat-aligned) = %d\n", pairSyms, duoSyms)
-	fmt.Fprintf(stdout, "correctable:        PAIR t=%d: %-5v        DUO t=1: %v\n", pairT, pairSyms <= pairT, duoSyms <= 1)
+	fmt.Fprintf(out, "\nsymbols corrupted:  PAIR (pin-aligned) = %d   DUO (beat-aligned) = %d\n", pairSyms, duoSyms)
+	fmt.Fprintf(out, "correctable:        PAIR t=%d: %-5v        DUO t=1: %v\n", pairT, pairSyms <= pairT, duoSyms <= 1)
 	return 0
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"regexp"
 	"strconv"
 	"strings"
@@ -146,5 +147,27 @@ func TestListProfiles(t *testing.T) {
 	}
 	if !strings.Contains(out, "lpddr5-6400") || !strings.Contains(out, "policy") {
 		t.Fatalf("-list-profiles output wrong:\n%s", out)
+	}
+}
+
+// failingWriter fails every write, as a full disk or a closed pipe does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+func TestStdoutWriteErrorFails(t *testing.T) {
+	for _, args := range [][]string{
+		{},
+		{"-fault", "pin-burst", "-len", "4"},
+		{"-faults", "retention:pop=0.02"},
+		{"-list-schemes"},
+		{"-list-faults"},
+		{"-list-profiles"},
+	} {
+		var errb strings.Builder
+		code := run(args, failingWriter{}, &errb)
+		if code != 1 || !strings.Contains(errb.String(), "faultmap: stdout: no space left on device") {
+			t.Fatalf("%v: exit %d, stderr %q; want exit 1 and the write error", args, code, errb.String())
+		}
 	}
 }

@@ -10,19 +10,31 @@ import (
 // Histogram collects integer samples (latencies in cycles) for
 // percentile queries. It stores samples exactly (the experiment scales
 // here are small enough) and answers each percentile by selecting the
-// sample of that rank in place, without sorting.
+// sample of that rank in place, without sorting. A selection leaves the
+// samples partitioned around the rank it placed, and the next query
+// searches only the side that holds its own rank.
 type Histogram struct {
 	samples []uint64
 	sum     uint64
+	// sel is the index the last selection placed, valid while selected:
+	// samples[:sel] <= samples[sel] <= samples[sel+1:]. Observe clears
+	// selected.
+	sel      int
+	selected bool
 }
 
 // NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram { return &Histogram{} }
 
+// Grow makes room for n more samples, so the next n Observe calls copy
+// nothing.
+func (h *Histogram) Grow(n int) { h.samples = slices.Grow(h.samples, n) }
+
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
 	h.samples = append(h.samples, v)
 	h.sum += v
+	h.selected = false
 }
 
 // Count returns the number of samples.
@@ -46,7 +58,20 @@ func (h *Histogram) Percentile(p float64) float64 {
 	if rank > len(h.samples) {
 		rank = len(h.samples)
 	}
-	return float64(selectRank(h.samples, rank-1))
+	k, lo, hi := rank-1, 0, len(h.samples)
+	if h.selected {
+		switch {
+		case k == h.sel:
+			return float64(h.samples[k])
+		case k > h.sel:
+			lo = h.sel + 1
+		default:
+			hi = h.sel
+		}
+	}
+	v := selectRank(h.samples[lo:hi], k-lo)
+	h.sel, h.selected = k, true
+	return float64(v)
 }
 
 // Mean returns the arithmetic mean (NaN when empty). It equals the mean

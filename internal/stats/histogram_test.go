@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -146,5 +147,75 @@ func TestHistogramMatchesSortedFloats(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestHistogramQueryOrders asks for percentiles in ascending,
+// descending and random order, repeats queries, observes between them
+// and asks for Max after a lower percentile, so that each query starts
+// from the partition the one before it left, or from none after an
+// Observe. Every answer must equal the sorted-float reference.
+func TestHistogramQueryOrders(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	ps := []float64{0, 1, 25, 50, 50, 90, 99, 99, 99.9, 100}
+	for _, n := range []int{1, 2, 3, 10, 999, 2800} {
+		for _, order := range []string{"ascending", "descending", "random"} {
+			h := NewHistogram()
+			var ref []float64
+			observe := func(k int) {
+				for i := 0; i < k; i++ {
+					v := 40 + uint64(rng.ExpFloat64()*60)
+					if rng.Intn(4) == 0 {
+						v = uint64(rng.Intn(8)) // ties
+					}
+					h.Observe(v)
+					ref = append(ref, float64(v))
+				}
+			}
+			check := func(p float64) {
+				t.Helper()
+				if got, want := h.Percentile(p), floatPercentile(ref, p); got != want {
+					t.Fatalf("n=%d %s: p%v = %v, want %v", n, order, p, got, want)
+				}
+			}
+			observe(n)
+			for round := 0; round < 3; round++ {
+				qs := slices.Clone(ps)
+				switch order {
+				case "descending":
+					slices.Reverse(qs)
+				case "random":
+					rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+				}
+				for i, p := range qs {
+					check(p)
+					check(p) // the same rank again
+					if i == len(qs)/2 {
+						observe(1 + rng.Intn(3))
+					}
+				}
+				check(50)
+				if got, want := h.Max(), floatPercentile(ref, 100); got != want {
+					t.Fatalf("n=%d %s: max after p50 = %v, want %v", n, order, got, want)
+				}
+				observe(n / 2)
+			}
+		}
+	}
+}
+
+func TestHistogramGrowReservesRoom(t *testing.T) {
+	h := NewHistogram()
+	h.Observe(3)
+	h.Grow(100)
+	first := &h.samples[0]
+	for i := 0; i < 100; i++ {
+		h.Observe(uint64(i))
+	}
+	if &h.samples[0] != first {
+		t.Fatal("Observe copied the samples after Grow made room")
+	}
+	if h.Count() != 101 || h.Percentile(100) != 99 {
+		t.Fatalf("count %d, max %v", h.Count(), h.Percentile(100))
 	}
 }
